@@ -31,7 +31,7 @@ from .womp import (
     weighted_l0,
     womp_solve,
 )
-from .lasso import LassoConfig, LassoResult, lasso_solve, weighted_l1_norm
+from .lasso import LassoConfig, LassoResult, lasso_path, lasso_solve, weighted_l1_norm
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,

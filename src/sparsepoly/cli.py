@@ -157,6 +157,14 @@ def _print_summary(report: ExperimentReport) -> None:
             f"{sweep.best_mean_error:>14.4e}{sweep.mean_supports[sweep.best_position]:>10.1f}"
             f"{sweep.mean_sweep_seconds:>10.4f}"
         )
+    for sweep in report.lasso_sweeps:
+        solves = report.config.trials * sweep.converged_counts.size
+        capped = solves - int(sweep.converged_counts.sum())
+        if capped:
+            print(
+                f"wlasso m={sweep.m}: {capped}/{solves} solves hit the "
+                f"{report.config.lasso_max_iterations}-iteration cap"
+            )
 
 
 def cmd_run(args) -> int:

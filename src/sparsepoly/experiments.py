@@ -3,7 +3,9 @@
 The protocol, per sample count m and per trial: draw m fresh points from the
 orthogonality measure, assemble and column-normalize the sensing system, run
 one greedy solve per regularization value (keeping the full iteration trace)
-and one weighted-LASSO sweep over a log-spaced alpha grid.  Relative errors
+and one weighted-LASSO sweep over a log-spaced alpha grid, solved as a single
+batched path (`lasso.lasso_path`) whose per-alpha convergence flags and
+iteration counts are aggregated into the report.  Relative errors
 are measured coefficient-wise against a single shared reference fit obtained
 by least squares on an oversampled draw; since the basis is orthonormal for
 the sampling measure, the coefficient-space l2 distance equals the function-
@@ -35,7 +37,7 @@ from .assembly import (
     normalize_columns,
 )
 from .index_sets import MultiIndexSet, hyperbolic_cross
-from .lasso import LassoConfig, default_alpha_grid, lasso_solve
+from .lasso import default_alpha_grid, lasso_path
 from .womp import WompConfig, womp_solve
 
 DEFAULT_SEED = 1729
@@ -166,6 +168,10 @@ class LassoSweep:
     mean_errors: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
     mean_supports: np.ndarray = field(repr=False)
+    # per alpha, over trials: solves that met the tolerance, and iterations run
+    converged_counts: np.ndarray = field(repr=False)
+    mean_iterations: np.ndarray = field(repr=False)
+    max_iterations_run: np.ndarray = field(repr=False)
     best_position: int = 0
     best_mean_error: float = float("nan")
     mean_sweep_seconds: float = 0.0
@@ -222,6 +228,9 @@ class ExperimentReport:
                     "best_position": s.best_position,
                     "best_mean_error": s.best_mean_error,
                     "mean_sweep_seconds": s.mean_sweep_seconds,
+                    "converged_counts": s.converged_counts.tolist(),
+                    "mean_iterations": s.mean_iterations.tolist(),
+                    "max_iterations_run": s.max_iterations_run.tolist(),
                 }
                 for s in self.lasso_sweeps
             ],
@@ -264,23 +273,19 @@ def _run_trial(
     if config.include_lasso:
         t0 = time.perf_counter()
         alphas = default_alpha_grid(system, w, config.lasso_grid_size)
+        results = lasso_path(
+            system, w, alphas, config.lasso_max_iterations, config.lasso_rel_tolerance
+        )
         errors = np.empty(len(alphas))
         supports = np.empty(len(alphas))
-        for i, alpha in enumerate(alphas):
-            result = lasso_solve(
-                system,
-                w,
-                LassoConfig(
-                    alpha=float(alpha),
-                    max_iterations=config.lasso_max_iterations,
-                    rel_tolerance=config.lasso_rel_tolerance,
-                ),
-            )
+        for i, result in enumerate(results):
             coefficients = denormalize_solution(system, result.coefficients)
             errors[i] = relative_error(coefficients, x_ref)
             supports[i] = int(np.count_nonzero(np.abs(coefficients) > 1e-12))
         sweep_seconds = time.perf_counter() - t0
-        lasso_results = (alphas, errors, supports, sweep_seconds)
+        converged = np.array([r.converged for r in results])
+        iterations = np.array([r.n_iterations for r in results])
+        lasso_results = (alphas, errors, supports, sweep_seconds, converged, iterations)
 
     return {
         "normalize_seconds": normalize_seconds,
@@ -348,6 +353,8 @@ def run_sweep(
             errors = np.stack([r["lasso"][1] for r in trial_results])
             supports = np.stack([r["lasso"][2] for r in trial_results])
             seconds = np.array([r["lasso"][3] for r in trial_results])
+            converged = np.stack([r["lasso"][4] for r in trial_results])
+            iterations = np.stack([r["lasso"][5] for r in trial_results])
             mean_errors = errors.mean(axis=0)
             best = int(np.argmin(mean_errors))
             lasso_sweeps.append(
@@ -357,6 +364,9 @@ def run_sweep(
                     mean_errors=mean_errors,
                     std_errors=errors.std(axis=0),
                     mean_supports=supports.mean(axis=0),
+                    converged_counts=converged.sum(axis=0),
+                    mean_iterations=iterations.mean(axis=0),
+                    max_iterations_run=iterations.max(axis=0),
                     best_position=best,
                     best_mean_error=float(mean_errors[best]),
                     mean_sweep_seconds=float(seconds.mean()),

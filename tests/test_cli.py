@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,20 @@ trials=1
 reference_oversampling=4
 seed=5
 include_lasso=false
+"""
+
+CAPPED_TEXT = """
+basis=legendre
+d=4
+s=5
+m=30
+lambdas=0,1e-4
+iterations=6
+trials=3
+reference_oversampling=5
+seed=909
+lasso_grid_size=4
+lasso_max_iterations=1
 """
 
 
@@ -144,6 +160,29 @@ def test_cmd_run_seed_flag_overrides(tmp_path):
     ) == 0
     resolved = (out_dir / "config_resolved.cfg").read_text()
     assert "seed=77" in resolved
+
+
+def test_lasso_cap_is_reported(tmp_path, capsys):
+    config_path = tmp_path / "capped.cfg"
+    config_path.write_text(CAPPED_TEXT)
+    dirs = [tmp_path / "run_a", tmp_path / "run_b"]
+    for out_dir in dirs:
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
+        assert "wlasso m=30: 12/12 solves hit the 1-iteration cap" in capsys.readouterr().out
+    sweep = json.loads((dirs[0] / "report.json").read_text())["lasso"][0]
+    assert sweep["converged_counts"] == [0, 0, 0, 0]
+    assert sweep["max_iterations_run"] == [1, 1, 1, 1]
+    # the diagnostics leave criterion 10's byte-compared files deterministic
+    for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+    # with room to converge there is nothing to flag
+    roomy = ["run", "--config", str(config_path), "--out", str(tmp_path / "roomy"),
+             "lasso_max_iterations=600"]
+    assert main(roomy) == 0
+    assert "iteration cap" not in capsys.readouterr().out
+    roomy_sweep = json.loads((tmp_path / "roomy" / "report.json").read_text())["lasso"][0]
+    assert roomy_sweep["converged_counts"] == [3, 3, 3, 3]
 
 
 def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):

@@ -1,10 +1,12 @@
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from sparsepoly import basis
+from sparsepoly.cli import main
 from sparsepoly.experiments import (
     ExperimentConfig,
     expansion_target,
@@ -15,6 +17,8 @@ from sparsepoly.experiments import (
     write_outputs,
 )
 from sparsepoly.index_sets import hyperbolic_cross
+
+TESTS = Path(__file__).parent
 
 SMALL = dict(
     basis_kind="legendre",
@@ -265,3 +269,15 @@ def test_csv_determinism(tmp_path):
     write_outputs(run_sweep(config), dir_b)
     for name in ("errors.csv", "support.csv"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def test_quick_womp_rows_match_recorded(tmp_path):
+    """The womp rows of configs/quick.cfg's errors.csv and support.csv are
+    pinned byte for byte in tests/data; changing them is a numerical change
+    that must be named."""
+    config = TESTS.parent / "configs" / "quick.cfg"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    for name in ("errors", "support"):
+        lines = (tmp_path / f"{name}.csv").read_bytes().splitlines(keepends=True)
+        womp = b"".join(lines[:1] + [line for line in lines if line.startswith(b"womp,")])
+        assert womp == (TESTS / "data" / f"quick_womp_{name}.csv").read_bytes()

@@ -9,6 +9,7 @@ from sparsepoly.lasso import (
     default_alpha_grid,
     estimate_squared_spectral_norm,
     lasso_objective,
+    lasso_path,
     lasso_solve,
     soft_threshold,
     weighted_l1_norm,
@@ -86,6 +87,11 @@ def test_config_validation():
         LassoConfig(alpha=1.0, rel_tolerance=0.0)
     with pytest.raises(ValueError):
         LassoConfig(alpha=1.0, max_iterations=0)
+    system = make_system(10, 20, 0)
+    with pytest.raises(ValueError):
+        lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10, rel_tolerance=1e-8)
+    with pytest.raises(ValueError):
+        lasso_path(system, np.ones(20), [], max_iterations=10, rel_tolerance=1e-8)
 
 
 def test_requires_normalized_system():
@@ -209,3 +215,76 @@ def test_objective_drops_below_initial():
     result = lasso_solve(system, w, LassoConfig(alpha=alpha))
     initial = lasso_objective(np.zeros(40), system, w, alpha)
     assert result.objective < initial
+
+
+# --- batched alpha path -----------------------------------------------------
+
+
+def path_problem():
+    system = make_system(15, 40, 21)
+    w = np.random.default_rng(22).uniform(1, 3, 40)
+    ratio = float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
+    # above the zero-solution threshold, two moderate values, one tiny one
+    return system, w, ratio * np.array([3.0, 0.3, 0.05, 1e-6])
+
+
+def test_path_columns_keep_their_own_counts_and_flags():
+    system, w, alphas = path_problem()
+    results = lasso_path(system, w, alphas, max_iterations=400, rel_tolerance=1e-8)
+    assert len(results) == len(alphas)
+    flags = [r.converged for r in results]
+    counts = [r.n_iterations for r in results]
+    assert flags == [True, True, True, False]
+    assert counts[0] == 1  # the zero start is already optimal
+    assert 1 < counts[1] < counts[2] < 400
+    assert counts[3] == 400
+    for result in results:
+        assert result.objective_history.shape == (result.n_iterations + 1,)
+        assert result.objective == result.objective_history[-1]
+
+
+def test_path_converged_columns_match_single_alpha_solves():
+    system, w, alphas = path_problem()
+    results = lasso_path(system, w, alphas, max_iterations=5000, rel_tolerance=1e-10)
+    for alpha, result in zip(alphas, results):
+        if not result.converged:
+            continue
+        single = lasso_solve(
+            system, w, LassoConfig(alpha=alpha, max_iterations=5000, rel_tolerance=1e-10)
+        )
+        assert single.converged
+        scale = max(np.linalg.norm(single.coefficients), 1.0)
+        assert np.linalg.norm(result.coefficients - single.coefficients) <= 1e-6 * scale
+
+
+def test_path_objective_histories_non_increasing():
+    system, w, alphas = path_problem()
+    for result in lasso_path(system, w, alphas, max_iterations=2000, rel_tolerance=1e-8):
+        assert np.all(np.diff(result.objective_history) <= 0.0)
+
+
+def test_path_recovers_from_underestimated_step():
+    # The power method starts from the all-ones vector, which is an
+    # eigenvector of this Gram matrix for its smaller eigenvalue (0.4 of
+    # 1.6).  The first step is then too long for descent, so every alpha
+    # must restart and halve its step.
+    raw = LinearSystem(np.array([[1.0, -0.6], [0.0, 0.8]]), np.array([1.0, -2.0]), np.ones(2), False)
+    system = normalize_columns(raw)
+    exact = np.linalg.norm(system.matrix, 2) ** 2
+    assert estimate_squared_spectral_norm(system.matrix) < exact / 2.1
+
+    ratio = float(np.max(np.abs(system.matrix.T @ system.rhs)))
+    alphas = ratio * np.array([0.5, 0.1, 0.01])
+    results = lasso_path(system, np.ones(2), alphas, max_iterations=5000, rel_tolerance=1e-12)
+    for alpha, result in zip(alphas, results):
+        assert result.converged
+        assert np.all(np.diff(result.objective_history) <= 0.0)
+        np.testing.assert_allclose(result.coefficients, reference_ista(system, alpha), atol=1e-8)
+
+
+def test_path_single_iteration_never_converges():
+    system, w, alphas = path_problem()
+    below_threshold = alphas[1:]
+    results = lasso_path(system, w, below_threshold, max_iterations=1, rel_tolerance=1e-8)
+    assert [r.converged for r in results] == [False] * len(below_threshold)
+    assert [r.n_iterations for r in results] == [1] * len(below_threshold)
