@@ -6,8 +6,7 @@ Writes one result directory per basis under --out (default results/):
     results/legendre/{errors,support,runtimes}.csv, report.json, config_resolved.cfg
     results/chebyshev/...
 
-Takes a few minutes single-threaded; timings in runtimes.csv are only
-comparable when --threads is left at 1.
+Takes a few minutes.
 """
 
 import argparse
@@ -23,15 +22,13 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default="results")
     parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--force", action="store_true")
     args = parser.parse_args()
 
     for kind in ("legendre", "chebyshev"):
         config = CONFIG_DIR / f"full_study_{kind}.cfg"
         out_dir = Path(args.out) / kind
-        argv = ["run", "--config", str(config), "--out", str(out_dir),
-                "--threads", str(args.threads)]
+        argv = ["run", "--config", str(config), "--out", str(out_dir)]
         if args.seed is not None:
             argv += ["--seed", str(args.seed)]
         if args.force:

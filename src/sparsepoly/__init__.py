@@ -3,7 +3,7 @@ sets, via weighted orthogonal matching pursuit over tensorized Legendre or
 Chebyshev polynomial systems, with a weighted-LASSO baseline decoder and a
 reproducible experiment harness."""
 
-from .index_sets import MultiIndexSet, cardinality, hyperbolic_cross
+from .index_sets import MultiIndexSet, hyperbolic_cross
 from .basis import (
     BASIS_KINDS,
     CHEBYSHEV,
@@ -31,7 +31,7 @@ from .womp import (
     weighted_l0,
     womp_solve,
 )
-from .lasso import LassoConfig, LassoResult, lasso_path, lasso_solve, weighted_l1_norm
+from .lasso import LassoResult, default_alpha_grid, lasso_path, weighted_l1_norm
 from .experiments import (
     ExperimentConfig,
     ExperimentReport,

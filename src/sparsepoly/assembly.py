@@ -55,10 +55,6 @@ class LinearSystem:
     normalized: bool = False
 
     @property
-    def n_rows(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def n_columns(self) -> int:
         return self.matrix.shape[1]
 
@@ -128,24 +124,3 @@ def denormalize_solution(system: LinearSystem, coefficients: np.ndarray) -> np.n
     if not system.normalized:
         raise ValueError("system is not normalized; nothing to denormalize")
     return np.asarray(coefficients, dtype=np.float64) / system.column_norms
-
-
-def save_system_npz(system: LinearSystem, path) -> None:
-    """Binary dump (full double precision) for external cross-checking."""
-    np.savez(
-        path,
-        matrix=system.matrix,
-        rhs=system.rhs,
-        column_norms=system.column_norms,
-        normalized=np.array(system.normalized),
-    )
-
-
-def load_system_npz(path) -> LinearSystem:
-    data = np.load(path)
-    return LinearSystem(
-        matrix=data["matrix"],
-        rhs=data["rhs"],
-        column_norms=data["column_norms"],
-        normalized=bool(data["normalized"]),
-    )

@@ -92,17 +92,23 @@ def eval_tensor(kind: str, index, point) -> float:
     return value
 
 
+def _sup_norms(kind: str, indices: np.ndarray) -> np.ndarray:
+    """Closed-form tensor sup norms of the rows of an (N, d) index array."""
+    idx = np.asarray(indices, dtype=np.float64)
+    if kind == LEGENDRE:
+        # product of per-factor norms, in coordinate order, so the value is
+        # bit-identical to |phi_j| evaluated at the corner (1, ..., 1)
+        return np.multiply.reduce(np.sqrt(2.0 * idx + 1.0), axis=1)
+    return np.sqrt(2.0) ** np.count_nonzero(idx, axis=1)
+
+
 def weight(kind: str, index) -> float:
     """Sup norm of the tensor polynomial phi_j on the open cube (closed form)."""
     _check_kind(kind)
     index = np.asarray(index, dtype=np.int64)
     if np.any(index < 0):
         raise ValueError("multi-index entries must be nonnegative")
-    if kind == LEGENDRE:
-        # product of per-factor norms, in coordinate order, so the value is
-        # bit-identical to |phi_j| evaluated at the corner (1, ..., 1)
-        return float(np.multiply.reduce(np.sqrt(2.0 * index + 1.0)))
-    return float(np.sqrt(2.0) ** np.count_nonzero(index))
+    return float(_sup_norms(kind, index.reshape(1, -1))[0])
 
 
 def weights(kind: str, index_set) -> np.ndarray:
@@ -112,10 +118,7 @@ def weights(kind: str, index_set) -> np.ndarray:
     exactly 1 at the zero index.
     """
     _check_kind(kind)
-    idx = np.asarray(index_set.indices, dtype=np.float64)
-    if kind == LEGENDRE:
-        return np.multiply.reduce(np.sqrt(2.0 * idx + 1.0), axis=1)
-    return np.sqrt(2.0) ** np.count_nonzero(idx, axis=1)
+    return _sup_norms(kind, index_set.indices)
 
 
 def sample_measure(kind: str, d: int, m: int, rng_seed) -> np.ndarray:
@@ -168,13 +171,3 @@ def evaluate_expansion(kind: str, index_set, coefficients, points: np.ndarray) -
     if coefficients.shape != (len(index_set),):
         raise ValueError("coefficient length must match the index set")
     return evaluate_design(kind, index_set, points) @ coefficients
-
-
-def save_points_csv(points: np.ndarray, path) -> None:
-    """One point per row, d columns, full double precision."""
-    np.savetxt(path, np.asarray(points, dtype=np.float64), delimiter=",", fmt="%.17g")
-
-
-def load_points_csv(path) -> np.ndarray:
-    pts = np.loadtxt(path, delimiter=",", dtype=np.float64)
-    return pts.reshape(1, -1) if pts.ndim == 1 else pts

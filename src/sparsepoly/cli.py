@@ -56,28 +56,37 @@ def _parse_float_list(token: str) -> tuple[float, ...]:
     return tuple(_parse_float(part) for part in token.split(",") if part.strip())
 
 
-# config key -> (ExperimentConfig field, value parser)
+def _render_bool(value: bool) -> str:
+    return "true" if value else "false"
+
+
+def _render_list(values) -> str:
+    return ",".join(repr(v) for v in values)
+
+
+# config key -> (ExperimentConfig field, value parser, value renderer), in
+# the order render_config writes them
 CONFIG_KEYS = {
-    "basis": ("basis_kind", str.strip),
-    "d": ("dimension", int),
-    "s": ("cross_order", int),
-    "m": ("sample_counts", _parse_int_list),
-    "lambdas": ("lambdas", _parse_float_list),
-    "iterations": ("iterations", int),
-    "trials": ("trials", int),
-    "reference_oversampling": ("reference_oversampling", int),
-    "seed": ("base_seed", int),
-    "include_lasso": ("include_lasso", _parse_bool),
-    "lasso_grid_size": ("lasso_grid_size", int),
-    "lasso_max_iterations": ("lasso_max_iterations", int),
-    "lasso_rel_tolerance": ("lasso_rel_tolerance", _parse_float),
+    "basis": ("basis_kind", str.strip, str),
+    "d": ("dimension", int, str),
+    "s": ("cross_order", int, str),
+    "m": ("sample_counts", _parse_int_list, _render_list),
+    "lambdas": ("lambdas", _parse_float_list, _render_list),
+    "iterations": ("iterations", int, str),
+    "trials": ("trials", int, str),
+    "reference_oversampling": ("reference_oversampling", int, str),
+    "seed": ("base_seed", int, str),
+    "include_lasso": ("include_lasso", _parse_bool, _render_bool),
+    "lasso_grid_size": ("lasso_grid_size", int, str),
+    "lasso_max_iterations": ("lasso_max_iterations", int, str),
+    "lasso_rel_tolerance": ("lasso_rel_tolerance", _parse_float, repr),
 }
 
 
 def _apply_setting(values: dict, key: str, raw: str, where: str) -> None:
     if key not in CONFIG_KEYS:
         raise ConfigError(f"{where}: unknown key {key!r}")
-    field, parser = CONFIG_KEYS[key]
+    field, parser, _ = CONFIG_KEYS[key]
     try:
         values[field] = parser(raw)
     except ValueError as exc:
@@ -119,22 +128,10 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 def render_config(config: ExperimentConfig) -> str:
     """Key=value rendering; parse_config_text(render_config(c)) == c."""
-    lines = [
-        f"basis={config.basis_kind}",
-        f"d={config.dimension}",
-        f"s={config.cross_order}",
-        "m=" + ",".join(str(m) for m in config.sample_counts),
-        "lambdas=" + ",".join(repr(v) for v in config.lambdas),
-        f"iterations={config.iterations}",
-        f"trials={config.trials}",
-        f"reference_oversampling={config.reference_oversampling}",
-        f"seed={config.base_seed}",
-        f"include_lasso={'true' if config.include_lasso else 'false'}",
-        f"lasso_grid_size={config.lasso_grid_size}",
-        f"lasso_max_iterations={config.lasso_max_iterations}",
-        f"lasso_rel_tolerance={repr(config.lasso_rel_tolerance)}",
-    ]
-    return "\n".join(lines) + "\n"
+    return "".join(
+        f"{key}={render(getattr(config, field))}\n"
+        for key, (field, _, render) in CONFIG_KEYS.items()
+    )
 
 
 OUTPUT_NAMES = ("errors.csv", "support.csv", "runtimes.csv", "report.json", "config_resolved.cfg")
@@ -189,7 +186,7 @@ def cmd_run(args) -> int:
 
     written: list[Path] = []
     try:
-        report = run_sweep(config, threads=args.threads)
+        report = run_sweep(config)
         written = write_outputs(report, out_dir)
         resolved = out_dir / "config_resolved.cfg"
         resolved.write_text(render_config(config))
@@ -238,7 +235,6 @@ def main(argv=None) -> int:
     run_parser.add_argument("--config", required=True)
     run_parser.add_argument("--out", required=True)
     run_parser.add_argument("--seed", type=int, default=None)
-    run_parser.add_argument("--threads", type=int, default=1)
     run_parser.add_argument("--force", action="store_true")
     run_parser.add_argument("overrides", nargs="*", metavar="key=value")
     run_parser.set_defaults(func=cmd_run)

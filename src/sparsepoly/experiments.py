@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -84,6 +83,10 @@ class ExperimentConfig:
             raise ValueError("reference_oversampling must be >= 1")
         if self.lasso_grid_size < 1:
             raise ValueError("lasso_grid_size must be >= 1")
+        if self.lasso_max_iterations < 1:
+            raise ValueError("lasso_max_iterations must be >= 1")
+        if self.lasso_rel_tolerance <= 0:
+            raise ValueError("lasso_rel_tolerance must be > 0")
 
 
 def target_log_sum(d: int) -> TargetFunction:
@@ -294,19 +297,9 @@ def _run_trial(
     }
 
 
-def run_sweep(
-    config: ExperimentConfig,
-    target: TargetFunction | None = None,
-    threads: int = 1,
-) -> ExperimentReport:
-    """Execute the full multi-trial study described by the config.
-
-    The default target is the log-of-shifted-sum function; trials are
-    independent given their derived seeds and may run on a thread pool,
-    with aggregation always ordered by trial index.
-    """
-    if target is None:
-        target = target_log_sum(config.dimension)
+def run_sweep(config: ExperimentConfig) -> ExperimentReport:
+    """Execute the full multi-trial study of the log-of-shifted-sum target."""
+    target = target_log_sum(config.dimension)
     index_set = hyperbolic_cross(config.dimension, config.cross_order)
     w = basis.weights(config.basis_kind, index_set)
     x_ref = reference_coefficients(
@@ -322,15 +315,10 @@ def run_sweep(
     normalize_seconds: dict[int, float] = {}
 
     for m in config.sample_counts:
-        def trial_task(trial: int) -> dict:
-            return _run_trial(config, target, index_set, w, x_ref, m, trial)
-
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                trial_results = list(pool.map(trial_task, range(config.trials)))
-        else:
-            trial_results = [trial_task(t) for t in range(config.trials)]
-
+        trial_results = [
+            _run_trial(config, target, index_set, w, x_ref, m, trial)
+            for trial in range(config.trials)
+        ]
         normalize_seconds[m] = float(
             np.mean([r["normalize_seconds"] for r in trial_results])
         )

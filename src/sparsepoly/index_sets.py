@@ -32,13 +32,10 @@ class MultiIndexSet:
         dimension: ambient dimension d (>= 1).
         indices: (N, d) integer array, one multi-index per row, in graded
             lexicographic order.
-        order_parameter: the hyperbolic-cross order s when the set was
-            generated by :func:`hyperbolic_cross`, else None.
     """
 
     dimension: int
     indices: np.ndarray = field(repr=False)
-    order_parameter: int | None = None
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
@@ -54,9 +51,6 @@ class MultiIndexSet:
 
     def __len__(self) -> int:
         return self.indices.shape[0]
-
-    def __iter__(self):
-        return iter(self.indices)
 
     def as_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self.indices]
@@ -108,49 +102,4 @@ def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     recurse(0, 1)
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), d)
     arr = arr[graded_lex_order(arr)]
-    return MultiIndexSet(dimension=d, indices=arr, order_parameter=s)
-
-
-def cardinality(index_set: MultiIndexSet) -> int:
-    """Number of indices N = |Lambda|."""
-    return len(index_set)
-
-
-def to_text(index_set: MultiIndexSet) -> str:
-    """Serialize to the line-oriented text format.
-
-    Header line ``d=<d> s=<s> N=<N>`` (s=0 when the set was not generated as
-    a hyperbolic cross), then one space-separated multi-index per line.
-    """
-    s = index_set.order_parameter or 0
-    lines = [f"d={index_set.dimension} s={s} N={len(index_set)}"]
-    lines += [" ".join(str(int(v)) for v in row) for row in index_set.indices]
-    return "\n".join(lines) + "\n"
-
-
-def from_text(text: str) -> MultiIndexSet:
-    """Parse the format written by :func:`to_text`."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty index-set text")
-    header = dict(part.split("=", 1) for part in lines[0].split())
-    try:
-        d, s, n = int(header["d"]), int(header["s"]), int(header["N"])
-    except KeyError as exc:
-        raise ValueError(f"malformed header {lines[0]!r}") from exc
-    body = lines[1:]
-    if len(body) != n:
-        raise ValueError(f"header claims N={n} but found {len(body)} indices")
-    arr = np.array([[int(v) for v in ln.split()] for ln in body], dtype=np.int64)
-    arr = arr.reshape(n, d)
-    return MultiIndexSet(dimension=d, indices=arr, order_parameter=s or None)
-
-
-def save_text(index_set: MultiIndexSet, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(to_text(index_set))
-
-
-def load_text(path) -> MultiIndexSet:
-    with open(path) as fh:
-        return from_text(fh.read())
+    return MultiIndexSet(dimension=d, indices=arr)

@@ -17,7 +17,7 @@ iteration costs two matrix products for the whole grid: A^T applied to the
 momentum residuals and A applied to the new iterates.  The residual A z - y
 of the objective is kept and the momentum residual is formed from it by the
 same extrapolation as the momentum point.  A row leaves the block when it
-converges or reaches the iteration cap.  `lasso_solve` is the one-alpha case.
+converges or reaches the iteration cap.
 """
 
 from __future__ import annotations
@@ -27,27 +27,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .assembly import LinearSystem
-
-
-def _check_settings(alphas, max_iterations: int, rel_tolerance: float) -> None:
-    if np.size(alphas) == 0:
-        raise ValueError("at least one alpha is required")
-    if np.any(np.asarray(alphas) <= 0):
-        raise ValueError("alpha must be > 0")
-    if rel_tolerance <= 0:
-        raise ValueError("rel_tolerance must be > 0")
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
-
-
-@dataclass
-class LassoConfig:
-    alpha: float
-    max_iterations: int = 2000
-    rel_tolerance: float = 1e-8
-
-    def __post_init__(self):
-        _check_settings(self.alpha, self.max_iterations, self.rel_tolerance)
 
 
 @dataclass
@@ -121,7 +100,14 @@ def lasso_path(
             "lasso_path requires unit-norm columns; apply normalize_columns first"
         )
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    _check_settings(alphas, max_iterations, rel_tolerance)
+    if alphas.size == 0:
+        raise ValueError("at least one alpha is required")
+    if np.any(alphas <= 0):
+        raise ValueError("alpha must be > 0")
+    if rel_tolerance <= 0:
+        raise ValueError("rel_tolerance must be > 0")
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be >= 1")
     matrix, y = system.matrix, system.rhs
     w = np.asarray(w, dtype=np.float64)
 
@@ -217,10 +203,3 @@ def lasso_path(
     for i, result in enumerate(results):
         result.objective_history = history[: result.n_iterations + 1, i].copy()
     return results
-
-
-def lasso_solve(system: LinearSystem, w: np.ndarray, config: LassoConfig) -> LassoResult:
-    """`lasso_path` for the single alpha of the config."""
-    return lasso_path(
-        system, w, [config.alpha], config.max_iterations, config.rel_tolerance
-    )[0]

@@ -25,7 +25,6 @@ support-enlarging iteration cannot realize); the solver then stops with
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +34,9 @@ from .assembly import LinearSystem
 # Iterations stop once the residual is this small relative to ||y||; further
 # refits would only churn floating-point noise.
 RESIDUAL_FLOOR = 1e-14
+
+# |x_j| above this counts as support, below as zero.
+SUPPORT_EPSILON = 1e-12
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_ZERO_DELTA = "zero_delta"
@@ -48,23 +50,16 @@ class WompConfig:
 
     lam: regularization strength (0 gives classical OMP behaviour).
     max_iterations: iteration budget K.
-    support_epsilon: |x_j| above this counts as support, below as zero.
-    ls_tolerance: rank cutoff passed to the least-squares solve; None uses
-        the machine-precision default.
     """
 
     lam: float = 0.0
     max_iterations: int = 25
-    support_epsilon: float = 1e-12
-    ls_tolerance: float | None = None
 
     def __post_init__(self):
         if self.lam < 0:
             raise ValueError("lam must be >= 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.support_epsilon <= 0:
-            raise ValueError("support_epsilon must be > 0")
 
 
 @dataclass
@@ -106,26 +101,8 @@ class SolveTrace:
             return 0
         return len(self.records[min(k, len(self.records)) - 1].support)
 
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["k", "selected_index", "delta", "residual_norm", "g_lambda", "support_size"]
-            )
-            for rec in self.records:
-                writer.writerow(
-                    [
-                        rec.k,
-                        rec.selected_index,
-                        repr(rec.delta_value),
-                        repr(rec.residual_norm),
-                        repr(rec.g_lambda),
-                        len(rec.support),
-                    ]
-                )
 
-
-def weighted_l0(z: np.ndarray, w: np.ndarray, eps: float = 1e-12) -> float:
+def weighted_l0(z: np.ndarray, w: np.ndarray, eps: float = SUPPORT_EPSILON) -> float:
     """Sum of w_j^2 over the numerical support {j : |z_j| > eps}."""
     z = np.asarray(z)
     w = np.asarray(w)
@@ -138,7 +115,7 @@ def g_lambda(
     system: LinearSystem,
     w: np.ndarray,
     lam: float,
-    eps: float = 1e-12,
+    eps: float = SUPPORT_EPSILON,
 ) -> float:
     """Objective value ||y - A z||^2 + lam * weighted_l0(z)."""
     residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
@@ -177,7 +154,7 @@ def compute_delta(
     system: LinearSystem,
     w: np.ndarray,
     lam: float,
-    eps: float = 1e-12,
+    eps: float = SUPPORT_EPSILON,
 ) -> float:
     """Exact achievable decrease of G_lam by re-optimizing coordinate j.
 
@@ -192,21 +169,17 @@ def compute_delta(
     return float(delta_scores(x, in_support, correlations, w, lam, eps)[j])
 
 
-def restricted_least_squares(
-    system: LinearSystem,
-    support,
-    rcond: float | None = None,
-) -> np.ndarray:
+def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
     """Minimize ||A_S z - y|| over z supported on S; zero elsewhere.
 
     Returns the minimum-norm minimizer when A_S is rank-deficient at the
-    given cutoff.  An empty support returns the zero vector.
+    machine-precision cutoff.  An empty support returns the zero vector.
     """
     support = sorted(int(j) for j in support)
     x = np.zeros(system.n_columns)
     if not support:
         return x
-    solution, *_ = np.linalg.lstsq(system.matrix[:, support], system.rhs, rcond=rcond)
+    solution, *_ = np.linalg.lstsq(system.matrix[:, support], system.rhs, rcond=None)
     x[support] = solution
     return x
 
@@ -239,7 +212,7 @@ def womp_solve(
 
     matrix, y = system.matrix, system.rhs
     n = system.n_columns
-    lam, eps = config.lam, config.support_epsilon
+    lam = config.lam
     y_norm = float(np.linalg.norm(y))
 
     x = np.zeros(n)
@@ -251,7 +224,7 @@ def womp_solve(
 
     for k in range(1, config.max_iterations + 1):
         correlations = matrix.T @ residual
-        scores = delta_scores(x, in_support, correlations, w, lam, eps)
+        scores = delta_scores(x, in_support, correlations, w, lam, SUPPORT_EPSILON)
         j = int(np.argmax(scores))
         best = float(scores[j])
         if best <= 0.0:
@@ -263,12 +236,12 @@ def womp_solve(
         in_support[j] = True
         support.append(j)
         support.sort()
-        x = restricted_least_squares(system, support, rcond=config.ls_tolerance)
+        x = restricted_least_squares(system, support)
         residual = y - matrix[:, support] @ x[support]
         residual_norm = float(np.linalg.norm(residual))
         g_value = residual_norm**2
         if lam > 0:
-            g_value += lam * weighted_l0(x, w, eps)
+            g_value += lam * weighted_l0(x, w)
         records.append(
             IterationRecord(
                 k=k,

@@ -7,9 +7,7 @@ from sparsepoly.assembly import (
     TargetFunction,
     build_system,
     denormalize_solution,
-    load_system_npz,
     normalize_columns,
-    save_system_npz,
 )
 from sparsepoly.experiments import expansion_target, target_log_sum
 from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
@@ -170,14 +168,3 @@ def test_column_ordering_matches_index_set():
     for col, index in [(1, ms.indices[1]), (4, ms.indices[4])]:
         expected = [basis.eval_tensor("legendre", index, p) / np.sqrt(9) for p in pts]
         np.testing.assert_allclose(system.matrix[:, col], expected, atol=1e-13)
-
-
-def test_system_npz_round_trip(tmp_path):
-    system = normalize_columns(random_system(10, 6, 9))
-    path = tmp_path / "system.npz"
-    save_system_npz(system, path)
-    back = load_system_npz(path)
-    np.testing.assert_array_equal(back.matrix, system.matrix)
-    np.testing.assert_array_equal(back.rhs, system.rhs)
-    np.testing.assert_array_equal(back.column_norms, system.column_norms)
-    assert back.normalized == system.normalized

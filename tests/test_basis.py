@@ -163,11 +163,3 @@ def test_expansion_evaluation_matches_tensor():
         for p in pts
     ]
     np.testing.assert_allclose(values, expected, atol=1e-12)
-
-
-def test_points_csv_round_trip(tmp_path):
-    pts = basis.sample_measure("chebyshev", 4, 17, 23)
-    path = tmp_path / "points.csv"
-    basis.save_points_csv(pts, path)
-    back = basis.load_points_csv(path)
-    np.testing.assert_array_equal(back, pts)

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from sparsepoly.cli import (
 )
 from sparsepoly.experiments import ExperimentConfig
 from sparsepoly.womp import compute_delta
+
+QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
 
 FULL_STUDY_TEXT = """
 # full-scale study configuration
@@ -190,6 +193,15 @@ def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
     config_path.write_text("basis=legendre\nlambdas=\n")
     assert main(["run", "--config", str(config_path), "--out", str(tmp_path / "o")]) == 2
     assert "lambdas" in capsys.readouterr().err
+
+    # LASSO settings are checked when the config is parsed, before any work
+    for key in ("lasso_max_iterations", "lasso_rel_tolerance"):
+        out_dir = tmp_path / key
+        assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir), f"{key}=0"]) == 2
+        assert key in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main(["info", "--config", str(QUICK_CONFIG), f"{key}=0"]) == 2
+        assert key in capsys.readouterr().err
 
 
 def test_cmd_verify_passes(capsys):

@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsepoly import basis
 from sparsepoly.cli import main
@@ -136,6 +138,10 @@ def test_config_rejects_bad_values():
         ExperimentConfig(basis_kind="fourier")
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(lasso_max_iterations=0)
+    with pytest.raises(ValueError):
+        ExperimentConfig(lasso_rel_tolerance=0.0)
 
 
 # --- sweep ------------------------------------------------------------------
@@ -175,12 +181,37 @@ def test_sweep_is_deterministic():
         assert sa.best_position == sb.best_position
 
 
-def test_threaded_sweep_matches_serial():
-    config = ExperimentConfig(**SMALL)
-    serial = run_sweep(config, threads=1)
-    threaded = run_sweep(config, threads=3)
-    for ca, cb in zip(serial.womp_curves, threaded.womp_curves):
+@settings(max_examples=4, deadline=None)
+@given(
+    kind=st.sampled_from(basis.BASIS_KINDS),
+    d=st.integers(1, 3),
+    m=st.integers(6, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_sweep_repeats_give_equal_curves(kind, d, m, seed):
+    config = ExperimentConfig(
+        basis_kind=kind,
+        dimension=d,
+        cross_order=4,
+        sample_counts=(m,),
+        lambdas=(0.0, 1e-4),
+        iterations=3,
+        trials=2,
+        reference_oversampling=4,
+        base_seed=seed,
+        lasso_grid_size=3,
+        lasso_max_iterations=100,
+    )
+    a = run_sweep(config)
+    b = run_sweep(config)
+    for ca, cb in zip(a.womp_curves, b.womp_curves, strict=True):
         np.testing.assert_array_equal(ca.mean_errors, cb.mean_errors)
+        np.testing.assert_array_equal(ca.std_errors, cb.std_errors)
+        np.testing.assert_array_equal(ca.mean_supports, cb.mean_supports)
+    for sa, sb in zip(a.lasso_sweeps, b.lasso_sweeps, strict=True):
+        np.testing.assert_array_equal(sa.mean_errors, sb.mean_errors)
+        np.testing.assert_array_equal(sa.std_errors, sb.std_errors)
+        np.testing.assert_array_equal(sa.converged_counts, sb.converged_counts)
 
 
 def test_sweep_report_lookup_and_json():

@@ -5,15 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepoly.index_sets import (
-    MultiIndexSet,
-    cardinality,
-    from_text,
-    hyperbolic_cross,
-    load_text,
-    save_text,
-    to_text,
-)
+from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
 
 
 def box_scan_cross(d, s):
@@ -29,7 +21,7 @@ def box_scan_cross(d, s):
 
 
 def test_d10_s10_cardinality():
-    assert cardinality(hyperbolic_cross(10, 10)) == 571
+    assert len(hyperbolic_cross(10, 10)) == 571
 
 
 def test_trivial_order_one():
@@ -41,11 +33,11 @@ def test_d2_s3_enumeration():
     ms = hyperbolic_cross(2, 3)
     assert set(ms.as_tuples()) == {(0, 0), (1, 0), (0, 1), (2, 0), (0, 2)}
     assert set(ms.as_tuples()) == box_scan_cross(2, 3)
-    assert cardinality(ms) == 5
+    assert len(ms) == 5
 
 
 def test_one_dimensional_count():
-    assert cardinality(hyperbolic_cross(1, 7)) == 7
+    assert len(hyperbolic_cross(1, 7)) == 7
 
 
 def test_rejects_degenerate_arguments():
@@ -91,25 +83,3 @@ def test_validation_rejects_bad_index_arrays():
         MultiIndexSet(dimension=2, indices=np.array([[0, -1]]))
     with pytest.raises(ValueError):
         MultiIndexSet(dimension=3, indices=np.array([[0, 0]]))
-
-
-def test_text_round_trip(tmp_path):
-    ms = hyperbolic_cross(3, 5)
-    text = to_text(ms)
-    header = text.splitlines()[0]
-    assert header == f"d=3 s=5 N={len(ms)}"
-    back = from_text(text)
-    assert back.dimension == ms.dimension
-    assert back.order_parameter == 5
-    assert np.array_equal(back.indices, ms.indices)
-
-    path = tmp_path / "cross.txt"
-    save_text(ms, path)
-    assert np.array_equal(load_text(path).indices, ms.indices)
-
-
-def test_text_rejects_truncated_body():
-    ms = hyperbolic_cross(2, 4)
-    lines = to_text(ms).splitlines()
-    with pytest.raises(ValueError):
-        from_text("\n".join(lines[:-1]))

@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from sparsepoly.assembly import LinearSystem, normalize_columns
 from sparsepoly.lasso import (
-    LassoConfig,
     default_alpha_grid,
     estimate_squared_spectral_norm,
     lasso_objective,
     lasso_path,
-    lasso_solve,
     soft_threshold,
     weighted_l1_norm,
 )
@@ -24,6 +22,11 @@ def make_system(m, n, seed, noise=0.05):
     x0[support] = rng.uniform(1.0, 2.0, support.size) * rng.choice([-1, 1], support.size)
     y = matrix @ x0 + noise * rng.standard_normal(m)
     return normalize_columns(LinearSystem(matrix, y, np.ones(n), False))
+
+
+def solve_one(system, w, alpha, max_iterations=2000, rel_tolerance=1e-8):
+    """`lasso_path` at a single alpha."""
+    return lasso_path(system, w, [alpha], max_iterations, rel_tolerance)[0]
 
 
 def reference_ista(system, alpha, n_iterations=30_000):
@@ -81,13 +84,13 @@ def test_soft_threshold_vector_thresholds():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        LassoConfig(alpha=0.0)
-    with pytest.raises(ValueError):
-        LassoConfig(alpha=1.0, rel_tolerance=0.0)
-    with pytest.raises(ValueError):
-        LassoConfig(alpha=1.0, max_iterations=0)
     system = make_system(10, 20, 0)
+    with pytest.raises(ValueError):
+        solve_one(system, np.ones(20), 0.0)
+    with pytest.raises(ValueError):
+        solve_one(system, np.ones(20), 1.0, rel_tolerance=0.0)
+    with pytest.raises(ValueError):
+        solve_one(system, np.ones(20), 1.0, max_iterations=0)
     with pytest.raises(ValueError):
         lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10, rel_tolerance=1e-8)
     with pytest.raises(ValueError):
@@ -100,7 +103,7 @@ def test_requires_normalized_system():
         rng.standard_normal((10, 5)), rng.standard_normal(10), np.ones(5), False
     )
     with pytest.raises(ValueError):
-        lasso_solve(system, np.ones(5), LassoConfig(alpha=0.1))
+        solve_one(system, np.ones(5), 0.1)
 
 
 def test_spectral_norm_estimate():
@@ -117,7 +120,7 @@ def test_large_alpha_gives_zero_solution():
     rng = np.random.default_rng(12)
     w = rng.uniform(1, 3, 30)
     threshold = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = lasso_solve(system, w, LassoConfig(alpha=threshold * 1.01))
+    result = solve_one(system, w, threshold * 1.01)
     np.testing.assert_array_equal(result.coefficients, np.zeros(30))
     assert result.converged
 
@@ -130,9 +133,7 @@ def test_single_column_closed_form():
     system = LinearSystem(column[:, None], y, np.ones(1), True)
     inner = float(column @ y)
     for alpha, w in [(0.05, 1.0), (0.3, 2.0)]:
-        result = lasso_solve(
-            system, np.array([w]), LassoConfig(alpha=alpha, rel_tolerance=1e-12)
-        )
+        result = solve_one(system, np.array([w]), alpha, rel_tolerance=1e-12)
         expected = float(soft_threshold(np.array([inner]), alpha * w / 2.0)[0])
         assert result.coefficients[0] == pytest.approx(expected, abs=1e-8)
 
@@ -143,10 +144,8 @@ def test_vanishing_regularization_matches_exact_solve():
     raw = LinearSystem(matrix, rng.standard_normal(12), np.ones(12), False)
     system = normalize_columns(raw)
     exact = np.linalg.solve(system.matrix, system.rhs)
-    result = lasso_solve(
-        system,
-        np.ones(12),
-        LassoConfig(alpha=1e-12, max_iterations=200_000, rel_tolerance=1e-13),
+    result = solve_one(
+        system, np.ones(12), 1e-12, max_iterations=200_000, rel_tolerance=1e-13
     )
     np.testing.assert_allclose(result.coefficients, exact, atol=1e-6)
 
@@ -156,9 +155,7 @@ def test_fixed_point_stationarity():
     rng = np.random.default_rng(6)
     w = rng.uniform(1, 2, 35)
     alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = lasso_solve(
-        system, w, LassoConfig(alpha=alpha, max_iterations=20_000, rel_tolerance=1e-10)
-    )
+    result = solve_one(system, w, alpha, max_iterations=20_000, rel_tolerance=1e-10)
     z = result.coefficients
     step = 1.0 / (2.0 * np.linalg.norm(system.matrix, 2) ** 2)
     gradient = 2.0 * system.matrix.T @ (system.matrix @ z - system.rhs)
@@ -171,7 +168,7 @@ def test_objective_history_non_increasing():
     rng = np.random.default_rng(8)
     w = rng.uniform(1, 3, 40)
     alpha = 0.05 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = lasso_solve(system, w, LassoConfig(alpha=alpha))
+    result = solve_one(system, w, alpha)
     checkpoints = result.objective_history[::10]
     assert np.all(np.diff(checkpoints) <= 1e-10)
 
@@ -180,10 +177,8 @@ def test_matches_reference_ista_unweighted():
     for seed in range(3):
         system = make_system(30, 12, 100 + seed)
         alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-        result = lasso_solve(
-            system,
-            np.ones(12),
-            LassoConfig(alpha=alpha, max_iterations=50_000, rel_tolerance=1e-13),
+        result = solve_one(
+            system, np.ones(12), alpha, max_iterations=50_000, rel_tolerance=1e-13
         )
         reference = reference_ista(system, alpha)
         np.testing.assert_allclose(result.coefficients, reference, atol=1e-6)
@@ -192,7 +187,7 @@ def test_matches_reference_ista_unweighted():
 def test_non_convergence_flag():
     system = make_system(15, 40, 9)
     alpha = 1e-4 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    result = lasso_solve(system, np.ones(40), LassoConfig(alpha=alpha, max_iterations=3))
+    result = solve_one(system, np.ones(40), alpha, max_iterations=3)
     assert not result.converged
     assert result.n_iterations == 3
 
@@ -212,7 +207,7 @@ def test_objective_drops_below_initial():
     system = make_system(15, 40, 11)
     w = np.ones(40)
     alpha = 0.02 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    result = lasso_solve(system, w, LassoConfig(alpha=alpha))
+    result = solve_one(system, w, alpha)
     initial = lasso_objective(np.zeros(40), system, w, alpha)
     assert result.objective < initial
 
@@ -249,9 +244,7 @@ def test_path_converged_columns_match_single_alpha_solves():
     for alpha, result in zip(alphas, results):
         if not result.converged:
             continue
-        single = lasso_solve(
-            system, w, LassoConfig(alpha=alpha, max_iterations=5000, rel_tolerance=1e-10)
-        )
+        single = solve_one(system, w, alpha, max_iterations=5000, rel_tolerance=1e-10)
         assert single.converged
         scale = max(np.linalg.norm(single.coefficients), 1.0)
         assert np.linalg.norm(result.coefficients - single.coefficients) <= 1e-6 * scale

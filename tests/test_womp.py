@@ -1,5 +1,3 @@
-import csv
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -211,8 +209,6 @@ def test_config_validation():
         WompConfig(lam=-1.0)
     with pytest.raises(ValueError):
         WompConfig(max_iterations=0)
-    with pytest.raises(ValueError):
-        WompConfig(support_epsilon=0.0)
 
 
 def test_matches_textbook_omp():
@@ -338,19 +334,6 @@ def test_first_iteration_scale_covariance():
     assert int(np.argmax(base)) == int(np.argmax(scaled_scores))
 
 
-def test_trace_csv(tmp_path):
-    system = make_system(15, 30, 700)
-    trace = womp_solve(system, np.ones(30), WompConfig(lam=1e-4, max_iterations=5))
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    with open(path) as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["k", "selected_index", "delta", "residual_norm", "g_lambda", "support_size"]
-    assert len(rows) == len(trace.records) + 1
-    assert int(rows[1][0]) == 1
-    assert float(rows[1][3]) == trace.records[0].residual_norm
-
-
 def test_coefficients_at_holds_last_value():
     system = make_system(15, 30, 800)
     trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=4))
@@ -358,3 +341,37 @@ def test_coefficients_at_holds_last_value():
     last = trace.records[-1].coefficients
     np.testing.assert_array_equal(trace.coefficients_at(99), last)
     assert trace.support_size_at(99) == len(trace.records[-1].support)
+
+
+# --- properties on random systems -------------------------------------------
+
+# (m, n) with 3 <= m < 20 and m < n <= 3m + 1
+random_shapes = st.integers(3, 19).flatmap(
+    lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m + 1))
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=random_shapes,
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from((0.0, 1e-4, 1e-2)),
+)
+def test_support_bounded_by_rows_and_iterates_finite(shape, seed, lam):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    system = random_test_system(m, n, rng)
+    w = rng.uniform(1.0, 2.0, n)
+    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
+    for rec in trace.records:
+        assert len(rec.support) <= m
+        assert np.all(np.isfinite(rec.coefficients))
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=random_shapes, seed=st.integers(0, 2**32 - 1))
+def test_unregularized_run_ends_at_residual_floor(shape, seed):
+    m, n = shape
+    system = random_test_system(m, n, np.random.default_rng(seed))
+    trace = womp_solve(system, np.ones(n), WompConfig(lam=0.0, max_iterations=2 * n))
+    assert trace.stop_reason == STOP_RESIDUAL_FLOOR
