@@ -81,7 +81,8 @@ def build_system(
     if m < 1:
         raise ValueError("need at least one sample point")
     scale = 1.0 / np.sqrt(m)
-    matrix = evaluate_design(kind, index_set, points) * scale
+    matrix = evaluate_design(kind, index_set, points)
+    matrix *= scale
     values = target(points)
     if values.shape != (m,):
         raise ValueError(f"target returned shape {values.shape}, expected ({m},)")
@@ -101,12 +102,17 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     Raises:
         ValueError: if some column is (numerically) zero.
     """
-    norms = np.linalg.norm(system.matrix, axis=0)
+    matrix = np.asarray(system.matrix, dtype=np.float64)
+    # the same operations as np.linalg.norm(matrix, axis=0), without its
+    # second matrix-sized temporary; the squares' buffer then takes the
+    # normalized matrix
+    squares = matrix * matrix
+    norms = np.sqrt(np.add.reduce(squares, axis=0))
     if np.any(norms == 0.0):
         raise ValueError("zero column encountered; sampling is degenerate")
     return replace(
         system,
-        matrix=system.matrix / norms,
+        matrix=np.divide(matrix, norms, out=squares),
         column_norms=norms,
         normalized=True,
     )

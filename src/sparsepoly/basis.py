@@ -146,11 +146,21 @@ def sample_measure(kind: str, d: int, m: int, rng_seed) -> np.ndarray:
     return np.cos(np.pi * u)
 
 
+# Size in doubles of the blocks `evaluate_design` assembles at a time.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     """Matrix [phi_j(t_i)]_{i,j} for all points and all indices in the set.
 
-    Shares one univariate recurrence table per coordinate, so the cost is
-    O(m d s + m N d) rather than N independent tensor evaluations.
+    Shares one univariate recurrence table per coordinate and multiplies in
+    only the factors of nonzero degree, so the cost is O(m d s + m nnz(Lambda))
+    rather than N independent tensor evaluations.  phi_0 is exactly 1.0 and
+    the nonzero factors are multiplied in coordinate order, so the result is
+    bit-identical to the plain product over all d factors.
+
+    Returns:
+        C-contiguous (m, N) array.
     """
     points = np.asarray(points, dtype=np.float64)
     if points.ndim != 2 or points.shape[1] != index_set.dimension:
@@ -158,10 +168,42 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
             f"points must be (m, {index_set.dimension}), got {points.shape}"
         )
     idx = index_set.indices
-    design = np.ones((points.shape[0], len(index_set)))
-    for k in range(index_set.dimension):
-        table = eval_1d_table(kind, int(idx[:, k].max()), points[:, k])
-        design *= table[:, idx[:, k]]
+    m, n = points.shape[0], len(index_set)
+    d = index_set.dimension
+    n_degrees = int(idx.max()) + 1
+    # nonzero entries of each index in coordinate order as keys into a
+    # factor table whose row k * n_degrees + j holds phi_j at coordinate k;
+    # row 0 (phi_0 = 1.0) stands in for the first factor of the zero index.
+    # `later[p - 1]` holds the (p+1)-th nonzero factor of every index that
+    # has one, rows ascending.
+    rows, coords = np.nonzero(idx)
+    keys = coords * n_degrees + idx[rows, coords]
+    counts = np.bincount(rows, minlength=n)
+    starts = np.cumsum(counts) - counts
+    rank = np.arange(rows.size) - np.repeat(starts, counts)
+    first = np.zeros(n, dtype=np.intp)
+    first[counts > 0] = keys[starts[counts > 0]]
+    later = [(rows[rank == p], keys[rank == p]) for p in range(1, int(counts.max()))]
+    # Blocks of points and of columns keep every temporary near
+    # _BLOCK_ELEMENTS doubles; a design block is built transposed, so that
+    # every gather and scatter moves whole table rows.
+    design = np.empty((m, n))
+    height = max(1, _BLOCK_ELEMENTS // (d * n_degrees))
+    for top in range(0, m, height):
+        chunk = points[top : top + height]
+        table = np.empty((d * n_degrees, chunk.shape[0]))
+        for k in range(d):
+            table[k * n_degrees : (k + 1) * n_degrees] = eval_1d_table(
+                kind, n_degrees - 1, chunk[:, k]
+            ).T
+        width = max(1, _BLOCK_ELEMENTS // chunk.shape[0])
+        for lo in range(0, n, width):
+            hi = min(lo + width, n)
+            block = table[first[lo:hi]]
+            for p_rows, p_keys in later:
+                a, b = np.searchsorted(p_rows, (lo, hi))
+                block[p_rows[a:b] - lo] *= table[p_keys[a:b]]
+            design[top : top + chunk.shape[0], lo:hi] = block.T
     return design
 
 

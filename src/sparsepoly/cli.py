@@ -221,6 +221,8 @@ def cmd_info(args) -> int:
     print(render_config(config), end="")
     n = len(hyperbolic_cross(config.dimension, config.cross_order))
     print(f"derived: d={config.dimension} s={config.cross_order} N={n}")
+    rows = config.reference_oversampling * n
+    print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")
     return 0
 
 

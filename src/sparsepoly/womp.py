@@ -14,8 +14,15 @@ x supported on S and unit-norm columns, that exact decrease is
                      0                                     if j in S, x_j == 0,
 
 with r = y - A x.  After selection the coefficients are refit by least
-squares restricted to the enlarged support.  With lam = 0 and unit weights
-the scheme reduces to classical OMP.
+squares restricted to the enlarged support.  The refit keeps a thin QR
+factorization A_S = Q R of the selected columns in insertion order: a new
+column is appended by classical Gram-Schmidt with one re-orthogonalization,
+R^{-1} and Q^T y are extended in O(k^2) and O(m), and x_S = R^{-1} (Q^T y).
+Once a new column is numerically in the span of the selected ones (k >= m,
+or its orthogonal part is tiny), the rest of the solve refits with
+`restricted_least_squares` instead, which returns the minimum-norm
+minimizer.  With lam = 0 and unit weights the scheme reduces to classical
+OMP.
 
 The greedy maximizer can land on an index already in the support (the
 middle case above scores the *removal* of a small coefficient, which the
@@ -37,6 +44,12 @@ RESIDUAL_FLOOR = 1e-14
 
 # |x_j| above this counts as support, below as zero.
 SUPPORT_EPSILON = 1e-12
+
+# A unit-norm column whose part orthogonal to the selected columns is
+# shorter than this counts as in their span (with it, cond(A_S) would be at
+# least 1 / SPAN_TOLERANCE); the QR refit then hands over to
+# `restricted_least_squares`, whose SVD cutoff handles rank deficiency.
+SPAN_TOLERANCE = 1e-6
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_ZERO_DELTA = "zero_delta"
@@ -64,13 +77,23 @@ class WompConfig:
 
 @dataclass
 class IterationRecord:
+    """One iteration; `values` holds the iterate on `support` (ascending)."""
+
     k: int
     selected_index: int
     delta_value: float
     support: tuple[int, ...]
-    coefficients: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
     residual_norm: float
     g_lambda: float
+    n_columns: int
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The iterate expanded to length n_columns."""
+        x = np.zeros(self.n_columns)
+        x[list(self.support)] = self.values
+        return x
 
 
 @dataclass
@@ -86,9 +109,7 @@ class SolveTrace:
 
     @property
     def final_coefficients(self) -> np.ndarray:
-        if not self.records:
-            return np.zeros(self.n_columns)
-        return self.records[-1].coefficients
+        return self.coefficients_at(len(self.records))
 
     def coefficients_at(self, k: int) -> np.ndarray:
         """Iterate after k iterations; holds the last value past a stall."""
@@ -126,8 +147,8 @@ def g_lambda(
 
 
 def delta_scores(
-    x: np.ndarray,
-    in_support: np.ndarray,
+    support: np.ndarray,
+    values: np.ndarray,
     correlations: np.ndarray,
     w: np.ndarray,
     lam: float,
@@ -135,16 +156,17 @@ def delta_scores(
 ) -> np.ndarray:
     """Vector of greedy scores for all candidate indices at once.
 
-    `correlations` is A^T r for the current residual r; `in_support` is a
-    boolean mask of the support set.  Assumes x is least-squares optimal on
-    its support and the columns of A have unit norm.
+    `correlations` is A^T r for the current residual r; `support` is an
+    integer array of the support set and `values` the iterate on it.
+    Assumes the iterate is least-squares optimal on its support and the
+    columns of A have unit norm.
     """
     lw2 = lam * np.asarray(w, dtype=np.float64) ** 2
-    out_scores = np.maximum(correlations**2 - lw2, 0.0)
-    in_scores = np.where(
-        np.abs(x) > eps, np.maximum(lw2 - np.asarray(x) ** 2, 0.0), 0.0
+    scores = np.maximum(correlations**2 - lw2, 0.0)
+    scores[support] = np.where(
+        np.abs(values) > eps, np.maximum(lw2[support] - values**2, 0.0), 0.0
     )
-    return np.where(in_support, in_scores, out_scores)
+    return scores
 
 
 def compute_delta(
@@ -162,11 +184,10 @@ def compute_delta(
     and that the system columns are unit-norm.
     """
     x = np.asarray(x, dtype=np.float64)
-    in_support = np.zeros(system.n_columns, dtype=bool)
-    in_support[list(support)] = True
+    support = np.asarray(list(support), dtype=np.intp)
     residual = system.rhs - system.matrix @ x
     correlations = system.matrix.T @ residual
-    return float(delta_scores(x, in_support, correlations, w, lam, eps)[j])
+    return float(delta_scores(support, x[support], correlations, w, lam, eps)[j])
 
 
 def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
@@ -184,6 +205,52 @@ def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
     return x
 
 
+class _IncrementalQR:
+    """Thin QR factorization A_S = Q R of columns appended one at a time.
+
+    Stores the selected columns, Q (one row per column of Q), R^{-1} and
+    Q^T y, so that the least-squares coefficients on the selected columns,
+    in insertion order, are R^{-1} (Q^T y).
+    """
+
+    def __init__(self, y: np.ndarray, capacity: int):
+        m = y.shape[0]
+        self.y = y
+        self.size = 0
+        self.columns = np.empty((capacity, m))
+        self.q = np.empty((capacity, m))
+        self.r_inv = np.zeros((capacity, capacity))
+        self.qty = np.empty(capacity)
+
+    def append(self, column: np.ndarray) -> bool:
+        """Append a unit-norm column; False (and no change) if it is in span."""
+        k = self.size
+        if k == self.q.shape[0]:  # k = m: the selected columns span R^m
+            return False
+        q = self.q[:k]
+        # classical Gram-Schmidt with one re-orthogonalization
+        h = q @ column
+        v = column - h @ q
+        h2 = q @ v
+        v -= h2 @ q
+        h += h2
+        rho = float(np.linalg.norm(v))
+        if rho <= SPAN_TOLERANCE:
+            return False
+        # R_new = [[R, h], [0, rho]]  =>  R_new^{-1} = [[R^{-1}, -R^{-1} h / rho], [0, 1 / rho]]
+        self.r_inv[:k, k] = (self.r_inv[:k, :k] @ h) / -rho
+        self.r_inv[k, k] = 1.0 / rho
+        self.q[k] = v / rho
+        self.qty[k] = self.q[k] @ self.y
+        self.columns[k] = column
+        self.size = k + 1
+        return True
+
+    def coefficients(self) -> np.ndarray:
+        k = self.size
+        return self.r_inv[:k, :k] @ self.qty[:k]
+
+
 def womp_solve(
     system: LinearSystem,
     w: np.ndarray,
@@ -193,9 +260,13 @@ def womp_solve(
 
     Starting from the zero iterate and empty support, each iteration selects
     the score-maximizing index (smallest index wins ties), enlarges the
-    support, and refits by restricted least squares.  Stops at the iteration
-    budget, when the best score is zero, when the maximizer is already in
-    the support, or when the residual hits the floor.
+    support, and refits by least squares on it: through an incremental QR
+    factorization of the selected columns while each new column adds a
+    direction, by `restricted_least_squares` from the first column that is
+    numerically in span (k >= m, or an orthogonal part below
+    SPAN_TOLERANCE) on.  Stops at the iteration budget, when the best score
+    is zero, when the maximizer is already in the support, or when the
+    residual hits the floor.
 
     Raises:
         ValueError: if the system is not normalized or some weight is <= 0.
@@ -211,20 +282,22 @@ def womp_solve(
         raise ValueError("weights must be strictly positive")
 
     matrix, y = system.matrix, system.rhs
-    n = system.n_columns
+    m, n = matrix.shape
     lam = config.lam
     y_norm = float(np.linalg.norm(y))
 
-    x = np.zeros(n)
     in_support = np.zeros(n, dtype=bool)
-    support: list[int] = []
+    selected: list[int] = []  # insertion order
+    support = np.zeros(0, dtype=np.intp)
+    values = np.zeros(0)
+    qr = _IncrementalQR(y, min(config.max_iterations, m))
     residual = y.copy()
     records: list[IterationRecord] = []
     stop_reason = STOP_MAX_ITERATIONS
 
     for k in range(1, config.max_iterations + 1):
         correlations = matrix.T @ residual
-        scores = delta_scores(x, in_support, correlations, w, lam, SUPPORT_EPSILON)
+        scores = delta_scores(support, values, correlations, w, lam, SUPPORT_EPSILON)
         j = int(np.argmax(scores))
         best = float(scores[j])
         if best <= 0.0:
@@ -234,23 +307,30 @@ def womp_solve(
             stop_reason = STOP_IN_SUPPORT_RESELECT
             break
         in_support[j] = True
-        support.append(j)
-        support.sort()
-        x = restricted_least_squares(system, support)
-        residual = y - matrix[:, support] @ x[support]
+        selected.append(j)
+        support = np.sort(selected)
+        if qr is not None and qr.append(matrix[:, j]):
+            coefficients = qr.coefficients()
+            residual = y - coefficients @ qr.columns[: qr.size]
+            values = coefficients[np.argsort(selected)]
+        else:
+            qr = None
+            values = restricted_least_squares(system, support)[support]
+            residual = y - matrix[:, support] @ values
         residual_norm = float(np.linalg.norm(residual))
         g_value = residual_norm**2
         if lam > 0:
-            g_value += lam * weighted_l0(x, w)
+            g_value += lam * weighted_l0(values, w[support])
         records.append(
             IterationRecord(
                 k=k,
                 selected_index=j,
                 delta_value=best,
-                support=tuple(support),
-                coefficients=x.copy(),
+                support=tuple(support.tolist()),
+                values=values,
                 residual_norm=residual_norm,
                 g_lambda=g_value,
+                n_columns=n,
             )
         )
         if residual_norm < RESIDUAL_FLOOR * y_norm:

@@ -163,3 +163,28 @@ def test_expansion_evaluation_matches_tensor():
         for p in pts
     ]
     np.testing.assert_allclose(values, expected, atol=1e-12)
+
+
+def plain_design(kind, index_set, points):
+    """[phi_j(t_i)] as the product of all d factors, in coordinate order."""
+    design = np.ones((points.shape[0], len(index_set)))
+    for k in range(index_set.dimension):
+        column = index_set.indices[:, k]
+        design *= basis.eval_1d_table(kind, int(column.max()), points[:, k])[:, column]
+    return design
+
+
+@pytest.mark.parametrize(
+    "d, s, m, block_elements",
+    [(16, 20, 40, None), (3, 6, 50, 7), (2, 9, 300, 64)],
+)
+def test_design_is_byte_equal_to_plain_product(monkeypatch, d, s, m, block_elements):
+    if block_elements is not None:  # many small blocks of points and columns
+        monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", block_elements)
+    ms = hyperbolic_cross(d, s)
+    for kind in basis.BASIS_KINDS:
+        pts = basis.sample_measure(kind, d, m, 17)
+        design = basis.evaluate_design(kind, ms, pts)
+        assert design.flags.c_contiguous
+        assert design.shape == (m, len(ms))
+        assert design.tobytes() == plain_design(kind, ms, pts).tobytes()

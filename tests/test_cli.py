@@ -134,6 +134,15 @@ def test_cmd_info(tmp_path, capsys):
     assert "basis=legendre" in out
 
 
+def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
+    path = tmp_path / "study.cfg"
+    path.write_text(FULL_STUDY_TEXT)
+    assert main(["info", "--config", str(path)]) == 0
+    assert "reference fit: 11420 x 571 doubles = 52.2 MB\n" in capsys.readouterr().out
+    assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
+    assert "reference fit: 252900 x 12645 doubles = 25583.4 MB\n" in capsys.readouterr().out
+
+
 def test_cmd_run_and_overwrite_guard(tmp_path, capsys):
     config_path = tmp_path / "small.cfg"
     config_path.write_text(SMALL_TEXT)

@@ -343,6 +343,38 @@ def test_coefficients_at_holds_last_value():
     assert trace.support_size_at(99) == len(trace.records[-1].support)
 
 
+def test_trace_stores_support_values_and_expands_them():
+    system = make_system(15, 30, 801)
+    trace = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=40))
+    assert 0 < len(trace) < 40  # stalls before the budget
+    for rec in trace.records:
+        assert list(rec.support) == sorted(rec.support)
+        assert rec.values.shape == (len(rec.support),)
+    for k in range(len(trace) + 3):
+        expected = np.zeros(30)
+        if k > 0:
+            rec = trace.records[min(k, len(trace)) - 1]
+            expected[list(rec.support)] = rec.values
+        np.testing.assert_array_equal(trace.coefficients_at(k), expected)
+    np.testing.assert_array_equal(trace.final_coefficients, trace.coefficients_at(len(trace)))
+
+
+def test_in_span_column_falls_back_to_least_squares():
+    # column 2 is column 0 tilted by 1e-9 out of the (e1, e2) plane: once
+    # columns 1 and 2 are in, column 0's orthogonal part is about 1e-9
+    matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-9]])
+    raw = LinearSystem(matrix, np.array([0.3, 1.0, 1.0]), np.ones(3), False)
+    system = normalize_columns(raw)
+    trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
+    assert [rec.selected_index for rec in trace.records] == [1, 2, 0]
+    assert trace.stop_reason == STOP_ZERO_DELTA
+    for rec in trace.records:
+        assert np.all(np.isfinite(rec.values))
+    np.testing.assert_array_equal(
+        trace.final_coefficients, restricted_least_squares(system, (0, 1, 2))
+    )
+
+
 # --- properties on random systems -------------------------------------------
 
 # (m, n) with 3 <= m < 20 and m < n <= 3m + 1
@@ -375,3 +407,21 @@ def test_unregularized_run_ends_at_residual_floor(shape, seed):
     system = random_test_system(m, n, np.random.default_rng(seed))
     trace = womp_solve(system, np.ones(n), WompConfig(lam=0.0, max_iterations=2 * n))
     assert trace.stop_reason == STOP_RESIDUAL_FLOOR
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=random_shapes,
+    seed=st.integers(0, 2**32 - 1),
+    lam=st.sampled_from((0.0, 1e-4, 1e-2)),
+)
+def test_iterates_match_restricted_least_squares(shape, seed, lam):
+    m, n = shape
+    rng = np.random.default_rng(seed)
+    system = random_test_system(m, n, rng)
+    w = rng.uniform(1.0, 2.0, n)
+    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
+    for rec in trace.records:
+        reference = restricted_least_squares(system, rec.support)
+        error = np.linalg.norm(rec.coefficients - reference)
+        assert error <= 1e-12 * np.linalg.norm(reference)
