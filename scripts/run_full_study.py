@@ -6,7 +6,7 @@ Writes one result directory per basis under --out (default results/):
     results/legendre/{errors,support,runtimes}.csv, report.json, config_resolved.cfg
     results/chebyshev/...
 
-Takes a few minutes.
+Takes about 15 s on a 2-vCPU machine.
 """
 
 import argparse

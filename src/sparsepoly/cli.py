@@ -13,6 +13,7 @@ default.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -164,6 +165,20 @@ def _print_summary(report: ExperimentReport) -> None:
             )
 
 
+def reference_fit_shape(config: ExperimentConfig) -> tuple[int, int]:
+    """Rows and columns of the dense matrix of the oversampled reference fit."""
+    n = len(hyperbolic_cross(config.dimension, config.cross_order))
+    return config.reference_oversampling * n, n
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def cmd_run(args) -> int:
     try:
         config = parse_config(args.config, args.overrides)
@@ -172,6 +187,16 @@ def cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         config = replace(config, base_seed=args.seed)
+
+    rows, n = reference_fit_shape(config)
+    memory = physical_memory_bytes()
+    if memory is not None and rows * n * 8 > memory:
+        print(
+            f"error: the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
+            f"more than the {memory / 1e6:.1f} MB of physical memory",
+            file=sys.stderr,
+        )
+        return 2
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -219,9 +244,8 @@ def cmd_info(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(render_config(config), end="")
-    n = len(hyperbolic_cross(config.dimension, config.cross_order))
+    rows, n = reference_fit_shape(config)
     print(f"derived: d={config.dimension} s={config.cross_order} N={n}")
-    rows = config.reference_oversampling * n
     print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")
     return 0
 

@@ -4,24 +4,27 @@ Solves the unconstrained weighted l1 program
 
     min_z  F(z) = ||A z - y||_2^2 + alpha * sum_j w_j |z_j|
 
-by accelerated proximal gradient descent, for a whole grid of alpha values at
-once.  The proximal map of the penalty is coordinate-wise soft thresholding
-with threshold step * alpha * w_j.  The step size comes from one power-method
-estimate of the largest squared singular value of A, shared by every alpha;
-each alpha then keeps its own step, momentum, and convergence test.  Momentum
-is restarted (with step halving as a safety net) whenever the objective would
-increase, so recorded objective values are non-increasing.
+by accelerated proximal gradient descent along a whole grid of alpha values.
+The proximal map of the penalty is coordinate-wise soft thresholding with
+threshold step * alpha * w_j.  The step size comes from one power-method
+estimate of the largest squared singular value of A, made once per system.
 
-`lasso_path` stacks the G iterates as the rows of a G x N block, so each
-iteration costs two matrix products for the whole grid: A^T applied to the
-momentum residuals and A applied to the new iterates.  The residual A z - y
-of the objective is kept and the momentum residual is formed from it by the
-same extrapolation as the momentum point.  A row leaves the block when it
-converges or reaches the iteration cap.
+`lasso_path` solves the grid by warm-started continuation (glmnet-style
+paths, Friedman, Hastie & Tibshirani 2010): the alphas are taken from the
+largest to the smallest, and each starts from the previous alpha's final
+iterate, its residual A z - y and its step.  Each alpha keeps its own
+iteration cap and convergence test.  Momentum is restarted in two ways: with
+step halving as a safety net whenever the objective would increase, so
+recorded objective values are non-increasing, and (O'Donoghue & Candes 2015)
+whenever the proximal-gradient step from the momentum point runs against the
+iterate's last move.  The residual of the momentum point is formed from the kept
+residuals by the same extrapolation as the point itself, so an iteration
+costs two matrix-vector products.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,7 +96,9 @@ def lasso_path(
     baseline is compared against).  Returns one result per alpha, in the
     order given: the last iterate together with a convergence flag, which is
     False when the iteration budget ran out before the relative iterate
-    change dropped below rel_tolerance.
+    change dropped below rel_tolerance.  For distinct alphas the results do
+    not depend on their order: they are solved from the largest to the
+    smallest.
     """
     if not system.normalized:
         raise ValueError(
@@ -114,92 +119,60 @@ def lasso_path(
     sigma_sq = estimate_squared_spectral_norm(matrix)
     # Lipschitz constant of the gradient is 2 sigma^2; pad the estimate
     # since the power method approaches it from below.
-    initial_step = 1.0 / (2.0 * sigma_sq * 1.05) if sigma_sq > 0 else 1.0
+    step = 1.0 / (2.0 * sigma_sq * 1.05) if sigma_sq > 0 else 1.0
 
-    def row_squares(block):
-        return np.einsum("ij,ij->i", block, block)
-
-    def objective_of(z, residual, alpha):
-        return row_squares(residual) + alpha * (np.abs(z) @ w)
-
-    # Row i of every block below belongs to alphas[rows[i]].
-    count, n = alphas.size, matrix.shape[1]
-    rows = np.arange(count)
-    alpha = alphas
-    step = np.full(count, initial_step)
-    threshold = (step * alpha)[:, None] * w
-    t_momentum = np.ones(count)
-    z = np.zeros((count, n))
-    residual = np.tile(-y, (count, 1))  # A z - y
-    momentum_point, momentum_residual = z, residual
-    objective = objective_of(z, residual, alpha)
-    # objective of every alpha after each iteration; finished alphas hold
-    # their last value
-    latest = objective.copy()
-    history = [latest.copy()]
-    results: list[LassoResult] = [None] * count
-
-    for iteration in range(1, max_iterations + 1):
-        # 2 step A^T (A p - y): a proximal-gradient step from momentum point p
-        descent = (2.0 * step)[:, None] * (momentum_residual @ matrix)
-        z_new = soft_threshold(momentum_point - descent, threshold)
-        residual_new = z_new @ matrix.T - y
-        objective_new = objective_of(z_new, residual_new, alpha)
-
-        rising = np.flatnonzero(objective_new > objective)
-        if rising.size:
-            # Momentum overshot: restart these rows from their last accepted
-            # iterate with a plain proximal step, halving each row's step
-            # until it descends.
-            t_momentum[rising] = 1.0
-            gradient = 2.0 * (residual[rising] @ matrix)
-            while rising.size:
-                trial = soft_threshold(
-                    z[rising] - step[rising, None] * gradient,
-                    (step[rising] * alpha[rising])[:, None] * w,
-                )
-                trial_residual = trial @ matrix.T - y
-                trial_objective = objective_of(trial, trial_residual, alpha[rising])
-                z_new[rising] = trial
-                residual_new[rising] = trial_residual
-                objective_new[rising] = trial_objective
-                retry = (trial_objective > objective[rising]) & (step[rising] >= 1e-18)
-                rising, gradient = rising[retry], gradient[retry]
-                step[rising] *= 0.5
-            threshold = (step * alpha)[:, None] * w
-
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_momentum**2))
-        beta = ((t_momentum - 1.0) / t_next)[:, None]
-        t_momentum = t_next
-        delta = z_new - z
-        momentum_point = z_new + beta * delta
-        momentum_residual = residual_new + beta * (residual_new - residual)
-
-        z, residual, objective = z_new, residual_new, objective_new
-        latest[rows] = objective
-        history.append(latest.copy())
-
-        converged = np.sqrt(row_squares(delta)) <= rel_tolerance * np.maximum(
-            np.sqrt(row_squares(z)), 1.0
+    def descend(origin, origin_residual, step, alpha):
+        """Proximal-gradient step from `origin`: iterate, residual, objective."""
+        # 2 step A^T (A origin - y) is the gradient step
+        z_new = soft_threshold(
+            origin - (2.0 * step) * (origin_residual @ matrix), (step * alpha) * w
         )
-        done = converged | (iteration == max_iterations)
-        if done.any():
-            for i in np.flatnonzero(done):
-                results[rows[i]] = LassoResult(
-                    coefficients=z[i].copy(),
-                    converged=bool(converged[i]),
-                    n_iterations=iteration,
-                    objective=float(objective[i]),
-                )
-            keep = ~done
-            if not keep.any():
-                break
-            rows, alpha, step, t_momentum = rows[keep], alpha[keep], step[keep], t_momentum[keep]
-            threshold = threshold[keep]
-            z, residual, objective = z[keep], residual[keep], objective[keep]
-            momentum_point, momentum_residual = momentum_point[keep], momentum_residual[keep]
+        residual_new = matrix @ z_new - y
+        return z_new, residual_new, float(residual_new @ residual_new) + alpha * float(
+            np.abs(z_new) @ w
+        )
 
-    history = np.array(history)
-    for i, result in enumerate(results):
-        result.objective_history = history[: result.n_iterations + 1, i].copy()
+    z = np.zeros(matrix.shape[1])
+    residual = -y  # A z - y
+    results: list[LassoResult] = [None] * alphas.size
+    for position in np.argsort(-alphas, kind="stable"):
+        alpha = float(alphas[position])
+        objective = float(residual @ residual) + alpha * float(np.abs(z) @ w)
+        history = [objective]
+        t_momentum = 1.0
+        point, point_residual = z, residual
+        for iteration in range(1, max_iterations + 1):
+            z_new, residual_new, objective_new = descend(point, point_residual, step, alpha)
+            if objective_new > objective:
+                # Momentum overshot: restart from the last accepted iterate
+                # with a plain proximal step, halving the step until it descends.
+                t_momentum = 1.0
+                while True:
+                    z_new, residual_new, objective_new = descend(z, residual, step, alpha)
+                    if objective_new <= objective or step < 1e-18:
+                        break
+                    step *= 0.5
+            delta = z_new - z
+            if (point - z_new) @ delta > 0.0:
+                # gradient restart: the step from the momentum point runs
+                # against the iterate's move
+                t_momentum = 1.0
+            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
+            beta = (t_momentum - 1.0) / t_next
+            t_momentum = t_next
+            point = z_new + beta * delta
+            point_residual = residual_new + beta * (residual_new - residual)
+
+            z, residual, objective = z_new, residual_new, objective_new
+            history.append(objective)
+            converged = delta @ delta <= rel_tolerance**2 * max(z @ z, 1.0)
+            if converged:
+                break
+        results[position] = LassoResult(
+            coefficients=z,
+            converged=bool(converged),
+            n_iterations=iteration,
+            objective=objective,
+            objective_history=np.array(history),
+        )
     return results

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsepoly import verification
+from sparsepoly import cli, verification
 from sparsepoly.cli import (
     ConfigError,
     main,
@@ -141,6 +141,20 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
     assert "reference fit: 11420 x 571 doubles = 52.2 MB\n" in capsys.readouterr().out
     assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
     assert "reference fit: 252900 x 12645 doubles = 25583.4 MB\n" in capsys.readouterr().out
+
+
+def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
+    # quick.cfg's reference fit is 115 x 23 doubles = 21,160 bytes
+    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 21_159)
+    out_dir = tmp_path / "refused"
+    assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "reference fit needs 115 x 23 doubles" in err
+    assert "physical memory" in err
+    assert not out_dir.exists()
+
+    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 21_160)
+    assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 
 def test_cmd_run_and_overwrite_guard(tmp_path, capsys):

@@ -19,6 +19,12 @@ from sparsepoly.experiments import (
     write_outputs,
 )
 from sparsepoly.index_sets import hyperbolic_cross
+from sparsepoly.womp import (
+    STOP_IN_SUPPORT_RESELECT,
+    STOP_MAX_ITERATIONS,
+    STOP_RESIDUAL_FLOOR,
+    STOP_ZERO_DELTA,
+)
 
 TESTS = Path(__file__).parent
 
@@ -94,6 +100,24 @@ def test_reference_consistency_as_oversampling_doubles():
         ]
         errors.append(np.mean(distances))
     assert errors[0] > errors[1] > errors[2]
+
+
+@pytest.mark.parametrize("kind", basis.BASIS_KINDS)
+@pytest.mark.parametrize("missing", [1, 9])
+def test_rank_deficient_reference_raises(monkeypatch, kind, missing):
+    # A draw of only N - missing distinct points, repeated to the requested
+    # size, gives a design of rank below N whatever the oversampling.  With
+    # this seed, one missing point leaves a Cholesky pivot at rounding level
+    # and nine make the factorization fail outright.
+    ms = hyperbolic_cross(3, 4)
+    draw = basis.sample_measure
+
+    def repeated_draw(basis_kind, d, n, seed):
+        return np.resize(draw(basis_kind, d, len(ms) - missing, seed), (n, d))
+
+    monkeypatch.setattr(basis, "sample_measure", repeated_draw)
+    with pytest.raises(ValueError, match="rank-deficient"):
+        reference_coefficients(target_log_sum(3), kind, ms, oversampling=6, seed=0)
 
 
 def test_reference_rejects_bad_oversampling():
@@ -312,3 +336,15 @@ def test_quick_womp_rows_match_recorded(tmp_path):
         lines = (tmp_path / f"{name}.csv").read_bytes().splitlines(keepends=True)
         womp = b"".join(lines[:1] + [line for line in lines if line.startswith(b"womp,")])
         assert womp == (TESTS / "data" / f"quick_womp_{name}.csv").read_bytes()
+
+
+def test_womp_stop_reasons_cover_every_trial():
+    config = ExperimentConfig(**SMALL)
+    report = run_sweep(config)
+    reasons = {STOP_MAX_ITERATIONS, STOP_ZERO_DELTA, STOP_IN_SUPPORT_RESELECT, STOP_RESIDUAL_FLOOR}
+    for curve, entry in zip(report.womp_curves, report.to_json_dict()["womp"], strict=True):
+        assert set(curve.stop_reasons) <= reasons
+        assert sum(curve.stop_reasons.values()) == config.trials
+        assert 1.0 <= curve.mean_iterations <= config.iterations
+        assert entry["stop_reasons"] == curve.stop_reasons
+        assert entry["mean_iterations"] == curve.mean_iterations
