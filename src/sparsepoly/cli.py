@@ -80,7 +80,6 @@ CONFIG_KEYS = {
     "include_lasso": ("include_lasso", _parse_bool, _render_bool),
     "lasso_grid_size": ("lasso_grid_size", int, str),
     "lasso_max_iterations": ("lasso_max_iterations", int, str),
-    "lasso_rel_tolerance": ("lasso_rel_tolerance", _parse_float, repr),
 }
 
 
@@ -155,14 +154,17 @@ def _print_summary(report: ExperimentReport) -> None:
             f"{sweep.best_mean_error:>14.4e}{sweep.mean_supports[sweep.best_position]:>10.1f}"
             f"{sweep.mean_sweep_seconds:>10.4f}"
         )
+    trials = report.config.trials
     for sweep in report.lasso_sweeps:
-        solves = report.config.trials * sweep.converged_counts.size
-        capped = solves - int(sweep.converged_counts.sum())
-        if capped:
-            print(
-                f"wlasso m={sweep.m}: {capped}/{solves} solves hit the "
-                f"{report.config.lasso_max_iterations}-iteration cap"
-            )
+        for alpha, converged, kkt in zip(
+            sweep.mean_alphas, sweep.converged_counts, sweep.max_kkt_residuals
+        ):
+            if converged < trials or kkt > verification.LASSO_KKT_TOLERANCE:
+                print(
+                    f"wlasso m={sweep.m} alpha={alpha:.6g}: {trials - converged}/{trials} "
+                    f"paths hit the {report.config.lasso_max_iterations}-breakpoint cap, "
+                    f"max KKT residual {kkt:.2e}"
+                )
 
 
 def reference_fit_shape(config: ExperimentConfig) -> tuple[int, int]:

@@ -3,15 +3,17 @@
 The protocol, per sample count m and per trial: draw m fresh points from the
 orthogonality measure, assemble and column-normalize the sensing system, run
 one greedy solve per regularization value (keeping the full iteration trace)
-and one weighted-LASSO sweep over a log-spaced alpha grid, solved as one
-warm-started continuation path from the largest alpha to the smallest
+and one weighted-LASSO sweep over a log-spaced alpha grid, solved exactly by
+one homotopy path from the zero-solution threshold down to the smallest alpha
 (`lasso.lasso_path`).  The report aggregates, over trials, each greedy
-configuration's stop reasons and iterations run and each alpha's convergence
-flags and iteration counts.  Relative errors are measured coefficient-wise
-against a single shared reference fit obtained by least squares (through the
-normal equations) on an oversampled draw; since the basis is orthonormal for
-the sampling measure, the coefficient-space l2 distance equals the function-
-space L2 error of the truncated expansions.
+configuration's stop reasons and iterations run, and for each alpha how often
+the path reached it within the breakpoint cap, the breakpoints walked, and the
+largest KKT residual (`verification.lasso_kkt_residual`, computed outside the
+timed sweep).  Relative errors are measured coefficient-wise against a single
+shared reference fit obtained by least squares (through the normal equations)
+on an oversampled draw; since the basis is orthonormal for the sampling
+measure, the coefficient-space l2 distance equals the function-space L2 error
+of the truncated expansions.
 
 Everything is a pure function of the config (base seed included): the
 reference uses the stream SeedSequence([base_seed, 0]) and trial t at sample
@@ -40,6 +42,7 @@ from .assembly import (
 )
 from .index_sets import MultiIndexSet, hyperbolic_cross
 from .lasso import default_alpha_grid, lasso_path
+from .verification import lasso_kkt_residual
 from .womp import WompConfig, womp_solve
 
 DEFAULT_SEED = 1729
@@ -60,8 +63,8 @@ class ExperimentConfig:
     base_seed: int = DEFAULT_SEED
     include_lasso: bool = True
     lasso_grid_size: int = 10
+    # breakpoint cap of the LASSO homotopy path
     lasso_max_iterations: int = 1500
-    lasso_rel_tolerance: float = 1e-7
 
     def __post_init__(self):
         object.__setattr__(self, "sample_counts", tuple(int(m) for m in self.sample_counts))
@@ -88,8 +91,6 @@ class ExperimentConfig:
             raise ValueError("lasso_grid_size must be >= 1")
         if self.lasso_max_iterations < 1:
             raise ValueError("lasso_max_iterations must be >= 1")
-        if self.lasso_rel_tolerance <= 0:
-            raise ValueError("lasso_rel_tolerance must be > 0")
 
 
 def target_log_sum(d: int) -> TargetFunction:
@@ -191,10 +192,12 @@ class LassoSweep:
     mean_errors: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
     mean_supports: np.ndarray = field(repr=False)
-    # per alpha, over trials: solves that met the tolerance, and iterations run
+    # per alpha, over trials: paths that reached it within the breakpoint
+    # cap, breakpoints walked to reach it, and the largest KKT residual
     converged_counts: np.ndarray = field(repr=False)
     mean_iterations: np.ndarray = field(repr=False)
     max_iterations_run: np.ndarray = field(repr=False)
+    max_kkt_residuals: np.ndarray = field(repr=False)
     best_position: int = 0
     best_mean_error: float = float("nan")
     mean_sweep_seconds: float = 0.0
@@ -256,6 +259,7 @@ class ExperimentReport:
                     "converged_counts": s.converged_counts.tolist(),
                     "mean_iterations": s.mean_iterations.tolist(),
                     "max_iterations_run": s.max_iterations_run.tolist(),
+                    "max_kkt_residual": s.max_kkt_residuals.tolist(),
                 }
                 for s in self.lasso_sweeps
             ],
@@ -298,9 +302,7 @@ def _run_trial(
     if config.include_lasso:
         t0 = time.perf_counter()
         alphas = default_alpha_grid(system, w, config.lasso_grid_size)
-        results = lasso_path(
-            system, w, alphas, config.lasso_max_iterations, config.lasso_rel_tolerance
-        )
+        results = lasso_path(system, w, alphas, config.lasso_max_iterations)
         errors = np.empty(len(alphas))
         supports = np.empty(len(alphas))
         for i, result in enumerate(results):
@@ -310,7 +312,10 @@ def _run_trial(
         sweep_seconds = time.perf_counter() - t0
         converged = np.array([r.converged for r in results])
         iterations = np.array([r.n_iterations for r in results])
-        lasso_results = (alphas, errors, supports, sweep_seconds, converged, iterations)
+        kkt = np.array(
+            [lasso_kkt_residual(system, w, a, r.coefficients) for a, r in zip(alphas, results)]
+        )
+        lasso_results = (alphas, errors, supports, sweep_seconds, converged, iterations, kkt)
 
     return {
         "normalize_seconds": normalize_seconds,
@@ -369,6 +374,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
             seconds = np.array([r["lasso"][3] for r in trial_results])
             converged = np.stack([r["lasso"][4] for r in trial_results])
             iterations = np.stack([r["lasso"][5] for r in trial_results])
+            kkt = np.stack([r["lasso"][6] for r in trial_results])
             mean_errors = errors.mean(axis=0)
             best = int(np.argmin(mean_errors))
             lasso_sweeps.append(
@@ -381,6 +387,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
                     converged_counts=converged.sum(axis=0),
                     mean_iterations=iterations.mean(axis=0),
                     max_iterations_run=iterations.max(axis=0),
+                    max_kkt_residuals=kkt.max(axis=0),
                     best_position=best,
                     best_mean_error=float(mean_errors[best]),
                     mean_sweep_seconds=float(seconds.mean()),

@@ -4,27 +4,29 @@ Solves the unconstrained weighted l1 program
 
     min_z  F(z) = ||A z - y||_2^2 + alpha * sum_j w_j |z_j|
 
-by accelerated proximal gradient descent along a whole grid of alpha values.
-The proximal map of the penalty is coordinate-wise soft thresholding with
-threshold step * alpha * w_j.  The step size comes from one power-method
-estimate of the largest squared singular value of A, made once per system.
+exactly, along a whole grid of alpha values, by the homotopy (LARS-lasso)
+path (Osborne, Presnell & Turlach 2000; Efron et al. 2004).  In the scaled
+variables u = w * z the program is the plain LASSO on A~ = A diag(1/w), whose
+solution u(alpha) is piecewise linear in alpha.  With the correlations
+c = 2 A~^T (y - A~ u), a point is optimal when c_j = alpha sign(u_j) on its
+active set and |c_j| <= alpha off it.
 
-`lasso_path` solves the grid by warm-started continuation (glmnet-style
-paths, Friedman, Hastie & Tibshirani 2010): the alphas are taken from the
-largest to the smallest, and each starts from the previous alpha's final
-iterate, its residual A z - y and its step.  Each alpha keeps its own
-iteration cap and convergence test.  Momentum is restarted in two ways: with
-step halving as a safety net whenever the objective would increase, so
-recorded objective values are non-increasing, and (O'Donoghue & Candes 2015)
-whenever the proximal-gradient step from the momentum point runs against the
-iterate's last move.  The residual of the momentum point is formed from the kept
-residuals by the same extrapolation as the point itself, so an iteration
-costs two matrix-vector products.
+The path starts from u = 0 at alpha_max = max_j |c_j(0)|.  Along a segment
+the active coefficients move along d = G_AA^{-1} s_A (G = A~^T A~, s_A the
+active signs): as alpha falls by gamma, u_A grows by (gamma / 2) d and the
+correlations fall by gamma A~^T (A~_A d).  The segment ends at a breakpoint,
+where an inactive correlation reaches +-alpha (the index joins) or an active
+coefficient reaches zero (it drops).  An index dropped at a breakpoint may
+not rejoin through the same bound at the next one: its correlation sits on
+that bound and moves inward, and rounding can otherwise put a spurious join
+there at a step of order 1e-18.  It may still cross to the opposite bound and
+join there.  Once |A| = m the active columns span the samples and no index
+can join (Tibshirani 2013), so the path ends with drops alone.  Each grid
+alpha is read off the segment that contains it.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,11 +37,11 @@ from .assembly import LinearSystem
 @dataclass
 class LassoResult:
     coefficients: np.ndarray = field(repr=False)
+    # the path reached this alpha within the breakpoint cap
     converged: bool
+    # breakpoints walked to reach this alpha
     n_iterations: int
     objective: float
-    # accepted objective value after each iteration (index 0 = start)
-    objective_history: np.ndarray = field(repr=False, default=None)
 
 
 def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
@@ -47,30 +49,9 @@ def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
     return float(np.sum(np.abs(np.asarray(z)) * np.asarray(w)))
 
 
-def soft_threshold(v: np.ndarray, threshold) -> np.ndarray:
-    """Coordinate-wise shrinkage toward zero by `threshold` (scalar or vector)."""
-    v = np.asarray(v)
-    return np.copysign(np.maximum(np.abs(v) - threshold, 0.0), v)
-
-
 def lasso_objective(z: np.ndarray, system: LinearSystem, w: np.ndarray, alpha: float) -> float:
     residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
     return float(residual @ residual) + alpha * weighted_l1_norm(z, w)
-
-
-def estimate_squared_spectral_norm(matrix: np.ndarray, n_iterations: int = 20) -> float:
-    """Power-method estimate of ||A||_2^2 from a deterministic start vector."""
-    n = matrix.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    sigma_sq = 1.0
-    for _ in range(n_iterations):
-        u = matrix.T @ (matrix @ v)
-        norm = np.linalg.norm(u)
-        if norm == 0.0:
-            return 0.0
-        sigma_sq = norm
-        v = u / norm
-    return float(sigma_sq)
 
 
 def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int = 10) -> np.ndarray:
@@ -88,17 +69,14 @@ def lasso_path(
     w: np.ndarray,
     alphas,
     max_iterations: int,
-    rel_tolerance: float,
 ) -> list[LassoResult]:
-    """Accelerated proximal gradient for the weighted LASSO at every alpha.
+    """The exact weighted-LASSO solution at every alpha, by the homotopy path.
 
     Requires a column-normalized system (matching the greedy pipeline the
-    baseline is compared against).  Returns one result per alpha, in the
-    order given: the last iterate together with a convergence flag, which is
-    False when the iteration budget ran out before the relative iterate
-    change dropped below rel_tolerance.  For distinct alphas the results do
-    not depend on their order: they are solved from the largest to the
-    smallest.
+    baseline is compared against).  Walks at most max_iterations breakpoints
+    from alpha_max down to min(alphas) and returns one result per alpha, in
+    the order given.  An alpha below the point where the cap stopped the walk
+    gets that point's solution and converged=False.
     """
     if not system.normalized:
         raise ValueError(
@@ -109,70 +87,81 @@ def lasso_path(
         raise ValueError("at least one alpha is required")
     if np.any(alphas <= 0):
         raise ValueError("alpha must be > 0")
-    if rel_tolerance <= 0:
-        raise ValueError("rel_tolerance must be > 0")
     if max_iterations < 1:
         raise ValueError("max_iterations must be >= 1")
-    matrix, y = system.matrix, system.rhs
     w = np.asarray(w, dtype=np.float64)
+    if w.shape != (system.n_columns,):
+        raise ValueError(f"weights must have shape ({system.n_columns},)")
+    if np.any(w <= 0):
+        raise ValueError("weights must be strictly positive")
 
-    sigma_sq = estimate_squared_spectral_norm(matrix)
-    # Lipschitz constant of the gradient is 2 sigma^2; pad the estimate
-    # since the power method approaches it from below.
-    step = 1.0 / (2.0 * sigma_sq * 1.05) if sigma_sq > 0 else 1.0
-
-    def descend(origin, origin_residual, step, alpha):
-        """Proximal-gradient step from `origin`: iterate, residual, objective."""
-        # 2 step A^T (A origin - y) is the gradient step
-        z_new = soft_threshold(
-            origin - (2.0 * step) * (origin_residual @ matrix), (step * alpha) * w
-        )
-        residual_new = matrix @ z_new - y
-        return z_new, residual_new, float(residual_new @ residual_new) + alpha * float(
-            np.abs(z_new) @ w
-        )
-
-    z = np.zeros(matrix.shape[1])
-    residual = -y  # A z - y
+    scaled = system.matrix / w
+    m, n = scaled.shape
+    correlations = 2.0 * (scaled.T @ system.rhs)
+    u = np.zeros(n)
+    active: list[int] = []
+    alpha = float(np.max(np.abs(correlations)))
+    alpha_min = float(alphas.min())
+    order = np.argsort(-alphas, kind="stable")
     results: list[LassoResult] = [None] * alphas.size
-    for position in np.argsort(-alphas, kind="stable"):
-        alpha = float(alphas[position])
-        objective = float(residual @ residual) + alpha * float(np.abs(z) @ w)
-        history = [objective]
-        t_momentum = 1.0
-        point, point_residual = z, residual
-        for iteration in range(1, max_iterations + 1):
-            z_new, residual_new, objective_new = descend(point, point_residual, step, alpha)
-            if objective_new > objective:
-                # Momentum overshot: restart from the last accepted iterate
-                # with a plain proximal step, halving the step until it descends.
-                t_momentum = 1.0
-                while True:
-                    z_new, residual_new, objective_new = descend(z, residual, step, alpha)
-                    if objective_new <= objective or step < 1e-18:
-                        break
-                    step *= 0.5
-            delta = z_new - z
-            if (point - z_new) @ delta > 0.0:
-                # gradient restart: the step from the momentum point runs
-                # against the iterate's move
-                t_momentum = 1.0
-            t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t_momentum * t_momentum))
-            beta = (t_momentum - 1.0) / t_next
-            t_momentum = t_next
-            point = z_new + beta * delta
-            point_residual = residual_new + beta * (residual_new - residual)
+    emitted = 0
 
-            z, residual, objective = z_new, residual_new, objective_new
-            history.append(objective)
-            converged = delta @ delta <= rel_tolerance**2 * max(z @ z, 1.0)
-            if converged:
-                break
-        results[position] = LassoResult(
-            coefficients=z,
-            converged=bool(converged),
-            n_iterations=iteration,
-            objective=objective,
-            objective_history=np.array(history),
+    def emit(floor, d=0.0, converged=True):
+        """Record each pending grid alpha a >= floor as u_A + ((alpha - a) / 2) d."""
+        nonlocal emitted
+        while emitted < alphas.size and alphas[order[emitted]] >= floor:
+            grid_alpha = float(alphas[order[emitted]])
+            z = np.zeros(n)
+            z[active] = (u[active] + (0.5 * (alpha - grid_alpha)) * d) / w[active]
+            results[order[emitted]] = LassoResult(
+                coefficients=z,
+                converged=converged,
+                n_iterations=breakpoints,
+                objective=lasso_objective(z, system, w, grid_alpha),
+            )
+            emitted += 1
+
+    joining, dropped, breakpoints = int(np.argmax(np.abs(correlations))), -1, 0
+    emit(alpha)
+    while emitted < alphas.size:
+        if breakpoints == max_iterations:
+            emit(-np.inf, converged=False)
+            break
+        breakpoints += 1
+        if joining >= 0:
+            active.append(joining)
+        columns = scaled[:, active]
+        d = np.linalg.solve(columns.T @ columns, np.sign(correlations[active]))
+        slopes = scaled.T @ (columns @ d)
+
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rising = (alpha - correlations) / (1.0 - slopes)
+            falling = (alpha + correlations) / (1.0 + slopes)
+            vanishing = -2.0 * u[active] / d
+        if dropped >= 0:
+            # the bound the dropped index just left
+            if correlations[dropped] > 0:
+                rising[dropped] = np.inf
+            else:
+                falling[dropped] = np.inf
+        joins = np.minimum(
+            np.where(rising > 0, rising, np.inf), np.where(falling > 0, falling, np.inf)
         )
+        joins[active] = np.inf
+        if len(active) == m:
+            joins[:] = np.inf
+        drops = np.where(vanishing > 0, vanishing, np.inf)
+        join, drop = int(np.argmin(joins)), int(np.argmin(drops))
+        gamma = min(joins[join], drops[drop], alpha - alpha_min)
+
+        emit(alpha - gamma if gamma < alpha - alpha_min else alpha_min, d)
+        u[active] += (0.5 * gamma) * d
+        correlations -= gamma * slopes
+        alpha -= gamma
+        joining, dropped = -1, -1
+        if gamma == drops[drop]:
+            dropped = active.pop(drop)
+            u[dropped] = 0.0
+        elif gamma == joins[join]:
+            joining = join
     return results

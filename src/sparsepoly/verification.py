@@ -9,7 +9,9 @@ Each oracle takes a route independent of the code path it validates:
 * hyperbolic-cross membership is re-enumerated by scanning the full degree
   box;
 * univariate orthonormality is re-checked by Gaussian quadrature, and
-  closed-form sup-norm weights by dense grid maximization.
+  closed-form sup-norm weights by dense grid maximization;
+* weighted-LASSO path solutions are certified by their KKT residual, computed
+  from the optimality conditions of the unscaled problem.
 """
 
 from __future__ import annotations
@@ -21,9 +23,14 @@ import numpy as np
 
 from . import basis
 from .assembly import LinearSystem, normalize_columns
+from .lasso import lasso_path
 from .womp import WompConfig, compute_delta, g_lambda, womp_solve
 
 DELTA_CHECK_LAMBDAS = (0.0, 1e-4, 1e-2)
+
+# largest KKT residual (relative to the zero-solution threshold) accepted for
+# an exact weighted-LASSO solution
+LASSO_KKT_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -165,6 +172,28 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
         matrix=matrix, rhs=y, column_norms=np.ones(n), normalized=False
     )
     return normalize_columns(raw)
+
+
+def lasso_kkt_residual(system: LinearSystem, w: np.ndarray, alpha: float, z: np.ndarray) -> float:
+    """Worst violation of the weighted-LASSO optimality conditions at z.
+
+    For min ||A z - y||^2 + alpha sum_j w_j |z_j| and g = 2 A^T (y - A z),
+    z is optimal iff g_j = alpha w_j sign(z_j) wherever z_j != 0 and
+    |g_j| <= alpha w_j elsewhere.  Returns max_j v_j / (w_j alpha_max), with
+    v_j the violation of coordinate j's condition and alpha_max =
+    2 max_j |(A^T y)_j| / w_j the threshold above which z = 0 is optimal.
+    """
+    matrix, y = system.matrix, system.rhs
+    w = np.asarray(w, dtype=np.float64)
+    z = np.asarray(z, dtype=np.float64)
+    g = 2.0 * matrix.T @ (y - matrix @ z)
+    violation = np.where(
+        z != 0,
+        np.abs(g - alpha * w * np.sign(z)),
+        np.maximum(np.abs(g) - alpha * w, 0.0),
+    )
+    alpha_max = 2.0 * float(np.max(np.abs(matrix.T @ y) / w))
+    return float(np.max(violation / w)) / (alpha_max if alpha_max > 0 else 1.0)
 
 
 def collect_womp_states(system: LinearSystem, w: np.ndarray, lam: float, iterations: int):
@@ -336,6 +365,42 @@ def check_weight_closed_forms(seed: int, n_indices: int = 50, tol: float = 1e-6)
     )
 
 
+def check_lasso_kkt(
+    seed: int,
+    n_instances: int = 5,
+    m: int = 20,
+    n: int = 50,
+    grid_size: int = 12,
+    tol: float = LASSO_KKT_TOLERANCE,
+) -> CheckResult:
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for instance in range(n_instances):
+        system = random_test_system(m, n, rng)
+        w = rng.uniform(1.0, 2.0, size=n)
+        alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
+        alphas = np.geomspace(1e-8 * alpha_max, alpha_max, grid_size)
+        results = lasso_path(system, w, alphas, max_iterations=10 * n)
+        for alpha, result in zip(alphas, results):
+            residual = lasso_kkt_residual(system, w, alpha, result.coefficients)
+            worst = max(worst, residual)
+            if not result.converged or residual > tol:
+                return CheckResult(
+                    name="weighted_lasso_kkt",
+                    passed=False,
+                    detail=(
+                        f"KKT residual {residual:.3e} (tolerance {tol:.1e}, reached "
+                        f"{result.converged}) at instance {instance} (seed {seed}), "
+                        f"alpha={alpha:.3e}"
+                    ),
+                )
+    return CheckResult(
+        name="weighted_lasso_kkt",
+        passed=True,
+        detail=f"max KKT residual {worst:.3e} over {n_instances} paths of {grid_size} alphas",
+    )
+
+
 def run_checks(seed: int = 0, delta_fn=compute_delta) -> list[CheckResult]:
     """The oracle suite behind `verify`; `delta_fn` exists as a fault-injection
     hook so the suite itself can be shown to catch a corrupted greedy score."""
@@ -345,4 +410,5 @@ def run_checks(seed: int = 0, delta_fn=compute_delta) -> list[CheckResult]:
         check_cross_counts(),
         check_orthonormality(),
         check_weight_closed_forms(seed + 2),
+        check_lasso_kkt(seed + 3),
     ]

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsepoly import cli, verification
+from sparsepoly import cli, experiments, verification
 from sparsepoly.cli import (
     ConfigError,
     main,
@@ -115,7 +115,6 @@ def test_render_parse_round_trip():
         include_lasso=True,
         lasso_grid_size=6,
         lasso_max_iterations=700,
-        lasso_rel_tolerance=3e-8,
     )
     assert parse_config_text(render_config(config)) == config
 
@@ -194,10 +193,16 @@ def test_lasso_cap_is_reported(tmp_path, capsys):
     dirs = [tmp_path / "run_a", tmp_path / "run_b"]
     for out_dir in dirs:
         assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
-        assert "wlasso m=30: 12/12 solves hit the 1-iteration cap" in capsys.readouterr().out
+        flags = [line for line in capsys.readouterr().out.splitlines() if "-breakpoint cap" in line]
+        # one line per grid alpha: the largest is reached by one trial's
+        # first segment, the three smaller ones by none
+        assert len(flags) == 4
+        assert sum("3/3 paths hit the 1-breakpoint cap" in line for line in flags) == 3
+        assert sum("2/3 paths hit the 1-breakpoint cap" in line for line in flags) == 1
     sweep = json.loads((dirs[0] / "report.json").read_text())["lasso"][0]
-    assert sweep["converged_counts"] == [0, 0, 0, 0]
+    assert sweep["converged_counts"] == [0, 0, 0, 1]
     assert sweep["max_iterations_run"] == [1, 1, 1, 1]
+    assert all(kkt > 1e-3 for kkt in sweep["max_kkt_residual"])
     # the diagnostics leave criterion 10's byte-compared files deterministic
     for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
         assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
@@ -206,9 +211,23 @@ def test_lasso_cap_is_reported(tmp_path, capsys):
     roomy = ["run", "--config", str(config_path), "--out", str(tmp_path / "roomy"),
              "lasso_max_iterations=600"]
     assert main(roomy) == 0
-    assert "iteration cap" not in capsys.readouterr().out
+    assert "breakpoint cap" not in capsys.readouterr().out
     roomy_sweep = json.loads((tmp_path / "roomy" / "report.json").read_text())["lasso"][0]
     assert roomy_sweep["converged_counts"] == [3, 3, 3, 3]
+    assert all(kkt <= verification.LASSO_KKT_TOLERANCE for kkt in roomy_sweep["max_kkt_residual"])
+
+
+def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
+    # a certificate failure is flagged even when every path reached its alpha
+    monkeypatch.setattr(experiments, "lasso_kkt_residual", lambda *args: 1e-6)
+    config_path = tmp_path / "capped.cfg"
+    config_path.write_text(CAPPED_TEXT)
+    out_dir = tmp_path / "kkt"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                 "lasso_max_iterations=600"]) == 0
+    flags = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wlasso m=")]
+    assert len(flags) == 4
+    assert all("0/3 paths hit the 600-breakpoint cap, max KKT residual 1.00e-06" in f for f in flags)
 
 
 def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
@@ -225,13 +244,16 @@ def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
         assert not out_dir.exists()
         assert main(["info", "--config", str(QUICK_CONFIG), f"{key}=0"]) == 2
         assert key in capsys.readouterr().err
+    assert main(["info", "--config", str(QUICK_CONFIG), "lasso_rel_tolerance=1e-7"]) == 2
+    assert "unknown key 'lasso_rel_tolerance'" in capsys.readouterr().err
 
 
 def test_cmd_verify_passes(capsys):
     assert main(["verify", "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 5
+    assert out.count("[PASS]") == 6
     assert "greedy_delta_identity" in out
+    assert "weighted_lasso_kkt" in out
 
 
 def test_corrupted_delta_is_detected():

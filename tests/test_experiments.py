@@ -19,6 +19,7 @@ from sparsepoly.experiments import (
     write_outputs,
 )
 from sparsepoly.index_sets import hyperbolic_cross
+from sparsepoly.verification import LASSO_KKT_TOLERANCE
 from sparsepoly.womp import (
     STOP_IN_SUPPORT_RESELECT,
     STOP_MAX_ITERATIONS,
@@ -164,8 +165,6 @@ def test_config_rejects_bad_values():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(lasso_max_iterations=0)
-    with pytest.raises(ValueError):
-        ExperimentConfig(lasso_rel_tolerance=0.0)
 
 
 # --- sweep ------------------------------------------------------------------
@@ -255,6 +254,9 @@ def test_sweep_report_lookup_and_json():
     assert back["n_basis_functions"] == report.n_basis_functions
     assert len(back["womp"]) == 2
     assert back["config"]["trials"] == 2
+    # every grid alpha carries its worst KKT certificate over the trials
+    assert len(back["lasso"][0]["max_kkt_residual"]) == 4
+    assert max(back["lasso"][0]["max_kkt_residual"]) <= LASSO_KKT_TOLERANCE
 
 
 def test_errors_decrease_from_one():

@@ -9,12 +9,11 @@ from sparsepoly.experiments import DEFAULT_SEED, ExperimentConfig, target_log_su
 from sparsepoly.index_sets import hyperbolic_cross
 from sparsepoly.lasso import (
     default_alpha_grid,
-    estimate_squared_spectral_norm,
     lasso_objective,
     lasso_path,
-    soft_threshold,
     weighted_l1_norm,
 )
+from sparsepoly.verification import LASSO_KKT_TOLERANCE, lasso_kkt_residual
 
 
 def make_system(m, n, seed, noise=0.05):
@@ -27,19 +26,24 @@ def make_system(m, n, seed, noise=0.05):
     return normalize_columns(LinearSystem(matrix, y, np.ones(n), False))
 
 
-def solve_one(system, w, alpha, max_iterations=2000, rel_tolerance=1e-8):
+def solve_one(system, w, alpha, max_iterations=2000):
     """`lasso_path` at a single alpha."""
-    return lasso_path(system, w, [alpha], max_iterations, rel_tolerance)[0]
+    return lasso_path(system, w, [alpha], max_iterations)[0]
 
 
-def reference_ista(system, alpha, n_iterations=30_000):
-    """Plain unweighted proximal gradient, written from the definition."""
+def soft_threshold(v, threshold):
+    return np.sign(v) * np.maximum(np.abs(v) - threshold, 0.0)
+
+
+def reference_ista(system, alpha, n_iterations=30_000, w=None):
+    """Plain proximal gradient (unit weights by default), written from the definition."""
     matrix, y = system.matrix, system.rhs
+    w = np.ones(matrix.shape[1]) if w is None else w
     step = 1.0 / (2.0 * np.linalg.norm(matrix, 2) ** 2)
     z = np.zeros(matrix.shape[1])
     for _ in range(n_iterations):
         gradient = 2.0 * matrix.T @ (matrix @ z - y)
-        z = soft_threshold(z - step * gradient, step * alpha)
+        z = soft_threshold(z - step * gradient, step * alpha * w)
     return z
 
 
@@ -61,28 +65,6 @@ def test_weighted_l1_direct_evaluation():
     assert weighted_l1_norm(z, w) == pytest.approx(np.sqrt(3.0) + 2.0, abs=1e-14)
 
 
-# --- soft threshold ---------------------------------------------------------
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    v=st.floats(min_value=-10, max_value=10, allow_nan=False),
-    t=st.floats(min_value=0, max_value=5, allow_nan=False),
-)
-def test_soft_threshold_properties(v, t):
-    s = float(soft_threshold(np.array([v]), t)[0])
-    if abs(v) <= t:
-        assert s == 0.0
-    else:
-        assert s == pytest.approx(np.sign(v) * (abs(v) - t), abs=1e-12)
-
-
-def test_soft_threshold_vector_thresholds():
-    v = np.array([3.0, -3.0, 0.5])
-    t = np.array([1.0, 2.0, 1.0])
-    np.testing.assert_allclose(soft_threshold(v, t), [2.0, -1.0, 0.0], atol=0)
-
-
 # --- solver -----------------------------------------------------------------
 
 
@@ -91,13 +73,20 @@ def test_config_validation():
     with pytest.raises(ValueError):
         solve_one(system, np.ones(20), 0.0)
     with pytest.raises(ValueError):
-        solve_one(system, np.ones(20), 1.0, rel_tolerance=0.0)
-    with pytest.raises(ValueError):
         solve_one(system, np.ones(20), 1.0, max_iterations=0)
     with pytest.raises(ValueError):
-        lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10, rel_tolerance=1e-8)
+        lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10)
     with pytest.raises(ValueError):
-        lasso_path(system, np.ones(20), [], max_iterations=10, rel_tolerance=1e-8)
+        lasso_path(system, np.ones(20), [], max_iterations=10)
+    # the weights are checked as womp_solve checks them
+    for bad_shape in (np.ones(19), np.ones((20, 1))):
+        with pytest.raises(ValueError, match=r"weights must have shape \(20,\)"):
+            solve_one(system, bad_shape, 1.0)
+    for bad_value in (0.0, -1.0):
+        w = np.ones(20)
+        w[3] = bad_value
+        with pytest.raises(ValueError, match="weights must be strictly positive"):
+            solve_one(system, w, 1.0)
 
 
 def test_requires_normalized_system():
@@ -109,15 +98,6 @@ def test_requires_normalized_system():
         solve_one(system, np.ones(5), 0.1)
 
 
-def test_spectral_norm_estimate():
-    rng = np.random.default_rng(1)
-    matrix = rng.standard_normal((20, 30))
-    exact = np.linalg.norm(matrix, 2) ** 2
-    estimate = estimate_squared_spectral_norm(matrix, n_iterations=60)
-    assert estimate == pytest.approx(exact, rel=1e-6)
-    assert estimate <= exact * (1 + 1e-9)
-
-
 def test_large_alpha_gives_zero_solution():
     system = make_system(15, 30, 2)
     rng = np.random.default_rng(12)
@@ -126,6 +106,7 @@ def test_large_alpha_gives_zero_solution():
     result = solve_one(system, w, threshold * 1.01)
     np.testing.assert_array_equal(result.coefficients, np.zeros(30))
     assert result.converged
+    assert result.n_iterations == 0
 
 
 def test_single_column_closed_form():
@@ -136,9 +117,9 @@ def test_single_column_closed_form():
     system = LinearSystem(column[:, None], y, np.ones(1), True)
     inner = float(column @ y)
     for alpha, w in [(0.05, 1.0), (0.3, 2.0)]:
-        result = solve_one(system, np.array([w]), alpha, rel_tolerance=1e-12)
-        expected = float(soft_threshold(np.array([inner]), alpha * w / 2.0)[0])
-        assert result.coefficients[0] == pytest.approx(expected, abs=1e-8)
+        result = solve_one(system, np.array([w]), alpha)
+        expected = soft_threshold(inner, alpha * w / 2.0)
+        assert result.coefficients[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_vanishing_regularization_matches_exact_solve():
@@ -147,10 +128,8 @@ def test_vanishing_regularization_matches_exact_solve():
     raw = LinearSystem(matrix, rng.standard_normal(12), np.ones(12), False)
     system = normalize_columns(raw)
     exact = np.linalg.solve(system.matrix, system.rhs)
-    result = solve_one(
-        system, np.ones(12), 1e-12, max_iterations=200_000, rel_tolerance=1e-13
-    )
-    np.testing.assert_allclose(result.coefficients, exact, atol=1e-6)
+    result = solve_one(system, np.ones(12), 1e-12)
+    np.testing.assert_allclose(result.coefficients, exact, atol=1e-9)
 
 
 def test_fixed_point_stationarity():
@@ -158,31 +137,19 @@ def test_fixed_point_stationarity():
     rng = np.random.default_rng(6)
     w = rng.uniform(1, 2, 35)
     alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = solve_one(system, w, alpha, max_iterations=20_000, rel_tolerance=1e-10)
+    result = solve_one(system, w, alpha)
     z = result.coefficients
     step = 1.0 / (2.0 * np.linalg.norm(system.matrix, 2) ** 2)
     gradient = 2.0 * system.matrix.T @ (system.matrix @ z - system.rhs)
     fixed_point = soft_threshold(z - step * gradient, step * alpha * w)
-    np.testing.assert_allclose(z, fixed_point, atol=1e-6 * max(alpha, 1.0))
-
-
-def test_objective_history_non_increasing():
-    system = make_system(15, 40, 7)
-    rng = np.random.default_rng(8)
-    w = rng.uniform(1, 3, 40)
-    alpha = 0.05 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = solve_one(system, w, alpha)
-    checkpoints = result.objective_history[::10]
-    assert np.all(np.diff(checkpoints) <= 1e-10)
+    np.testing.assert_allclose(z, fixed_point, atol=1e-12 * max(alpha, 1.0))
 
 
 def test_matches_reference_ista_unweighted():
     for seed in range(3):
         system = make_system(30, 12, 100 + seed)
         alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-        result = solve_one(
-            system, np.ones(12), alpha, max_iterations=50_000, rel_tolerance=1e-13
-        )
+        result = solve_one(system, np.ones(12), alpha)
         reference = reference_ista(system, alpha)
         np.testing.assert_allclose(result.coefficients, reference, atol=1e-6)
 
@@ -190,9 +157,12 @@ def test_matches_reference_ista_unweighted():
 def test_non_convergence_flag():
     system = make_system(15, 40, 9)
     alpha = 1e-4 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
+    assert solve_one(system, np.ones(40), alpha).n_iterations > 3
     result = solve_one(system, np.ones(40), alpha, max_iterations=3)
     assert not result.converged
     assert result.n_iterations == 3
+    # the cap leaves the solution of the third breakpoint, short of alpha
+    assert lasso_kkt_residual(system, np.ones(40), alpha, result.coefficients) > 1e-3
 
 
 def test_default_alpha_grid_brackets_threshold():
@@ -215,7 +185,7 @@ def test_objective_drops_below_initial():
     assert result.objective < initial
 
 
-# --- batched alpha path -----------------------------------------------------
+# --- homotopy path ----------------------------------------------------------
 
 
 def path_problem():
@@ -228,80 +198,100 @@ def path_problem():
 
 def test_path_columns_keep_their_own_counts_and_flags():
     system, w, alphas = path_problem()
-    results = lasso_path(system, w, alphas, max_iterations=400, rel_tolerance=1e-8)
-    assert len(results) == len(alphas)
-    flags = [r.converged for r in results]
-    counts = [r.n_iterations for r in results]
-    assert flags == [True, True, True, False]
-    assert counts[0] == 1  # the zero start is already optimal
-    assert 1 < counts[1] < counts[2] < 400
-    assert counts[3] == 400
-    for result in results:
-        assert result.objective_history.shape == (result.n_iterations + 1,)
-        assert result.objective == result.objective_history[-1]
+    full = lasso_path(system, w, alphas, max_iterations=400)
+    counts = [r.n_iterations for r in full]
+    assert [r.converged for r in full] == [True] * 4
+    assert counts[0] == 0  # above the threshold: no breakpoint walked
+    assert 0 < counts[1] < counts[2] < counts[3] < 400
+
+    # a cap that reaches the third alpha but not the fourth
+    capped = lasso_path(system, w, alphas, max_iterations=counts[2])
+    assert [r.converged for r in capped] == [True, True, True, False]
+    assert [r.n_iterations for r in capped] == counts[:3] + [counts[2]]
+    for result, reference in zip(capped[:3], full[:3]):
+        np.testing.assert_array_equal(result.coefficients, reference.coefficients)
 
 
 def test_path_converged_columns_match_single_alpha_solves():
     system, w, alphas = path_problem()
-    results = lasso_path(system, w, alphas, max_iterations=5000, rel_tolerance=1e-10)
+    results = lasso_path(system, w, alphas, max_iterations=400)
     for alpha, result in zip(alphas, results):
-        if not result.converged:
-            continue
-        single = solve_one(system, w, alpha, max_iterations=5000, rel_tolerance=1e-10)
-        assert single.converged
+        single = solve_one(system, w, alpha, max_iterations=400)
+        assert result.converged and single.converged
         scale = max(np.linalg.norm(single.coefficients), 1.0)
-        assert np.linalg.norm(result.coefficients - single.coefficients) <= 1e-6 * scale
-
-
-def test_path_objective_histories_non_increasing():
-    system, w, alphas = path_problem()
-    for result in lasso_path(system, w, alphas, max_iterations=2000, rel_tolerance=1e-8):
-        assert np.all(np.diff(result.objective_history) <= 0.0)
-
-
-def test_path_recovers_from_underestimated_step():
-    # The power method starts from the all-ones vector, which is an
-    # eigenvector of this Gram matrix for its smaller eigenvalue (0.4 of
-    # 1.6).  The first step is then too long for descent, so every alpha
-    # must restart and halve its step.
-    raw = LinearSystem(np.array([[1.0, -0.6], [0.0, 0.8]]), np.array([1.0, -2.0]), np.ones(2), False)
-    system = normalize_columns(raw)
-    exact = np.linalg.norm(system.matrix, 2) ** 2
-    assert estimate_squared_spectral_norm(system.matrix) < exact / 2.1
-
-    ratio = float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    alphas = ratio * np.array([0.5, 0.1, 0.01])
-    results = lasso_path(system, np.ones(2), alphas, max_iterations=5000, rel_tolerance=1e-12)
-    for alpha, result in zip(alphas, results):
-        assert result.converged
-        assert np.all(np.diff(result.objective_history) <= 0.0)
-        np.testing.assert_allclose(result.coefficients, reference_ista(system, alpha), atol=1e-8)
+        assert np.linalg.norm(result.coefficients - single.coefficients) <= 1e-12 * scale
 
 
 def test_path_single_iteration_never_converges():
+    # one breakpoint walks only the first segment, on which a single index
+    # is active; every alpha below it keeps that segment's end point
     system, w, alphas = path_problem()
     below_threshold = alphas[1:]
-    results = lasso_path(system, w, below_threshold, max_iterations=1, rel_tolerance=1e-8)
+    full = lasso_path(system, w, below_threshold, max_iterations=400)
+    assert min(r.n_iterations for r in full) > 1
+    results = lasso_path(system, w, below_threshold, max_iterations=1)
     assert [r.converged for r in results] == [False] * len(below_threshold)
     assert [r.n_iterations for r in results] == [1] * len(below_threshold)
+    for result in results:
+        assert np.count_nonzero(result.coefficients) == 1
+        np.testing.assert_array_equal(result.coefficients, results[0].coefficients)
 
 
 def test_path_results_do_not_depend_on_alpha_order():
     system, w, alphas = path_problem()
     order = [2, 0, 3, 1]
-    given_order = lasso_path(system, w, alphas, max_iterations=400, rel_tolerance=1e-8)
-    shuffled = lasso_path(system, w, alphas[order], max_iterations=400, rel_tolerance=1e-8)
+    given_order = lasso_path(system, w, alphas, max_iterations=400)
+    shuffled = lasso_path(system, w, alphas[order], max_iterations=400)
     for position, result in zip(order, shuffled):
         expected = given_order[position]
         np.testing.assert_array_equal(result.coefficients, expected.coefficients)
-        np.testing.assert_array_equal(result.objective_history, expected.objective_history)
+        assert result.objective == expected.objective
         assert result.converged == expected.converged
         assert result.n_iterations == expected.n_iterations
 
 
+@settings(max_examples=20, deadline=None)
+@given(
+    m=st.integers(4, 20),
+    n=st.integers(2, 40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_path_is_kkt_exact_and_no_worse_than_ista(m, n, seed):
+    system = make_system(m, n, seed)
+    w = np.random.default_rng(seed).uniform(1, 2, n)
+    alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
+    alphas = alpha_max * np.array([1.5, 0.5, 1e-1, 1e-3, 1e-8])
+    results = lasso_path(system, w, alphas, max_iterations=10 * (m + n))
+    for alpha, result in zip(alphas, results):
+        assert result.converged
+        z = result.coefficients
+        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
+        assert result.objective == lasso_objective(z, system, w, alpha)
+        reference = reference_ista(system, alpha, n_iterations=1000, w=w)
+        assert result.objective <= lasso_objective(reference, system, w, alpha) * (1 + 1e-9)
+
+
+def test_kkt_residual_flags_perturbed_solution():
+    system, w, alphas = path_problem()
+    for alpha, result in zip(alphas, lasso_path(system, w, alphas, max_iterations=400)):
+        z = result.coefficients
+        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
+        for j in (int(np.argmax(np.abs(z))), int(np.argmin(np.abs(z)))):
+            # moving one coordinate, on or off the support, breaks optimality
+            perturbed = z.copy()
+            perturbed[j] += 1e-6
+            assert lasso_kkt_residual(system, w, alpha, perturbed) > 1e-8
+    # the zero vector is optimal exactly from the threshold up
+    zero = np.zeros(40)
+    alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
+    assert lasso_kkt_residual(system, w, alpha_max, zero) == 0.0
+    assert lasso_kkt_residual(system, w, 0.5 * alpha_max, zero) == pytest.approx(0.5)
+
+
 # Objectives of the default grid on the first m=80 trial of the full Legendre
 # study (default seed), as reached when every alpha was solved from a cold
-# zero start at the default cap; five of these ten solves hit the cap.
+# zero start by proximal gradient at the default cap; five of these ten solves
+# hit the cap.
 COLD_START_OBJECTIVES = (
     1.73275512495276e-06,
     9.955855673300568e-06,
@@ -326,9 +316,8 @@ def test_study_trial_grid_converges_at_default_cap():
         build_system(points, target_log_sum(config.dimension), config.basis_kind, index_set)
     )
     alphas = default_alpha_grid(system, w, config.lasso_grid_size)
-    results = lasso_path(
-        system, w, alphas, config.lasso_max_iterations, config.lasso_rel_tolerance
-    )
+    results = lasso_path(system, w, alphas, config.lasso_max_iterations)
     assert [r.converged for r in results] == [True] * len(alphas)
-    for result, cold in zip(results, COLD_START_OBJECTIVES, strict=True):
+    for alpha, result, cold in zip(alphas, results, COLD_START_OBJECTIVES, strict=True):
         assert result.objective <= cold * (1 + 1e-5)
+        assert lasso_kkt_residual(system, w, alpha, result.coefficients) <= LASSO_KKT_TOLERANCE
