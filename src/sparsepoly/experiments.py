@@ -13,7 +13,8 @@ timed sweep).  Relative errors are measured coefficient-wise against a single
 shared reference fit obtained by least squares (through the normal equations)
 on an oversampled draw; since the basis is orthonormal for the sampling
 measure, the coefficient-space l2 distance equals the function-space L2 error
-of the truncated expansions.
+of the truncated expansions; one `relative_error` call scores a whole trace
+(K iterates) or a whole alpha grid.
 
 Everything is a pure function of the config (base seed included): the
 reference uses the stream SeedSequence([base_seed, 0]) and trial t at sample
@@ -43,7 +44,7 @@ from .assembly import (
 from .index_sets import MultiIndexSet, hyperbolic_cross
 from .lasso import default_alpha_grid, lasso_path
 from .verification import lasso_kkt_residual
-from .womp import WompConfig, womp_solve
+from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
 
 DEFAULT_SEED = 1729
 
@@ -158,13 +159,15 @@ def reference_coefficients(
     return np.linalg.solve(factor.T, np.linalg.solve(factor, system.matrix.T @ system.rhs))
 
 
-def relative_error(x_hat: np.ndarray, x_ref: np.ndarray) -> float:
-    """l2 distance to the reference, relative to the reference norm."""
+def relative_error(x_hat: np.ndarray, x_ref: np.ndarray):
+    """l2 distance of each row of x_hat to the reference, relative to the
+    reference norm: an array for a 2-D x_hat, a float for a 1-D one."""
     x_ref = np.asarray(x_ref, dtype=np.float64)
     ref_norm = float(np.linalg.norm(x_ref))
     if ref_norm == 0.0:
         raise ValueError("reference coefficients have zero norm")
-    return float(np.linalg.norm(np.asarray(x_hat) - x_ref) / ref_norm)
+    diff = np.asarray(x_hat) - x_ref
+    return np.sqrt(np.vecdot(diff, diff)) / ref_norm
 
 
 @dataclass
@@ -276,52 +279,43 @@ def _run_trial(
     m: int,
     trial: int,
 ) -> dict:
+    """One trial's results: the womp_* entries hold one row per lambda, the
+    lasso_* entries one value per grid alpha."""
     seed = np.random.SeedSequence([config.base_seed, 1, m, trial])
     points = basis.sample_measure(config.basis_kind, config.dimension, m, seed)
     raw = build_system(points, target, config.basis_kind, index_set)
     t0 = time.perf_counter()
     system = normalize_columns(raw)
-    normalize_seconds = time.perf_counter() - t0
+    result = {"normalize_seconds": time.perf_counter() - t0}
 
-    K = config.iterations
-    womp_results = {}
+    ks = range(1, config.iterations + 1)
+    womp = {"errors": [], "supports": [], "seconds": [], "stop_reasons": [], "iterations": []}
     for lam in config.lambdas:
-        solver_config = WompConfig(lam=lam, max_iterations=K)
         t0 = time.perf_counter()
-        trace = womp_solve(system, w, solver_config)
-        seconds = time.perf_counter() - t0
-        errors = np.empty(K)
-        supports = np.empty(K)
-        for k in range(1, K + 1):
-            coefficients = denormalize_solution(system, trace.coefficients_at(k))
-            errors[k - 1] = relative_error(coefficients, x_ref)
-            supports[k - 1] = trace.support_size_at(k)
-        womp_results[lam] = (errors, supports, seconds, trace.stop_reason, len(trace))
+        trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=config.iterations))
+        womp["seconds"].append(time.perf_counter() - t0)
+        iterates = [trace.coefficients_at(k) for k in ks]
+        womp["errors"].append(relative_error(denormalize_solution(system, iterates), x_ref))
+        womp["supports"].append([trace.support_size_at(k) for k in ks])
+        womp["stop_reasons"].append(trace.stop_reason)
+        womp["iterations"].append(len(trace))
+    result.update({f"womp_{key}": value for key, value in womp.items()})
 
-    lasso_results = None
     if config.include_lasso:
         t0 = time.perf_counter()
         alphas = default_alpha_grid(system, w, config.lasso_grid_size)
         results = lasso_path(system, w, alphas, config.lasso_max_iterations)
-        errors = np.empty(len(alphas))
-        supports = np.empty(len(alphas))
-        for i, result in enumerate(results):
-            coefficients = denormalize_solution(system, result.coefficients)
-            errors[i] = relative_error(coefficients, x_ref)
-            supports[i] = int(np.count_nonzero(np.abs(coefficients) > 1e-12))
-        sweep_seconds = time.perf_counter() - t0
-        converged = np.array([r.converged for r in results])
-        iterations = np.array([r.n_iterations for r in results])
-        kkt = np.array(
-            [lasso_kkt_residual(system, w, a, r.coefficients) for a, r in zip(alphas, results)]
-        )
-        lasso_results = (alphas, errors, supports, sweep_seconds, converged, iterations, kkt)
-
-    return {
-        "normalize_seconds": normalize_seconds,
-        "womp": womp_results,
-        "lasso": lasso_results,
-    }
+        coefficients = denormalize_solution(system, [r.coefficients for r in results])
+        result["lasso_errors"] = relative_error(coefficients, x_ref)
+        result["lasso_supports"] = np.count_nonzero(np.abs(coefficients) > SUPPORT_EPSILON, axis=1)
+        result["lasso_seconds"] = time.perf_counter() - t0
+        result["lasso_alphas"] = alphas
+        result["lasso_converged"] = [r.converged for r in results]
+        result["lasso_iterations"] = [r.n_iterations for r in results]
+        result["lasso_kkt"] = [
+            lasso_kkt_residual(system, w, a, r.coefficients) for a, r in zip(alphas, results)
+        ]
+    return result
 
 
 def run_sweep(config: ExperimentConfig) -> ExperimentReport:
@@ -342,55 +336,47 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
     normalize_seconds: dict[int, float] = {}
 
     for m in config.sample_counts:
-        trial_results = [
+        trials = [
             _run_trial(config, target, index_set, w, x_ref, m, trial)
             for trial in range(config.trials)
         ]
-        normalize_seconds[m] = float(
-            np.mean([r["normalize_seconds"] for r in trial_results])
-        )
-        for lam in config.lambdas:
-            errors = np.stack([r["womp"][lam][0] for r in trial_results])
-            supports = np.stack([r["womp"][lam][1] for r in trial_results])
-            seconds = np.array([r["womp"][lam][2] for r in trial_results])
-            stop_reasons = Counter(r["womp"][lam][3] for r in trial_results)
-            iterations = [r["womp"][lam][4] for r in trial_results]
+        # axis 0 of every entry runs over the trials
+        r = {key: np.array([t[key] for t in trials]) for key in trials[0]}
+        normalize_seconds[m] = float(r["normalize_seconds"].mean())
+        mean_errors = r["womp_errors"].mean(axis=0)
+        std_errors = r["womp_errors"].std(axis=0)
+        mean_supports = r["womp_supports"].mean(axis=0)
+        for i, lam in enumerate(config.lambdas):
+            stop_reasons = Counter(map(str, r["womp_stop_reasons"][:, i]))
             womp_curves.append(
                 WompCurve(
                     m=m,
                     lam=lam,
-                    mean_errors=errors.mean(axis=0),
-                    std_errors=errors.std(axis=0),
-                    mean_supports=supports.mean(axis=0),
-                    mean_seconds=float(seconds.mean()),
+                    mean_errors=mean_errors[i],
+                    std_errors=std_errors[i],
+                    mean_supports=mean_supports[i],
+                    mean_seconds=float(r["womp_seconds"][:, i].mean()),
                     stop_reasons=dict(sorted(stop_reasons.items())),
-                    mean_iterations=float(np.mean(iterations)),
+                    mean_iterations=float(r["womp_iterations"][:, i].mean()),
                 )
             )
         if config.include_lasso:
-            alphas = np.stack([r["lasso"][0] for r in trial_results])
-            errors = np.stack([r["lasso"][1] for r in trial_results])
-            supports = np.stack([r["lasso"][2] for r in trial_results])
-            seconds = np.array([r["lasso"][3] for r in trial_results])
-            converged = np.stack([r["lasso"][4] for r in trial_results])
-            iterations = np.stack([r["lasso"][5] for r in trial_results])
-            kkt = np.stack([r["lasso"][6] for r in trial_results])
-            mean_errors = errors.mean(axis=0)
+            mean_errors = r["lasso_errors"].mean(axis=0)
             best = int(np.argmin(mean_errors))
             lasso_sweeps.append(
                 LassoSweep(
                     m=m,
-                    mean_alphas=alphas.mean(axis=0),
+                    mean_alphas=r["lasso_alphas"].mean(axis=0),
                     mean_errors=mean_errors,
-                    std_errors=errors.std(axis=0),
-                    mean_supports=supports.mean(axis=0),
-                    converged_counts=converged.sum(axis=0),
-                    mean_iterations=iterations.mean(axis=0),
-                    max_iterations_run=iterations.max(axis=0),
-                    max_kkt_residuals=kkt.max(axis=0),
+                    std_errors=r["lasso_errors"].std(axis=0),
+                    mean_supports=r["lasso_supports"].mean(axis=0),
+                    converged_counts=r["lasso_converged"].sum(axis=0),
+                    mean_iterations=r["lasso_iterations"].mean(axis=0),
+                    max_iterations_run=r["lasso_iterations"].max(axis=0),
+                    max_kkt_residuals=r["lasso_kkt"].max(axis=0),
                     best_position=best,
                     best_mean_error=float(mean_errors[best]),
-                    mean_sweep_seconds=float(seconds.mean()),
+                    mean_sweep_seconds=float(r["lasso_seconds"].mean()),
                 )
             )
 
@@ -408,55 +394,34 @@ def _fmt(value) -> str:
     return repr(float(value))
 
 
+def _curve_rows(report: ExperimentReport):
+    """(decoder, lambda, m, k, mean error, std error, mean support) per curve
+    point: k = 1..K for each greedy curve, then one k = 0 best-alpha row per
+    LASSO sweep."""
+    for c in report.womp_curves:
+        for i, mean in enumerate(c.mean_errors):
+            yield "womp", c.lam, c.m, i + 1, mean, c.std_errors[i], c.mean_supports[i]
+    for s in report.lasso_sweeps:
+        b = s.best_position
+        support = s.mean_supports[b]
+        yield "wlasso", s.mean_alphas[b], s.m, 0, s.best_mean_error, s.std_errors[b], support
+
+
 def write_errors_csv(report: ExperimentReport, path) -> None:
     """Per-iteration mean/std error rows; one best-alpha row per LASSO sweep."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["decoder", "lambda", "m", "k", "mean_error", "std_error"])
-        for curve in report.womp_curves:
-            for i in range(curve.mean_errors.shape[0]):
-                writer.writerow(
-                    [
-                        "womp",
-                        _fmt(curve.lam),
-                        curve.m,
-                        i + 1,
-                        _fmt(curve.mean_errors[i]),
-                        _fmt(curve.std_errors[i]),
-                    ]
-                )
-        for sweep in report.lasso_sweeps:
-            writer.writerow(
-                [
-                    "wlasso",
-                    _fmt(sweep.mean_alphas[sweep.best_position]),
-                    sweep.m,
-                    0,
-                    _fmt(sweep.best_mean_error),
-                    _fmt(sweep.std_errors[sweep.best_position]),
-                ]
-            )
+        for decoder, lam, m, k, mean, std, _ in _curve_rows(report):
+            writer.writerow([decoder, _fmt(lam), m, k, _fmt(mean), _fmt(std)])
 
 
 def write_support_csv(report: ExperimentReport, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["decoder", "lambda", "m", "k", "mean_support"])
-        for curve in report.womp_curves:
-            for i in range(curve.mean_supports.shape[0]):
-                writer.writerow(
-                    ["womp", _fmt(curve.lam), curve.m, i + 1, _fmt(curve.mean_supports[i])]
-                )
-        for sweep in report.lasso_sweeps:
-            writer.writerow(
-                [
-                    "wlasso",
-                    _fmt(sweep.mean_alphas[sweep.best_position]),
-                    sweep.m,
-                    0,
-                    _fmt(sweep.mean_supports[sweep.best_position]),
-                ]
-            )
+        for decoder, lam, m, k, _, _, support in _curve_rows(report):
+            writer.writerow([decoder, _fmt(lam), m, k, _fmt(support)])
 
 
 def write_runtimes_csv(report: ExperimentReport, path) -> None:

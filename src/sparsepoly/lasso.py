@@ -41,7 +41,6 @@ class LassoResult:
     converged: bool
     # breakpoints walked to reach this alpha
     n_iterations: int
-    objective: float
 
 
 def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
@@ -110,14 +109,12 @@ def lasso_path(
         """Record each pending grid alpha a >= floor as u_A + ((alpha - a) / 2) d."""
         nonlocal emitted
         while emitted < alphas.size and alphas[order[emitted]] >= floor:
-            grid_alpha = float(alphas[order[emitted]])
             z = np.zeros(n)
-            z[active] = (u[active] + (0.5 * (alpha - grid_alpha)) * d) / w[active]
+            z[active] = (u[active] + (0.5 * (alpha - alphas[order[emitted]])) * d) / w[active]
             results[order[emitted]] = LassoResult(
                 coefficients=z,
                 converged=converged,
                 n_iterations=breakpoints,
-                objective=lasso_objective(z, system, w, grid_alpha),
             )
             emitted += 1
 

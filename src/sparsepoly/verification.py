@@ -214,7 +214,6 @@ def max_delta_identity_deviation(
     lam: float,
     states,
     eps: float = 1e-12,
-    delta_fn=compute_delta,
 ) -> float:
     """Worst |grid_min - (G - delta)| over the given states and all coordinates."""
     worst = 0.0
@@ -222,7 +221,7 @@ def max_delta_identity_deviation(
         grid_minima = grid_min_g_lambda(system, w, lam, x, eps=eps)
         g_value = g_lambda(x, system, w, lam, eps)
         for j in range(system.n_columns):
-            predicted = g_value - delta_fn(x, support, j, system, w, lam, eps)
+            predicted = g_value - compute_delta(x, support, j, system, w, lam, eps)
             worst = max(worst, abs(float(grid_minima[j]) - predicted))
     return worst
 
@@ -234,7 +233,6 @@ def check_delta_identity(
     n: int = 30,
     iterations: int = 4,
     tol: float = 1e-6,
-    delta_fn=compute_delta,
 ) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -243,9 +241,7 @@ def check_delta_identity(
         w = rng.uniform(1.0, 2.0, size=n)
         for lam in DELTA_CHECK_LAMBDAS:
             states = collect_womp_states(system, w, lam, iterations)
-            deviation = max_delta_identity_deviation(
-                system, w, lam, states, delta_fn=delta_fn
-            )
+            deviation = max_delta_identity_deviation(system, w, lam, states)
             worst = max(worst, deviation)
             if deviation > tol:
                 return CheckResult(
@@ -401,11 +397,10 @@ def check_lasso_kkt(
     )
 
 
-def run_checks(seed: int = 0, delta_fn=compute_delta) -> list[CheckResult]:
-    """The oracle suite behind `verify`; `delta_fn` exists as a fault-injection
-    hook so the suite itself can be shown to catch a corrupted greedy score."""
+def run_checks(seed: int = 0) -> list[CheckResult]:
+    """The oracle suite behind `verify`."""
     return [
-        check_delta_identity(seed, delta_fn=delta_fn),
+        check_delta_identity(seed),
         check_omp_reduction(seed + 1),
         check_cross_counts(),
         check_orthonormality(),

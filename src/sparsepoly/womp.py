@@ -17,7 +17,8 @@ with r = y - A x.  After selection the coefficients are refit by least
 squares restricted to the enlarged support.  The refit keeps a thin QR
 factorization A_S = Q R of the selected columns in insertion order: a new
 column is appended by classical Gram-Schmidt with one re-orthogonalization,
-R^{-1} and Q^T y are extended in O(k^2) and O(m), and x_S = R^{-1} (Q^T y).
+R^{-1} and Q^T y are extended in O(k^2) and O(m), x_S = R^{-1} (Q^T y), and
+the residual is y - Q (Q^T y).
 Once a new column is numerically in the span of the selected ones (k >= m,
 or its orthogonal part is tiny), the rest of the solve refits with
 `restricted_least_squares` instead, which returns the minimum-norm
@@ -208,16 +209,15 @@ def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
 class _IncrementalQR:
     """Thin QR factorization A_S = Q R of columns appended one at a time.
 
-    Stores the selected columns, Q (one row per column of Q), R^{-1} and
-    Q^T y, so that the least-squares coefficients on the selected columns,
-    in insertion order, are R^{-1} (Q^T y).
+    Stores Q (one row per column of Q), R^{-1} and Q^T y, so that the
+    least-squares coefficients on the selected columns, in insertion order,
+    are R^{-1} (Q^T y), and the least-squares residual is y - Q (Q^T y).
     """
 
     def __init__(self, y: np.ndarray, capacity: int):
         m = y.shape[0]
         self.y = y
         self.size = 0
-        self.columns = np.empty((capacity, m))
         self.q = np.empty((capacity, m))
         self.r_inv = np.zeros((capacity, capacity))
         self.qty = np.empty(capacity)
@@ -242,7 +242,6 @@ class _IncrementalQR:
         self.r_inv[k, k] = 1.0 / rho
         self.q[k] = v / rho
         self.qty[k] = self.q[k] @ self.y
-        self.columns[k] = column
         self.size = k + 1
         return True
 
@@ -311,7 +310,7 @@ def womp_solve(
         support = np.sort(selected)
         if qr is not None and qr.append(matrix[:, j]):
             coefficients = qr.coefficients()
-            residual = y - coefficients @ qr.columns[: qr.size]
+            residual = y - qr.qty[: qr.size] @ qr.q[: qr.size]
             values = coefficients[np.argsort(selected)]
         else:
             qr = None

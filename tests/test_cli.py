@@ -256,11 +256,12 @@ def test_cmd_verify_passes(capsys):
     assert "weighted_lasso_kkt" in out
 
 
-def test_corrupted_delta_is_detected():
+def test_corrupted_delta_is_detected(monkeypatch):
     def corrupted(x, support, j, system, w, lam, eps=1e-12):
         return -compute_delta(x, support, j, system, w, lam, eps)
 
-    results = verification.run_checks(seed=0, delta_fn=corrupted)
+    monkeypatch.setattr(verification, "compute_delta", corrupted)
+    results = verification.run_checks(seed=0)
     by_name = {r.name: r for r in results}
     assert not by_name["greedy_delta_identity"].passed
     assert by_name["omp_reduction"].passed

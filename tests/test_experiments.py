@@ -135,6 +135,12 @@ def test_relative_error_examples():
     assert relative_error(x_ref, x_ref) == 0.0
     assert relative_error(np.zeros(2), x_ref) == 1.0
     assert relative_error(2 * x_ref, x_ref) == pytest.approx(1.0, abs=1e-15)
+    assert isinstance(relative_error(np.zeros(2), x_ref), float)
+    # a 2-D input is scored row by row, each row exactly as on its own
+    rows = np.random.default_rng(0).standard_normal((5, 2))
+    errors = relative_error(np.vstack([rows, x_ref, np.zeros(2)]), x_ref)
+    assert errors.shape == (7,)
+    assert errors.tolist() == [relative_error(row, x_ref) for row in rows] + [0.0, 1.0]
 
 
 def test_relative_error_zero_reference():
@@ -329,15 +335,14 @@ def test_csv_determinism(tmp_path):
 
 
 def test_quick_womp_rows_match_recorded(tmp_path):
-    """The womp rows of configs/quick.cfg's errors.csv and support.csv are
-    pinned byte for byte in tests/data; changing them is a numerical change
-    that must be named."""
+    """configs/quick.cfg's errors.csv and support.csv, womp and wlasso rows
+    alike, are pinned byte for byte in tests/data; changing them is a
+    numerical change that must be named."""
     config = TESTS.parent / "configs" / "quick.cfg"
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
     for name in ("errors", "support"):
-        lines = (tmp_path / f"{name}.csv").read_bytes().splitlines(keepends=True)
-        womp = b"".join(lines[:1] + [line for line in lines if line.startswith(b"womp,")])
-        assert womp == (TESTS / "data" / f"quick_womp_{name}.csv").read_bytes()
+        recorded = (TESTS / "data" / f"quick_{name}.csv").read_bytes()
+        assert (tmp_path / f"{name}.csv").read_bytes() == recorded
 
 
 def test_womp_stop_reasons_cover_every_trial():
