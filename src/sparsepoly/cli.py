@@ -157,9 +157,9 @@ def _print_summary(report: ExperimentReport) -> None:
     trials = report.config.trials
     for sweep in report.lasso_sweeps:
         for alpha, converged, kkt in zip(
-            sweep.mean_alphas, sweep.converged_counts, sweep.max_kkt_residuals
+            sweep.mean_alphas, sweep.converged_counts, sweep.max_kkt_residual
         ):
-            if converged < trials or kkt > verification.LASSO_KKT_TOLERANCE:
+            if converged < trials or not kkt <= verification.LASSO_KKT_TOLERANCE:
                 print(
                     f"wlasso m={sweep.m} alpha={alpha:.6g}: {trials - converged}/{trials} "
                     f"paths hit the {report.config.lasso_max_iterations}-breakpoint cap, "
@@ -211,20 +211,17 @@ def cmd_run(args) -> int:
         )
         return 2
 
-    written: list[Path] = []
     try:
         report = run_sweep(config)
-        written = write_outputs(report, out_dir)
-        resolved = out_dir / "config_resolved.cfg"
-        resolved.write_text(render_config(config))
-        written.append(resolved)
+        write_outputs(report, out_dir)
+        (out_dir / "config_resolved.cfg").write_text(render_config(config))
     except Exception as exc:
-        for path in written:
-            path.unlink(missing_ok=True)
+        for name in OUTPUT_NAMES:
+            (out_dir / name).unlink(missing_ok=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
     _print_summary(report)
-    print(f"wrote {', '.join(p.name for p in written)} to {out_dir}")
+    print(f"wrote {', '.join(OUTPUT_NAMES)} to {out_dir}")
     return 0
 
 

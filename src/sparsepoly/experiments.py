@@ -200,10 +200,19 @@ class LassoSweep:
     converged_counts: np.ndarray = field(repr=False)
     mean_iterations: np.ndarray = field(repr=False)
     max_iterations_run: np.ndarray = field(repr=False)
-    max_kkt_residuals: np.ndarray = field(repr=False)
+    max_kkt_residual: np.ndarray = field(repr=False)
     best_position: int = 0
     best_mean_error: float = float("nan")
     mean_sweep_seconds: float = 0.0
+
+
+def _json_entry(aggregate) -> dict:
+    """A WompCurve or LassoSweep as a JSON object: arrays become lists, and
+    `lam` is written as "lambda"."""
+    return {
+        "lambda" if key == "lam" else key: value.tolist() if isinstance(value, np.ndarray) else value
+        for key, value in asdict(aggregate).items()
+    }
 
 
 @dataclass
@@ -236,36 +245,8 @@ class ExperimentReport:
             ),
             "n_basis_functions": self.n_basis_functions,
             "reference_norm": self.reference_norm,
-            "womp": [
-                {
-                    "m": c.m,
-                    "lambda": c.lam,
-                    "mean_errors": c.mean_errors.tolist(),
-                    "std_errors": c.std_errors.tolist(),
-                    "mean_supports": c.mean_supports.tolist(),
-                    "mean_seconds": c.mean_seconds,
-                    "stop_reasons": c.stop_reasons,
-                    "mean_iterations": c.mean_iterations,
-                }
-                for c in self.womp_curves
-            ],
-            "lasso": [
-                {
-                    "m": s.m,
-                    "mean_alphas": s.mean_alphas.tolist(),
-                    "mean_errors": s.mean_errors.tolist(),
-                    "std_errors": s.std_errors.tolist(),
-                    "mean_supports": s.mean_supports.tolist(),
-                    "best_position": s.best_position,
-                    "best_mean_error": s.best_mean_error,
-                    "mean_sweep_seconds": s.mean_sweep_seconds,
-                    "converged_counts": s.converged_counts.tolist(),
-                    "mean_iterations": s.mean_iterations.tolist(),
-                    "max_iterations_run": s.max_iterations_run.tolist(),
-                    "max_kkt_residual": s.max_kkt_residuals.tolist(),
-                }
-                for s in self.lasso_sweeps
-            ],
+            "womp": [_json_entry(c) for c in self.womp_curves],
+            "lasso": [_json_entry(s) for s in self.lasso_sweeps],
             "normalize_seconds": {str(m): t for m, t in self.mean_normalize_seconds.items()},
         }
 
@@ -373,7 +354,7 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
                     converged_counts=r["lasso_converged"].sum(axis=0),
                     mean_iterations=r["lasso_iterations"].mean(axis=0),
                     max_iterations_run=r["lasso_iterations"].max(axis=0),
-                    max_kkt_residuals=r["lasso_kkt"].max(axis=0),
+                    max_kkt_residual=r["lasso_kkt"].max(axis=0),
                     best_position=best,
                     best_mean_error=float(mean_errors[best]),
                     mean_sweep_seconds=float(r["lasso_seconds"].mean()),

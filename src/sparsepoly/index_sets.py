@@ -39,13 +39,15 @@ class MultiIndexSet:
 
     def __post_init__(self):
         idx = np.asarray(self.indices, dtype=np.int64)
-        if idx.ndim != 2 or idx.shape[1] != self.dimension:
+        if self.dimension < 1 or idx.ndim != 2 or idx.shape[1] != self.dimension:
             raise ValueError(
                 f"indices must be (N, {self.dimension}), got shape {idx.shape}"
             )
         if np.any(idx < 0):
             raise ValueError("multi-index entries must be nonnegative")
-        if len({tuple(row) for row in idx}) != idx.shape[0]:
+        # duplicates are adjacent once the rows are sorted lexicographically
+        ordered = idx[np.lexsort(idx.T[::-1])]
+        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
             raise ValueError("duplicate multi-indices")
         object.__setattr__(self, "indices", idx)
 
@@ -67,9 +69,10 @@ def graded_lex_order(indices: np.ndarray) -> np.ndarray:
 def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     """Build the hyperbolic cross of order s in dimension d.
 
-    Enumerates exactly the indices j with prod(j_k + 1) <= s by depth-first
-    recursion over coordinates, bounding each coordinate by the remaining
-    product budget.  The full degree box (s^d points) is never materialized.
+    Enumerates exactly the indices j with prod(j_k + 1) <= s one coordinate
+    at a time: a prefix whose product so far is p extends by j_k < s // p,
+    so every prefix built is a member of a lower-dimensional cross and the
+    full degree box (s^d points) is never materialized.
 
     Args:
         d: ambient dimension, >= 1.
@@ -86,20 +89,14 @@ def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     if s < 1:
         raise ValueError(f"cross order must be >= 1, got {s}")
 
-    rows: list[tuple[int, ...]] = []
-    current = [0] * d
-
-    def recurse(coord: int, prod: int) -> None:
-        if coord == d:
-            rows.append(tuple(current))
-            return
-        # (j+1) * prod <= s  <=>  j <= s // prod - 1
-        for j in range(s // prod):
-            current[coord] = j
-            recurse(coord + 1, prod * (j + 1))
-        current[coord] = 0
-
-    recurse(0, 1)
-    arr = np.array(rows, dtype=np.int64).reshape(len(rows), d)
+    arr = np.zeros((1, 0), dtype=np.int64)
+    prods = np.ones(1, dtype=np.int64)
+    for _ in range(d):
+        # (j+1) * prod <= s  <=>  j < s // prod
+        counts = s // prods
+        starts = np.repeat(np.cumsum(counts) - counts, counts)
+        j = np.arange(counts.sum()) - starts
+        arr = np.column_stack([np.repeat(arr, counts, axis=0), j])
+        prods = np.repeat(prods, counts) * (j + 1)
     arr = arr[graded_lex_order(arr)]
     return MultiIndexSet(dimension=d, indices=arr)

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import basis
 from .assembly import LinearSystem, normalize_columns
+from .index_sets import hyperbolic_cross
 from .lasso import lasso_path
 from .womp import WompConfig, compute_delta, g_lambda, womp_solve
 
@@ -52,32 +53,32 @@ def brute_force_hyperbolic_cross(d: int, s: int) -> set[tuple[int, ...]]:
     return out
 
 
-def quadrature_gram(kind: str, max_degree: int, n_nodes: int = 64) -> np.ndarray:
+def quadrature_gram(kind: str, max_degree: int) -> np.ndarray:
     """Gram matrix of the univariate basis under its probability measure.
 
-    Gauss-Legendre rule (weights halved) for the uniform measure,
-    Gauss-Chebyshev rule (equal weights 1/n) for the arcsine measure; both
-    are exact for the polynomial integrands at these degrees.
+    64-node Gauss-Legendre rule (weights halved) for the uniform measure,
+    64-node Gauss-Chebyshev rule (equal weights 1/64) for the arcsine
+    measure; both are exact for the polynomial integrands up to degree 63.
     """
     if kind == basis.LEGENDRE:
-        nodes, wts = np.polynomial.legendre.leggauss(n_nodes)
+        nodes, wts = np.polynomial.legendre.leggauss(64)
         wts = wts / 2.0
     else:
-        i = np.arange(1, n_nodes + 1)
-        nodes = np.cos((2 * i - 1) * np.pi / (2 * n_nodes))
-        wts = np.full(n_nodes, 1.0 / n_nodes)
+        i = np.arange(1, 65)
+        nodes = np.cos((2 * i - 1) * np.pi / 128)
+        wts = np.full(64, 1.0 / 64)
     table = basis.eval_1d_table(kind, max_degree, nodes)
     return table.T @ (wts[:, None] * table)
 
 
-def grid_sup_norm(kind: str, index, points_per_axis: int = 2001) -> float:
-    """Max of |phi_j| over the tensor grid with the given per-axis resolution.
+def grid_sup_norm(kind: str, index) -> float:
+    """Max of |phi_j| over the tensor grid of 2001 points per axis.
 
     The tensor polynomial factorizes, so the maximum over the product grid
     is the product of per-axis maxima of |phi_{j_k}|; this computes exactly
     that without materializing the grid.
     """
-    grid = np.linspace(-1.0, 1.0, points_per_axis)
+    grid = np.linspace(-1.0, 1.0, 2001)
     value = 1.0
     for jk in np.asarray(index, dtype=np.int64):
         value *= float(np.max(np.abs(basis.eval_1d(kind, int(jk), grid))))
@@ -107,29 +108,21 @@ def textbook_omp(matrix: np.ndarray, y: np.ndarray, n_iterations: int):
     return selected, x
 
 
-def grid_min_g_lambda(
-    system: LinearSystem,
-    w: np.ndarray,
-    lam: float,
-    x: np.ndarray,
-    eps: float = 1e-12,
-    grid_points: int = 2001,
-    span: float = 3.0,
-) -> np.ndarray:
+def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.ndarray) -> np.ndarray:
     """min_t G_lam(x + t e_j) for every j, by two-stage grid search.
 
-    Stage one scans a uniform grid over [-span*||y||, span*||y||]; stage two
-    rescans one coarse cell around the best candidate.  The jump points
-    t = 0 and t = -x_j of the support term are always included as
-    candidates.  The objective is evaluated directly from its definition
-    (explicit residuals, thresholded support sum).
+    Stage one scans 2001 uniform points over [-3||y||, 3||y||]; stage two
+    rescans one coarse cell around the best candidate at the same
+    resolution.  The jump points t = 0 and t = -x_j of the support term are
+    always included as candidates.  The objective is evaluated directly from
+    its definition (explicit residuals, support sum thresholded at 1e-12).
     """
     matrix, y = system.matrix, system.rhs
     x = np.asarray(x, dtype=np.float64)
     n = matrix.shape[1]
     w2 = np.asarray(w, dtype=np.float64) ** 2
     residual = y - matrix @ x
-    active = np.abs(x) > eps
+    active = np.abs(x) > 1e-12
     support_sum = float(np.sum(w2[active]))
     # weighted-l0 of x with coordinate j's own contribution removed
     base = support_sum - w2 * active
@@ -139,20 +132,20 @@ def grid_min_g_lambda(
         shifted = residual[:, None, None] - matrix[:, :, None] * ts[None, :, :]
         fit = np.sum(shifted**2, axis=0)
         updated = x[:, None] + ts
-        return fit + lam * (base[:, None] + w2[:, None] * (np.abs(updated) > eps))
+        return fit + lam * (base[:, None] + w2[:, None] * (np.abs(updated) > 1e-12))
 
-    half_width = span * float(np.linalg.norm(y))
+    half_width = 3.0 * float(np.linalg.norm(y))
     if half_width == 0.0:
         half_width = 1.0
-    coarse = np.linspace(-half_width, half_width, grid_points)
+    coarse = np.linspace(-half_width, half_width, 2001)
     specials = np.stack([np.zeros(n), -x], axis=1)
 
-    ts1 = np.concatenate([np.broadcast_to(coarse, (n, grid_points)), specials], axis=1)
+    ts1 = np.concatenate([np.broadcast_to(coarse, (n, coarse.size)), specials], axis=1)
     values1 = evaluate(ts1)
     best1 = ts1[np.arange(n), np.argmin(values1, axis=1)]
 
     cell = coarse[1] - coarse[0]
-    fine = np.linspace(-cell, cell, grid_points)
+    fine = np.linspace(-cell, cell, 2001)
     ts2 = np.concatenate([best1[:, None] + fine[None, :], specials], axis=1)
     values2 = evaluate(ts2)
     return np.minimum(np.min(values1, axis=1), np.min(values2, axis=1))
@@ -208,202 +201,103 @@ def collect_womp_states(system: LinearSystem, w: np.ndarray, lam: float, iterati
     return states
 
 
-def max_delta_identity_deviation(
-    system: LinearSystem,
-    w: np.ndarray,
-    lam: float,
-    states,
-    eps: float = 1e-12,
-) -> float:
-    """Worst |grid_min - (G - delta)| over the given states and all coordinates."""
-    worst = 0.0
-    for x, support in states:
-        grid_minima = grid_min_g_lambda(system, w, lam, x, eps=eps)
-        g_value = g_lambda(x, system, w, lam, eps)
-        for j in range(system.n_columns):
-            predicted = g_value - compute_delta(x, support, j, system, w, lam, eps)
-            worst = max(worst, abs(float(grid_minima[j]) - predicted))
-    return worst
-
-
-def check_delta_identity(
-    seed: int,
-    n_instances: int = 5,
-    m: int = 15,
-    n: int = 30,
-    iterations: int = 4,
-    tol: float = 1e-6,
-) -> CheckResult:
+def _delta_identity_cases(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for instance in range(n_instances):
-        system = random_test_system(m, n, rng)
-        w = rng.uniform(1.0, 2.0, size=n)
+    for instance in range(5):
+        system = random_test_system(15, 30, rng)
+        w = rng.uniform(1.0, 2.0, size=30)
         for lam in DELTA_CHECK_LAMBDAS:
-            states = collect_womp_states(system, w, lam, iterations)
-            deviation = max_delta_identity_deviation(system, w, lam, states)
-            worst = max(worst, deviation)
-            if deviation > tol:
-                return CheckResult(
-                    name="greedy_delta_identity",
-                    passed=False,
-                    detail=(
-                        f"deviation {deviation:.3e} > {tol:.1e} at instance "
-                        f"{instance} (seed {seed}), lambda={lam}"
-                    ),
+            for state, (x, support) in enumerate(collect_womp_states(system, w, lam, 4)):
+                g_value = g_lambda(x, system, w, lam)
+                predicted = [
+                    g_value - compute_delta(x, support, j, system, w, lam) for j in range(30)
+                ]
+                deviation = np.max(np.abs(grid_min_g_lambda(system, w, lam, x) - predicted))
+                yield float(deviation), (
+                    f"instance {instance} (seed {seed}), lambda={lam}, state {state}"
                 )
-    return CheckResult(
-        name="greedy_delta_identity",
-        passed=True,
-        detail=f"max deviation {worst:.3e} over {n_instances} instances",
-    )
 
 
-def check_omp_reduction(
-    seed: int,
-    n_instances: int = 10,
-    m: int = 20,
-    n: int = 40,
-    iterations: int = 6,
-) -> CheckResult:
+def _omp_cases(seed: int):
     rng = np.random.default_rng(seed)
-    for instance in range(n_instances):
-        system = random_test_system(m, n, rng)
-        trace = womp_solve(
-            system, np.ones(n), WompConfig(lam=0.0, max_iterations=iterations)
-        )
-        sequence = [rec.selected_index for rec in trace.records]
-        ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, iterations)
-        if sequence != ref_sequence:
-            return CheckResult(
-                name="omp_reduction",
-                passed=False,
-                detail=f"index sequences differ at instance {instance} (seed {seed})",
-            )
-        if not np.allclose(trace.final_coefficients, ref_x, atol=1e-10, rtol=0.0):
-            return CheckResult(
-                name="omp_reduction",
-                passed=False,
-                detail=f"coefficients differ at instance {instance} (seed {seed})",
-            )
-    return CheckResult(
-        name="omp_reduction",
-        passed=True,
-        detail=f"{n_instances} instances match the classical implementation",
-    )
+    for instance in range(10):
+        system = random_test_system(20, 40, rng)
+        trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
+        ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
+        if [rec.selected_index for rec in trace.records] != ref_sequence:
+            yield np.inf, f"instance {instance} (seed {seed}): index sequences differ"
+        else:
+            gap = np.max(np.abs(trace.final_coefficients - ref_x))
+            yield float(gap), f"instance {instance} (seed {seed}): coefficients"
 
 
-def check_cross_counts() -> CheckResult:
-    from .index_sets import hyperbolic_cross
-
+def _cross_cases():
     for d in range(1, 5):
         for s in range(1, 9):
-            ours = set(hyperbolic_cross(d, s).as_tuples())
-            reference = brute_force_hyperbolic_cross(d, s)
-            if ours != reference:
-                return CheckResult(
-                    name="hyperbolic_cross_counts",
-                    passed=False,
-                    detail=f"mismatch against box scan at d={d}, s={s}",
-                )
-    n_full = len(hyperbolic_cross(10, 10))
-    if n_full != 571:
-        return CheckResult(
-            name="hyperbolic_cross_counts",
-            passed=False,
-            detail=f"cross(10, 10) has {n_full} elements, expected 571",
-        )
-    return CheckResult(
-        name="hyperbolic_cross_counts",
-        passed=True,
-        detail="box-scan agreement for d<=4, s<=8; |cross(10,10)| = 571",
-    )
+            same = set(hyperbolic_cross(d, s).as_tuples()) == brute_force_hyperbolic_cross(d, s)
+            yield (0.0 if same else np.inf), f"d={d}, s={s}: box scan"
+    yield abs(len(hyperbolic_cross(10, 10)) - 571), "|cross(10, 10)| against 571"
 
 
-def check_orthonormality(max_degree: int = 12, tol: float = 1e-10) -> CheckResult:
-    worst = 0.0
+def _orthonormality_cases():
     for kind in basis.BASIS_KINDS:
-        gram = quadrature_gram(kind, max_degree)
-        worst = max(worst, float(np.max(np.abs(gram - np.eye(max_degree + 1)))))
-    if worst > tol:
-        return CheckResult(
-            name="orthonormality_quadrature",
-            passed=False,
-            detail=f"Gram deviation {worst:.3e} > {tol:.1e}",
-        )
-    return CheckResult(
-        name="orthonormality_quadrature",
-        passed=True,
-        detail=f"Gram deviation {worst:.3e} for degrees <= {max_degree}, both bases",
-    )
+        yield float(np.max(np.abs(quadrature_gram(kind, 12) - np.eye(13)))), f"{kind} Gram"
 
 
-def check_weight_closed_forms(seed: int, n_indices: int = 50, tol: float = 1e-6) -> CheckResult:
+def _weight_cases(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_indices):
+    for _ in range(50):
         d = int(rng.integers(1, 4))
         index = rng.integers(0, 7, size=d)
         for kind in basis.BASIS_KINDS:
             closed = basis.weight(kind, index)
-            gridded = grid_sup_norm(kind, index)
-            worst = max(worst, abs(gridded - closed) / closed)
-    if worst > tol:
-        return CheckResult(
-            name="weight_closed_forms",
-            passed=False,
-            detail=f"relative deviation {worst:.3e} > {tol:.1e} (seed {seed})",
-        )
-    return CheckResult(
-        name="weight_closed_forms",
-        passed=True,
-        detail=f"max relative deviation {worst:.3e} over {n_indices} indices",
-    )
+            yield abs(grid_sup_norm(kind, index) - closed) / closed, (
+                f"{kind} index {index.tolist()} (seed {seed})"
+            )
 
 
-def check_lasso_kkt(
-    seed: int,
-    n_instances: int = 5,
-    m: int = 20,
-    n: int = 50,
-    grid_size: int = 12,
-    tol: float = LASSO_KKT_TOLERANCE,
-) -> CheckResult:
+def _lasso_kkt_cases(seed: int):
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for instance in range(n_instances):
-        system = random_test_system(m, n, rng)
-        w = rng.uniform(1.0, 2.0, size=n)
+    for instance in range(5):
+        system = random_test_system(20, 50, rng)
+        w = rng.uniform(1.0, 2.0, size=50)
         alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-        alphas = np.geomspace(1e-8 * alpha_max, alpha_max, grid_size)
-        results = lasso_path(system, w, alphas, max_iterations=10 * n)
-        for alpha, result in zip(alphas, results):
-            residual = lasso_kkt_residual(system, w, alpha, result.coefficients)
-            worst = max(worst, residual)
-            if not result.converged or residual > tol:
-                return CheckResult(
-                    name="weighted_lasso_kkt",
-                    passed=False,
-                    detail=(
-                        f"KKT residual {residual:.3e} (tolerance {tol:.1e}, reached "
-                        f"{result.converged}) at instance {instance} (seed {seed}), "
-                        f"alpha={alpha:.3e}"
-                    ),
-                )
-    return CheckResult(
-        name="weighted_lasso_kkt",
-        passed=True,
-        detail=f"max KKT residual {worst:.3e} over {n_instances} paths of {grid_size} alphas",
-    )
+        alphas = np.geomspace(1e-8 * alpha_max, alpha_max, 12)
+        for alpha, result in zip(alphas, lasso_path(system, w, alphas, max_iterations=500)):
+            location = f"instance {instance} (seed {seed}), alpha={alpha:.3e}"
+            if result.converged:
+                yield lasso_kkt_residual(system, w, alpha, result.coefficients), location
+            else:
+                yield np.inf, location + ": path did not reach it"
+
+
+def _decide(name: str, cases, tolerance: float, covered: str) -> CheckResult:
+    """FAIL at the first case whose deviation is not <= tolerance (NaN
+    included); otherwise PASS with the worst deviation."""
+    worst = 0.0
+    for deviation, location in cases:
+        if not deviation <= tolerance:
+            return CheckResult(
+                name, False, f"deviation {deviation:.3e} not <= {tolerance:.1e} at {location}"
+            )
+        worst = max(worst, deviation)
+    return CheckResult(name, True, f"max deviation {worst:.3e} <= {tolerance:.1e} over {covered}")
 
 
 def run_checks(seed: int = 0) -> list[CheckResult]:
-    """The oracle suite behind `verify`."""
-    return [
-        check_delta_identity(seed),
-        check_omp_reduction(seed + 1),
-        check_cross_counts(),
-        check_orthonormality(),
-        check_weight_closed_forms(seed + 2),
-        check_lasso_kkt(seed + 3),
+    """The oracle suite behind `verify`: one row (name, cases, tolerance, what
+    a pass covered) per check, every row decided by the same rule, `_decide`."""
+    table = [
+        ("greedy_delta_identity", _delta_identity_cases(seed), 1e-6,
+         "5 instances x 3 lambdas, all states and coordinates"),
+        ("omp_reduction", _omp_cases(seed + 1), 1e-10,
+         "10 instances against the classical implementation"),
+        ("hyperbolic_cross_counts", _cross_cases(), 0.0,
+         "box scans for d<=4, s<=8 and |cross(10,10)| = 571"),
+        ("orthonormality_quadrature", _orthonormality_cases(), 1e-10,
+         "degrees <= 12, both bases"),
+        ("weight_closed_forms", _weight_cases(seed + 2), 1e-6, "50 indices, both bases"),
+        ("weighted_lasso_kkt", _lasso_kkt_cases(seed + 3), LASSO_KKT_TOLERANCE,
+         "5 paths of 12 alphas"),
     ]
+    return [_decide(*row) for row in table]

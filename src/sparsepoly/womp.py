@@ -124,36 +124,25 @@ class SolveTrace:
         return len(self.records[min(k, len(self.records)) - 1].support)
 
 
-def weighted_l0(z: np.ndarray, w: np.ndarray, eps: float = SUPPORT_EPSILON) -> float:
-    """Sum of w_j^2 over the numerical support {j : |z_j| > eps}."""
+def weighted_l0(z: np.ndarray, w: np.ndarray) -> float:
+    """Sum of w_j^2 over the numerical support {j : |z_j| > SUPPORT_EPSILON}."""
     z = np.asarray(z)
     w = np.asarray(w)
-    mask = np.abs(z) > eps
+    mask = np.abs(z) > SUPPORT_EPSILON
     return float(np.sum(w[mask] ** 2))
 
 
-def g_lambda(
-    z: np.ndarray,
-    system: LinearSystem,
-    w: np.ndarray,
-    lam: float,
-    eps: float = SUPPORT_EPSILON,
-) -> float:
+def g_lambda(z: np.ndarray, system: LinearSystem, w: np.ndarray, lam: float) -> float:
     """Objective value ||y - A z||^2 + lam * weighted_l0(z)."""
     residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
     value = float(residual @ residual)
     if lam > 0:
-        value += lam * weighted_l0(z, w, eps)
+        value += lam * weighted_l0(z, w)
     return value
 
 
 def delta_scores(
-    support: np.ndarray,
-    values: np.ndarray,
-    correlations: np.ndarray,
-    w: np.ndarray,
-    lam: float,
-    eps: float,
+    support: np.ndarray, values: np.ndarray, correlations: np.ndarray, w: np.ndarray, lam: float
 ) -> np.ndarray:
     """Vector of greedy scores for all candidate indices at once.
 
@@ -165,19 +154,13 @@ def delta_scores(
     lw2 = lam * np.asarray(w, dtype=np.float64) ** 2
     scores = np.maximum(correlations**2 - lw2, 0.0)
     scores[support] = np.where(
-        np.abs(values) > eps, np.maximum(lw2[support] - values**2, 0.0), 0.0
+        np.abs(values) > SUPPORT_EPSILON, np.maximum(lw2[support] - values**2, 0.0), 0.0
     )
     return scores
 
 
 def compute_delta(
-    x: np.ndarray,
-    support,
-    j: int,
-    system: LinearSystem,
-    w: np.ndarray,
-    lam: float,
-    eps: float = SUPPORT_EPSILON,
+    x: np.ndarray, support, j: int, system: LinearSystem, w: np.ndarray, lam: float
 ) -> float:
     """Exact achievable decrease of G_lam by re-optimizing coordinate j.
 
@@ -188,7 +171,7 @@ def compute_delta(
     support = np.asarray(list(support), dtype=np.intp)
     residual = system.rhs - system.matrix @ x
     correlations = system.matrix.T @ residual
-    return float(delta_scores(support, x[support], correlations, w, lam, eps)[j])
+    return float(delta_scores(support, x[support], correlations, w, lam)[j])
 
 
 def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
@@ -296,7 +279,7 @@ def womp_solve(
 
     for k in range(1, config.max_iterations + 1):
         correlations = matrix.T @ residual
-        scores = delta_scores(support, values, correlations, w, lam, SUPPORT_EPSILON)
+        scores = delta_scores(support, values, correlations, w, lam)
         j = int(np.argmax(scores))
         best = float(scores[j])
         if best <= 0.0:

@@ -218,16 +218,37 @@ def test_lasso_cap_is_reported(tmp_path, capsys):
 
 
 def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
-    # a certificate failure is flagged even when every path reached its alpha
-    monkeypatch.setattr(experiments, "lasso_kkt_residual", lambda *args: 1e-6)
+    # a certificate failure, NaN included, is flagged even when every path
+    # reached its alpha
     config_path = tmp_path / "capped.cfg"
     config_path.write_text(CAPPED_TEXT)
-    out_dir = tmp_path / "kkt"
-    assert main(["run", "--config", str(config_path), "--out", str(out_dir),
-                 "lasso_max_iterations=600"]) == 0
-    flags = [line for line in capsys.readouterr().out.splitlines() if line.startswith("wlasso m=")]
-    assert len(flags) == 4
-    assert all("0/3 paths hit the 600-breakpoint cap, max KKT residual 1.00e-06" in f for f in flags)
+    for residual, shown in ((1e-6, "1.00e-06"), (float("nan"), "nan")):
+        monkeypatch.setattr(experiments, "lasso_kkt_residual", lambda *args: residual)
+        out_dir = tmp_path / f"kkt_{shown}"
+        assert main(["run", "--config", str(config_path), "--out", str(out_dir),
+                     "lasso_max_iterations=600"]) == 0
+        out = capsys.readouterr().out
+        flags = [line for line in out.splitlines() if line.startswith("wlasso m=")]
+        assert len(flags) == 4
+        assert all(f"0/3 paths hit the 600-breakpoint cap, max KKT residual {shown}" in f
+                   for f in flags)
+
+
+def test_failed_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):
+    def unwritable(report, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "write_report_json", unwritable)
+    config_path = tmp_path / "small.cfg"
+    config_path.write_text(SMALL_TEXT)
+    out_dir = tmp_path / "failed"
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert list(out_dir.iterdir()) == []
+
+    # nothing is left behind for a rerun without --force to refuse
+    monkeypatch.undo()
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 0
 
 
 def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
@@ -251,17 +272,51 @@ def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
 def test_cmd_verify_passes(capsys):
     assert main(["verify", "--seed", "3"]) == 0
     out = capsys.readouterr().out
-    assert out.count("[PASS]") == 6
-    assert "greedy_delta_identity" in out
-    assert "weighted_lasso_kkt" in out
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "[PASS] greedy_delta_identity",
+        "[PASS] omp_reduction",
+        "[PASS] hyperbolic_cross_counts",
+        "[PASS] orthonormality_quadrature",
+        "[PASS] weight_closed_forms",
+        "[PASS] weighted_lasso_kkt",
+    ]
 
 
 def test_corrupted_delta_is_detected(monkeypatch):
-    def corrupted(x, support, j, system, w, lam, eps=1e-12):
-        return -compute_delta(x, support, j, system, w, lam, eps)
+    def corrupted(x, support, j, system, w, lam):
+        return -compute_delta(x, support, j, system, w, lam)
 
     monkeypatch.setattr(verification, "compute_delta", corrupted)
     results = verification.run_checks(seed=0)
     by_name = {r.name: r for r in results}
     assert not by_name["greedy_delta_identity"].passed
     assert by_name["omp_reduction"].passed
+
+
+# oracle -> (the check it serves, where that check's first case is)
+NAN_ORACLES = {
+    "grid_min_g_lambda": ("greedy_delta_identity", "instance 0 (seed 0), lambda=0.0, state 0"),
+    "textbook_omp": ("omp_reduction", "instance 0 (seed 1): coefficients"),
+    "quadrature_gram": ("orthonormality_quadrature", "legendre Gram"),
+    "grid_sup_norm": ("weight_closed_forms", "(seed 2)"),
+    "lasso_kkt_residual": ("weighted_lasso_kkt", "instance 0 (seed 3), alpha="),
+}
+
+
+@pytest.mark.parametrize("oracle", NAN_ORACLES)
+def test_nan_from_an_oracle_fails_its_check(monkeypatch, oracle):
+    check_name, location = NAN_ORACLES[oracle]
+    original = getattr(verification, oracle)
+
+    def poisoned(*args):
+        value = original(*args)
+        if oracle == "textbook_omp":  # (selection sequence, coefficients)
+            return value[0], value[1] * np.nan
+        return value * np.nan
+
+    monkeypatch.setattr(verification, oracle, poisoned)
+    results = verification.run_checks(seed=0)
+    assert [r.passed for r in results] == [r.name != check_name for r in results]
+    failed = next(r for r in results if r.name == check_name)
+    assert failed.detail.startswith("deviation nan not <= ")
+    assert location in failed.detail

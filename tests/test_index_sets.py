@@ -83,3 +83,13 @@ def test_validation_rejects_bad_index_arrays():
         MultiIndexSet(dimension=2, indices=np.array([[0, -1]]))
     with pytest.raises(ValueError):
         MultiIndexSet(dimension=3, indices=np.array([[0, 0]]))
+    with pytest.raises(ValueError):
+        MultiIndexSet(dimension=0, indices=np.zeros((2, 0)))
+
+
+def test_validation_rejects_non_adjacent_duplicates():
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiIndexSet(dimension=2, indices=np.array([[0, 0], [1, 0], [0, 0]]))
+    with pytest.raises(ValueError, match="duplicate"):
+        MultiIndexSet(dimension=3, indices=np.array([[2, 0, 1], [0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    assert len(MultiIndexSet(dimension=2, indices=np.array([[1, 0], [0, 1], [0, 0]]))) == 3

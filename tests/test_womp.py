@@ -8,6 +8,7 @@ from sparsepoly.womp import (
     STOP_IN_SUPPORT_RESELECT,
     STOP_RESIDUAL_FLOOR,
     STOP_ZERO_DELTA,
+    SUPPORT_EPSILON,
     WompConfig,
     compute_delta,
     g_lambda,
@@ -43,7 +44,7 @@ def test_weighted_l0_zero_vector():
 
 def test_weighted_l0_reduces_to_counting():
     z = np.array([0.5, 0.0, -2.0, 1e-15, 3.0])
-    assert weighted_l0(z, np.ones(5), eps=1e-12) == 3.0
+    assert weighted_l0(z, np.ones(5)) == 3.0
 
 
 def test_weighted_l0_single_entry():
@@ -62,7 +63,7 @@ def test_weighted_l0_single_entry():
 )
 def test_weighted_l0_unit_weights_counts_support(entries):
     z = np.array(entries)
-    assert weighted_l0(z, np.ones(len(entries)), eps=1e-9) == np.sum(np.abs(z) > 1e-9)
+    assert weighted_l0(z, np.ones(len(entries))) == np.sum(np.abs(z) > SUPPORT_EPSILON)
 
 
 # --- objective --------------------------------------------------------------
