@@ -100,7 +100,7 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     """Rescale every column to unit l2 norm, recording the norms.
 
     Raises:
-        ValueError: if some column is (numerically) zero.
+        ValueError: if some column norm is zero or not finite.
     """
     matrix = np.asarray(system.matrix, dtype=np.float64)
     # the same operations as np.linalg.norm(matrix, axis=0), without its
@@ -108,14 +108,32 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     # normalized matrix
     squares = matrix * matrix
     norms = np.sqrt(np.add.reduce(squares, axis=0))
-    if np.any(norms == 0.0):
-        raise ValueError("zero column encountered; sampling is degenerate")
+    if not np.all((norms > 0.0) & (norms < np.inf)):
+        raise ValueError("zero or non-finite column encountered; sampling is degenerate")
     return replace(
         system,
         matrix=np.divide(matrix, norms, out=squares),
         column_norms=norms,
         normalized=True,
     )
+
+
+def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
+    """Check a solver's inputs and return the weights as floats.
+
+    Raises:
+        ValueError: naming `solver` if the system is not normalized, or the
+            first weight that is not finite and > 0 (NaN included).
+    """
+    if not system.normalized:
+        raise ValueError(f"{solver} requires unit-norm columns; apply normalize_columns first")
+    w = np.asarray(w, dtype=np.float64)
+    if w.shape != (system.n_columns,):
+        raise ValueError(f"weights must have shape ({system.n_columns},)")
+    bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
+    if bad.size:
+        raise ValueError(f"weights must be strictly positive and finite: w[{bad[0]}] = {w[bad[0]]}")
+    return w
 
 
 def denormalize_solution(system: LinearSystem, coefficients: np.ndarray) -> np.ndarray:

@@ -44,7 +44,7 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
     """
     _check_kind(kind)
     t = np.asarray(t, dtype=np.float64)
-    if np.any(np.abs(t) > 1.0):
+    if not np.all(np.abs(t) <= 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
     out = np.empty(t.shape + (max_degree + 1,))
     out[..., 0] = 1.0

@@ -5,9 +5,9 @@ commas.  Floats accept ``10^x`` shorthand, so a regularization grid like
 ``lambdas=0,10^-5,10^-4.5,10^-4`` reads the way it is usually written.
 Command-line overrides use the same syntax and win over file values.
 
-All randomness flows from one seed (config key ``seed`` or the ``--seed``
-flag); omitting both selects the fixed default, so runs are reproducible by
-default.
+All randomness flows from one seed (config key ``seed``; ``run --seed N`` is
+the override ``seed=N`` given last); omitting it selects the fixed default,
+so runs are reproducible by default.
 """
 
 from __future__ import annotations
@@ -15,11 +15,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .experiments import (
     DEFAULT_SEED,
+    OUTPUT_WRITERS,
     ExperimentConfig,
     ExperimentReport,
     run_sweep,
@@ -134,7 +134,7 @@ def render_config(config: ExperimentConfig) -> str:
     )
 
 
-OUTPUT_NAMES = ("errors.csv", "support.csv", "runtimes.csv", "report.json", "config_resolved.cfg")
+OUTPUT_NAMES = (*OUTPUT_WRITERS, "config_resolved.cfg")
 
 
 def _print_summary(report: ExperimentReport) -> None:
@@ -182,23 +182,15 @@ def physical_memory_bytes() -> int | None:
 
 
 def cmd_run(args) -> int:
-    try:
-        config = parse_config(args.config, args.overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if args.seed is not None:
-        config = replace(config, base_seed=args.seed)
-
+    overrides = args.overrides + ([f"seed={args.seed}"] if args.seed is not None else [])
+    config = parse_config(args.config, overrides)
     rows, n = reference_fit_shape(config)
     memory = physical_memory_bytes()
     if memory is not None and rows * n * 8 > memory:
-        print(
-            f"error: the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
-            f"more than the {memory / 1e6:.1f} MB of physical memory",
-            file=sys.stderr,
+        raise ConfigError(
+            f"the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
+            f"more than the {memory / 1e6:.1f} MB of physical memory"
         )
-        return 2
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -237,11 +229,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_info(args) -> int:
-    try:
-        config = parse_config(args.config, args.overrides)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    config = parse_config(args.config, args.overrides)
     print(render_config(config), end="")
     rows, n = reference_fit_shape(config)
     print(f"derived: d={config.dimension} s={config.cross_order} N={n}")
@@ -274,7 +262,11 @@ def main(argv=None) -> int:
     info_parser.set_defaults(func=cmd_info)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:  # raised before a command writes anything
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 def entrypoint() -> None:

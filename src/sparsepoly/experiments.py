@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, field
@@ -51,6 +52,13 @@ DEFAULT_SEED = 1729
 DEFAULT_LAMBDAS = (0.0, 1e-5, 10.0**-4.5, 1e-4, 10.0**-3.5, 1e-3)
 
 
+# the smallest value each scalar config field may take
+_LOWER_BOUNDS = {
+    "dimension": 1, "cross_order": 1, "iterations": 1, "trials": 1,
+    "reference_oversampling": 1, "base_seed": 0, "lasso_grid_size": 1, "lasso_max_iterations": 1,
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     basis_kind: str = "legendre"
@@ -72,26 +80,16 @@ class ExperimentConfig:
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if self.basis_kind not in basis.BASIS_KINDS:
             raise ValueError(f"basis_kind must be one of {basis.BASIS_KINDS}")
-        if self.dimension < 1:
-            raise ValueError("dimension must be >= 1")
-        if self.cross_order < 1:
-            raise ValueError("cross_order must be >= 1")
-        if not self.sample_counts or any(m < 1 for m in self.sample_counts):
-            raise ValueError("sample_counts must be a non-empty list of integers >= 1")
-        if not self.lambdas:
-            raise ValueError("lambdas must be a non-empty list")
-        if any(v < 0 for v in self.lambdas):
-            raise ValueError("lambdas must be >= 0")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.reference_oversampling < 1:
-            raise ValueError("reference_oversampling must be >= 1")
-        if self.lasso_grid_size < 1:
-            raise ValueError("lasso_grid_size must be >= 1")
-        if self.lasso_max_iterations < 1:
-            raise ValueError("lasso_max_iterations must be >= 1")
+        # `not value >= bound` so that NaN fails too
+        for name, bound in _LOWER_BOUNDS.items():
+            if not getattr(self, name) >= bound:
+                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
+        for name, bound in (("sample_counts", 1), ("lambdas", 0)):
+            values = getattr(self, name)
+            if not values or len(set(values)) < len(values) or not all(v >= bound for v in values):
+                raise ValueError(
+                    f"{name} must be one or more distinct values >= {bound}, got {list(values)}"
+                )
 
 
 def target_log_sum(d: int) -> TargetFunction:
@@ -207,12 +205,20 @@ class LassoSweep:
 
 
 def _json_entry(aggregate) -> dict:
-    """A WompCurve or LassoSweep as a JSON object: arrays become lists, and
-    `lam` is written as "lambda"."""
-    return {
-        "lambda" if key == "lam" else key: value.tolist() if isinstance(value, np.ndarray) else value
-        for key, value in asdict(aggregate).items()
-    }
+    """A WompCurve or LassoSweep as a dict, `lam` written as "lambda"."""
+    return {"lambda" if key == "lam" else key: value for key, value in asdict(aggregate).items()}
+
+
+def _json_value(value):
+    """value as strict JSON data: arrays become lists, and each non-finite
+    float None (null), since JSON has no NaN or Infinity."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict):
+        return {key: _json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_json_value(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 @dataclass
@@ -237,7 +243,8 @@ class ExperimentReport:
         raise KeyError(f"no lasso sweep for m={m}")
 
     def to_json_dict(self) -> dict:
-        return {
+        """The report as strict JSON data (see `_json_value`)."""
+        return _json_value({
             "config": asdict(self.config),
             "seed_scheme": (
                 "reference: SeedSequence([base_seed, 0]); "
@@ -248,7 +255,7 @@ class ExperimentReport:
             "womp": [_json_entry(c) for c in self.womp_curves],
             "lasso": [_json_entry(s) for s in self.lasso_sweeps],
             "normalize_seconds": {str(m): t for m, t in self.mean_normalize_seconds.items()},
-        }
+        })
 
 
 def _run_trial(
@@ -420,21 +427,21 @@ def write_runtimes_csv(report: ExperimentReport, path) -> None:
 
 def write_report_json(report: ExperimentReport, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2)
+        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
+# data file -> writer, in the order write_outputs writes them
+OUTPUT_WRITERS = {
+    "errors.csv": write_errors_csv,
+    "support.csv": write_support_csv,
+    "runtimes.csv": write_runtimes_csv,
+    "report.json": write_report_json,
+}
+
+
 def write_outputs(report: ExperimentReport, out_dir) -> list[Path]:
-    """Write errors.csv, support.csv, runtimes.csv, and report.json."""
-    out_dir = Path(out_dir)
-    written = []
-    for name, writer in [
-        ("errors.csv", write_errors_csv),
-        ("support.csv", write_support_csv),
-        ("runtimes.csv", write_runtimes_csv),
-        ("report.json", write_report_json),
-    ]:
-        path = out_dir / name
-        writer(report, path)
-        written.append(path)
-    return written
+    """Write every file of OUTPUT_WRITERS into out_dir; returns their paths."""
+    for name, writer in OUTPUT_WRITERS.items():
+        writer(report, Path(out_dir) / name)
+    return [Path(out_dir) / name for name in OUTPUT_WRITERS]

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem
+from .assembly import LinearSystem, check_solver_inputs
 
 
 @dataclass
@@ -77,22 +77,12 @@ def lasso_path(
     the order given.  An alpha below the point where the cap stopped the walk
     gets that point's solution and converged=False.
     """
-    if not system.normalized:
-        raise ValueError(
-            "lasso_path requires unit-norm columns; apply normalize_columns first"
-        )
+    w = check_solver_inputs(system, w, "lasso_path")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    if alphas.size == 0:
-        raise ValueError("at least one alpha is required")
-    if np.any(alphas <= 0):
-        raise ValueError("alpha must be > 0")
-    if max_iterations < 1:
+    if not (alphas.size and np.all(alphas > 0)):
+        raise ValueError(f"alphas must be one or more values > 0, got {alphas.tolist()}")
+    if not max_iterations >= 1:
         raise ValueError("max_iterations must be >= 1")
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (system.n_columns,):
-        raise ValueError(f"weights must have shape ({system.n_columns},)")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
 
     scaled = system.matrix / w
     m, n = scaled.shape

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem
+from .assembly import LinearSystem, check_solver_inputs
 
 # Iterations stop once the residual is this small relative to ||y||; further
 # refits would only churn floating-point noise.
@@ -70,9 +70,9 @@ class WompConfig:
     max_iterations: int = 25
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise ValueError("lam must be >= 0")
-        if self.max_iterations < 1:
+        if not self.lam >= 0:
+            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not self.max_iterations >= 1:
             raise ValueError("max_iterations must be >= 1")
 
 
@@ -251,17 +251,9 @@ def womp_solve(
     residual hits the floor.
 
     Raises:
-        ValueError: if the system is not normalized or some weight is <= 0.
+        ValueError: from `check_solver_inputs`, on an unnormalized system or bad weights.
     """
-    if not system.normalized:
-        raise ValueError(
-            "womp_solve requires unit-norm columns; apply normalize_columns first"
-        )
-    w = np.asarray(w, dtype=np.float64)
-    if w.shape != (system.n_columns,):
-        raise ValueError(f"weights must have shape ({system.n_columns},)")
-    if np.any(w <= 0):
-        raise ValueError("weights must be strictly positive")
+    w = check_solver_inputs(system, w, "womp_solve")
 
     matrix, y = system.matrix, system.rhs
     m, n = matrix.shape

@@ -2,7 +2,7 @@
 
 The full-configuration sweeps (d=10, s=10, N=571, m=80, K=25, 25 trials,
 both bases) are shared module-scoped fixtures; the whole module takes about
-11 s on a 2-vCPU machine.
+6 s on a 2-vCPU machine.
 """
 
 import csv

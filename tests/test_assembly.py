@@ -99,10 +99,11 @@ def test_normalize_random_system_columns():
 
 
 def test_normalize_rejects_zero_column():
-    system = random_system(6, 3, 1)
-    system.matrix[:, 1] = 0.0
-    with pytest.raises(ValueError):
-        normalize_columns(system)
+    for bad_value in (0.0, np.nan):
+        system = random_system(6, 3, 1)
+        system.matrix[:, 1] = bad_value
+        with pytest.raises(ValueError):
+            normalize_columns(system)
 
 
 def test_denormalize_identity_when_norms_one():

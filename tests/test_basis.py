@@ -44,6 +44,8 @@ def test_rejects_out_of_domain_points():
         basis.eval_1d("legendre", 2, 1.0 + 1e-9)
     with pytest.raises(ValueError):
         basis.eval_1d("chebyshev", 2, np.array([0.0, -1.1]))
+    with pytest.raises(ValueError):
+        basis.eval_1d("legendre", 2, np.array([0.0, np.nan]))
 
 
 def test_rejects_unknown_kind():

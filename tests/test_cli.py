@@ -222,7 +222,11 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
     # reached its alpha
     config_path = tmp_path / "capped.cfg"
     config_path.write_text(CAPPED_TEXT)
-    for residual, shown in ((1e-6, "1.00e-06"), (float("nan"), "nan")):
+
+    def reject(token):
+        raise ValueError(f"{token} is not JSON")
+
+    for residual, shown, written in ((1e-6, "1.00e-06", 1e-6), (float("nan"), "nan", None)):
         monkeypatch.setattr(experiments, "lasso_kkt_residual", lambda *args: residual)
         out_dir = tmp_path / f"kkt_{shown}"
         assert main(["run", "--config", str(config_path), "--out", str(out_dir),
@@ -232,13 +236,16 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
         assert len(flags) == 4
         assert all(f"0/3 paths hit the 600-breakpoint cap, max KKT residual {shown}" in f
                    for f in flags)
+        # report.json is strict JSON: a NaN is written as null
+        report = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
+        assert report["lasso"][0]["max_kkt_residual"] == [written] * 4
 
 
 def test_failed_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):
     def unwritable(report, path):
         raise OSError("disk full")
 
-    monkeypatch.setattr(experiments, "write_report_json", unwritable)
+    monkeypatch.setitem(experiments.OUTPUT_WRITERS, "report.json", unwritable)
     config_path = tmp_path / "small.cfg"
     config_path.write_text(SMALL_TEXT)
     out_dir = tmp_path / "failed"
@@ -267,6 +274,17 @@ def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
         assert key in capsys.readouterr().err
     assert main(["info", "--config", str(QUICK_CONFIG), "lasso_rel_tolerance=1e-7"]) == 2
     assert "unknown key 'lasso_rel_tolerance'" in capsys.readouterr().err
+
+
+def test_run_refuses_nan_lambda_and_negative_seed(tmp_path, capsys):
+    # both are config errors: one error line, exit 2, no output directory
+    for extra, field in ((["lambdas=0,nan"], "lambdas"), (["--seed", "-1"], "base_seed")):
+        out_dir = tmp_path / field
+        assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err
+        assert not out_dir.exists()
 
 
 def test_cmd_verify_passes(capsys):

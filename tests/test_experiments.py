@@ -171,6 +171,15 @@ def test_config_rejects_bad_values():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
         ExperimentConfig(lasso_max_iterations=0)
+    # NaN fails every bound; a repeated m or lambda would key two curves alike
+    for bad, match in (
+        ({"lambdas": (0.0, float("nan"))}, r"lambdas .*nan"),
+        ({"sample_counts": (30, 30)}, r"sample_counts .*\[30, 30\]"),
+        ({"lambdas": (0.0, 0.0)}, r"lambdas .*\[0.0, 0.0\]"),
+        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+    ):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig(**bad)
 
 
 # --- sweep ------------------------------------------------------------------

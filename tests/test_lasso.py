@@ -78,11 +78,13 @@ def test_config_validation():
         lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10)
     with pytest.raises(ValueError):
         lasso_path(system, np.ones(20), [], max_iterations=10)
+    with pytest.raises(ValueError, match="alphas must be .*nan"):
+        lasso_path(system, np.ones(20), [1.0, np.nan], max_iterations=10)
     # the weights are checked as womp_solve checks them
     for bad_shape in (np.ones(19), np.ones((20, 1))):
         with pytest.raises(ValueError, match=r"weights must have shape \(20,\)"):
             solve_one(system, bad_shape, 1.0)
-    for bad_value in (0.0, -1.0):
+    for bad_value in (0.0, -1.0, np.nan, np.inf):
         w = np.ones(20)
         w[3] = bad_value
         with pytest.raises(ValueError, match="weights must be strictly positive"):

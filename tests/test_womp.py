@@ -199,15 +199,18 @@ def test_refuses_unnormalized_system():
 
 def test_rejects_nonpositive_weights():
     system = make_system(10, 15, 13)
-    w = np.ones(15)
-    w[4] = 0.0
-    with pytest.raises(ValueError):
-        womp_solve(system, w, WompConfig())
+    for bad_value in (0.0, np.nan, np.inf):
+        w = np.ones(15)
+        w[4] = bad_value
+        with pytest.raises(ValueError, match=r"weights must be strictly positive.*w\[4\]"):
+            womp_solve(system, w, WompConfig())
 
 
 def test_config_validation():
     with pytest.raises(ValueError):
         WompConfig(lam=-1.0)
+    with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
+        WompConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         WompConfig(max_iterations=0)
 
