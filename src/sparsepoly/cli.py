@@ -219,6 +219,8 @@ def cmd_run(args) -> int:
 
 def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else DEFAULT_SEED
+    if not seed >= 0:
+        raise ConfigError(f"verify --seed must be >= 0, got {seed}")
     results = verification.run_checks(seed=seed)
     all_passed = True
     for result in results:

@@ -2,10 +2,10 @@
 
 The protocol, per sample count m and per trial: draw m fresh points from the
 orthogonality measure, assemble and column-normalize the sensing system, run
-one greedy solve per regularization value (keeping the full iteration trace)
-and one weighted-LASSO sweep over a log-spaced alpha grid, solved exactly by
-one homotopy path from the zero-solution threshold down to the smallest alpha
-(`lasso.lasso_path`).  The report aggregates, over trials, each greedy
+one greedy solve per regularization value (its trace is the selection order
+plus one block of all iterates) and one weighted-LASSO sweep over a
+log-spaced alpha grid, solved exactly by one homotopy path from the
+zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).  The report aggregates, over trials, each greedy
 configuration's stop reasons and iterations run, and for each alpha how often
 the path reached it within the breakpoint cap, the breakpoints walked, and the
 largest KKT residual (`verification.lasso_kkt_residual`, computed outside the
@@ -13,8 +13,9 @@ timed sweep).  Relative errors are measured coefficient-wise against a single
 shared reference fit obtained by least squares (through the normal equations)
 on an oversampled draw; since the basis is orthonormal for the sampling
 measure, the coefficient-space l2 distance equals the function-space L2 error
-of the truncated expansions; one `relative_error` call scores a whole trace
-(K iterates) or a whole alpha grid.
+of the truncated expansions.  One `coefficients_at` call expands the K
+iterates of a trace into a K x N block, the LASSO path returns one G x N block
+for the alpha grid, and one `relative_error` call scores each block.
 
 Everything is a pure function of the config (base seed included): the
 reference uses the stream SeedSequence([base_seed, 0]) and trial t at sample
@@ -52,11 +53,16 @@ DEFAULT_SEED = 1729
 DEFAULT_LAMBDAS = (0.0, 1e-5, 10.0**-4.5, 1e-4, 10.0**-3.5, 1e-3)
 
 
-# the smallest value each scalar config field may take
+# the smallest value each integer config field may take
 _LOWER_BOUNDS = {
     "dimension": 1, "cross_order": 1, "iterations": 1, "trials": 1,
     "reference_oversampling": 1, "base_seed": 0, "lasso_grid_size": 1, "lasso_max_iterations": 1,
 }
+
+
+def _at_least(value, bound, whole=True) -> bool:
+    """value >= bound, and a whole number if `whole`; NaN fails both."""
+    return value >= bound and (not whole or float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -76,20 +82,24 @@ class ExperimentConfig:
     lasso_max_iterations: int = 1500
 
     def __post_init__(self):
-        object.__setattr__(self, "sample_counts", tuple(int(m) for m in self.sample_counts))
         object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if self.basis_kind not in basis.BASIS_KINDS:
             raise ValueError(f"basis_kind must be one of {basis.BASIS_KINDS}")
-        # `not value >= bound` so that NaN fails too
         for name, bound in _LOWER_BOUNDS.items():
-            if not getattr(self, name) >= bound:
-                raise ValueError(f"{name} must be >= {bound}, got {getattr(self, name)}")
-        for name, bound in (("sample_counts", 1), ("lambdas", 0)):
+            value = getattr(self, name)
+            if not _at_least(value, bound):
+                raise ValueError(f"{name} must be an integer >= {bound}, got {value}")
+            object.__setattr__(self, name, int(value))
+        for name, bound, whole in (("sample_counts", 1, True), ("lambdas", 0, False)):
             values = getattr(self, name)
-            if not values or len(set(values)) < len(values) or not all(v >= bound for v in values):
+            if not values or len(set(values)) < len(values) or not all(
+                _at_least(v, bound, whole) for v in values
+            ):
+                kind = "integers" if whole else "values"
                 raise ValueError(
-                    f"{name} must be one or more distinct values >= {bound}, got {list(values)}"
+                    f"{name} must be one or more distinct {kind} >= {bound}, got {list(values)}"
                 )
+        object.__setattr__(self, "sample_counts", tuple(int(m) for m in self.sample_counts))
 
 
 def target_log_sum(d: int) -> TargetFunction:
@@ -276,15 +286,15 @@ def _run_trial(
     system = normalize_columns(raw)
     result = {"normalize_seconds": time.perf_counter() - t0}
 
-    ks = range(1, config.iterations + 1)
+    ks = np.arange(1, config.iterations + 1)
     womp = {"errors": [], "supports": [], "seconds": [], "stop_reasons": [], "iterations": []}
     for lam in config.lambdas:
         t0 = time.perf_counter()
         trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=config.iterations))
         womp["seconds"].append(time.perf_counter() - t0)
-        iterates = [trace.coefficients_at(k) for k in ks]
-        womp["errors"].append(relative_error(denormalize_solution(system, iterates), x_ref))
-        womp["supports"].append([trace.support_size_at(k) for k in ks])
+        iterates = denormalize_solution(system, trace.coefficients_at(ks))
+        womp["errors"].append(relative_error(iterates, x_ref))
+        womp["supports"].append(trace.support_size_at(ks))
         womp["stop_reasons"].append(trace.stop_reason)
         womp["iterations"].append(len(trace))
     result.update({f"womp_{key}": value for key, value in womp.items()})
@@ -292,16 +302,16 @@ def _run_trial(
     if config.include_lasso:
         t0 = time.perf_counter()
         alphas = default_alpha_grid(system, w, config.lasso_grid_size)
-        results = lasso_path(system, w, alphas, config.lasso_max_iterations)
-        coefficients = denormalize_solution(system, [r.coefficients for r in results])
+        path = lasso_path(system, w, alphas, config.lasso_max_iterations)
+        coefficients = denormalize_solution(system, path.coefficients)
         result["lasso_errors"] = relative_error(coefficients, x_ref)
         result["lasso_supports"] = np.count_nonzero(np.abs(coefficients) > SUPPORT_EPSILON, axis=1)
         result["lasso_seconds"] = time.perf_counter() - t0
         result["lasso_alphas"] = alphas
-        result["lasso_converged"] = [r.converged for r in results]
-        result["lasso_iterations"] = [r.n_iterations for r in results]
+        result["lasso_converged"] = path.converged
+        result["lasso_iterations"] = path.n_iterations
         result["lasso_kkt"] = [
-            lasso_kkt_residual(system, w, a, r.coefficients) for a, r in zip(alphas, results)
+            lasso_kkt_residual(system, w, a, z) for a, z in zip(alphas, path.coefficients)
         ]
     return result
 

@@ -36,11 +36,13 @@ from .assembly import LinearSystem, check_solver_inputs
 
 @dataclass
 class LassoResult:
-    coefficients: np.ndarray = field(repr=False)
-    # the path reached this alpha within the breakpoint cap
-    converged: bool
-    # breakpoints walked to reach this alpha
-    n_iterations: int
+    """The path's solutions: one row or entry per alpha, in the order given."""
+
+    coefficients: np.ndarray = field(repr=False)  # (G, N)
+    # (G,): the path reached the alpha within the breakpoint cap
+    converged: np.ndarray
+    # (G,): breakpoints walked to reach the alpha
+    n_iterations: np.ndarray
 
 
 def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
@@ -68,13 +70,13 @@ def lasso_path(
     w: np.ndarray,
     alphas,
     max_iterations: int,
-) -> list[LassoResult]:
+) -> LassoResult:
     """The exact weighted-LASSO solution at every alpha, by the homotopy path.
 
     Requires a column-normalized system (matching the greedy pipeline the
     baseline is compared against).  Walks at most max_iterations breakpoints
-    from alpha_max down to min(alphas) and returns one result per alpha, in
-    the order given.  An alpha below the point where the cap stopped the walk
+    from alpha_max down to min(alphas) and returns one result row per alpha,
+    in the order given.  An alpha below the point where the cap stopped the walk
     gets that point's solution and converged=False.
     """
     w = check_solver_inputs(system, w, "lasso_path")
@@ -92,20 +94,22 @@ def lasso_path(
     alpha = float(np.max(np.abs(correlations)))
     alpha_min = float(alphas.min())
     order = np.argsort(-alphas, kind="stable")
-    results: list[LassoResult] = [None] * alphas.size
+    result = LassoResult(
+        coefficients=np.zeros((alphas.size, n)),
+        converged=np.zeros(alphas.size, dtype=bool),
+        n_iterations=np.zeros(alphas.size, dtype=np.int64),
+    )
     emitted = 0
 
     def emit(floor, d=0.0, converged=True):
-        """Record each pending grid alpha a >= floor as u_A + ((alpha - a) / 2) d."""
+        """Write the row of each pending grid alpha a >= floor: u_A + ((alpha - a) / 2) d."""
         nonlocal emitted
         while emitted < alphas.size and alphas[order[emitted]] >= floor:
-            z = np.zeros(n)
-            z[active] = (u[active] + (0.5 * (alpha - alphas[order[emitted]])) * d) / w[active]
-            results[order[emitted]] = LassoResult(
-                coefficients=z,
-                converged=converged,
-                n_iterations=breakpoints,
-            )
+            i = order[emitted]
+            step = 0.5 * (alpha - alphas[i])
+            result.coefficients[i, active] = (u[active] + step * d) / w[active]
+            result.converged[i] = converged
+            result.n_iterations[i] = breakpoints
             emitted += 1
 
     joining, dropped, breakpoints = int(np.argmax(np.abs(correlations))), -1, 0
@@ -151,4 +155,4 @@ def lasso_path(
             u[dropped] = 0.0
         elif gamma == joins[join]:
             joining = join
-    return results
+    return result

@@ -196,9 +196,7 @@ def collect_womp_states(system: LinearSystem, w: np.ndarray, lam: float, iterati
     score formula assumes.
     """
     trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=iterations))
-    states = [(np.zeros(system.n_columns), ())]
-    states += [(rec.coefficients, rec.support) for rec in trace.records]
-    return states
+    return [(trace.coefficients_at(k), trace.selected[:k]) for k in range(len(trace) + 1)]
 
 
 def _delta_identity_cases(seed: int):
@@ -224,7 +222,7 @@ def _omp_cases(seed: int):
         system = random_test_system(20, 40, rng)
         trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
-        if [rec.selected_index for rec in trace.records] != ref_sequence:
+        if trace.selected.tolist() != ref_sequence:
             yield np.inf, f"instance {instance} (seed {seed}): index sequences differ"
         else:
             gap = np.max(np.abs(trace.final_coefficients - ref_x))
@@ -263,10 +261,11 @@ def _lasso_kkt_cases(seed: int):
         w = rng.uniform(1.0, 2.0, size=50)
         alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
         alphas = np.geomspace(1e-8 * alpha_max, alpha_max, 12)
-        for alpha, result in zip(alphas, lasso_path(system, w, alphas, max_iterations=500)):
+        path = lasso_path(system, w, alphas, max_iterations=500)
+        for alpha, z, converged in zip(alphas, path.coefficients, path.converged):
             location = f"instance {instance} (seed {seed}), alpha={alpha:.3e}"
-            if result.converged:
-                yield lasso_kkt_residual(system, w, alpha, result.coefficients), location
+            if converged:
+                yield lasso_kkt_residual(system, w, alpha, z), location
             else:
                 yield np.inf, location + ": path did not reach it"
 

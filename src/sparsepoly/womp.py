@@ -25,6 +25,9 @@ or its orthogonal part is tiny), the rest of the solve refits with
 minimizer.  With lam = 0 and unit weights the scheme reduces to classical
 OMP.
 
+The solver returns its history as a `SolveTrace`, the selection order plus
+one block of iterates, and keeps the iterate in selection order throughout.
+
 The greedy maximizer can land on an index already in the support (the
 middle case above scores the *removal* of a small coefficient, which the
 support-enlarging iteration cannot realize); the solver then stops with
@@ -77,51 +80,42 @@ class WompConfig:
 
 
 @dataclass
-class IterationRecord:
-    """One iteration; `values` holds the iterate on `support` (ascending)."""
-
-    k: int
-    selected_index: int
-    delta_value: float
-    support: tuple[int, ...]
-    values: np.ndarray = field(repr=False)
-    residual_norm: float
-    g_lambda: float
-    n_columns: int
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        """The iterate expanded to length n_columns."""
-        x = np.zeros(self.n_columns)
-        x[list(self.support)] = self.values
-        return x
-
-
-@dataclass
 class SolveTrace:
-    """Full per-iteration history of one solver run."""
+    """Full history of one solver run: the columns in selection order and the
+    iterate after every iteration.
+
+    Each iteration selects one new column and a reselect stops the solve, so
+    the support after k iterations is `selected[:k]`.  Row k of `values` is
+    that iterate on `selected`, in selection order; row 0 is the zero start,
+    and entries right of column k are zero.
+    """
 
     n_columns: int
-    records: list[IterationRecord]
+    selected: np.ndarray
+    values: np.ndarray = field(repr=False)
     stop_reason: str
 
     def __len__(self) -> int:
-        return len(self.records)
+        return self.selected.size
 
     @property
     def final_coefficients(self) -> np.ndarray:
-        return self.coefficients_at(len(self.records))
+        return self.coefficients_at(len(self))
 
-    def coefficients_at(self, k: int) -> np.ndarray:
-        """Iterate after k iterations; holds the last value past a stall."""
-        if k <= 0 or not self.records:
-            return np.zeros(self.n_columns)
-        return self.records[min(k, len(self.records)) - 1].coefficients
+    def coefficients_at(self, k) -> np.ndarray:
+        """Iterate after k iterations, expanded to length n_columns: the zero
+        start for k <= 0, the last iterate past a stall.  An integer array k
+        gives one row per entry."""
+        step = self.support_size_at(k)
+        x = np.zeros(step.shape + (self.n_columns,))
+        x[..., self.selected] = self.values[step]
+        return x
 
-    def support_size_at(self, k: int) -> int:
-        if k <= 0 or not self.records:
-            return 0
-        return len(self.records[min(k, len(self.records)) - 1].support)
+    def support_size_at(self, k):
+        """min(k, len(self)), and 0 for k <= 0; elementwise for an array k."""
+        # two ufuncs rather than np.clip, whose call on a scalar costs about
+        # three times as much
+        return np.minimum(np.maximum(k, 0), len(self))
 
 
 def weighted_l0(z: np.ndarray, w: np.ndarray) -> float:
@@ -147,7 +141,8 @@ def delta_scores(
     """Vector of greedy scores for all candidate indices at once.
 
     `correlations` is A^T r for the current residual r; `support` is an
-    integer array of the support set and `values` the iterate on it.
+    integer array of the support set, in any order, and `values` the iterate
+    on it, in the same order.
     Assumes the iterate is least-squares optimal on its support and the
     columns of A have unit norm.
     """
@@ -168,7 +163,7 @@ def compute_delta(
     and that the system columns are unit-norm.
     """
     x = np.asarray(x, dtype=np.float64)
-    support = np.asarray(list(support), dtype=np.intp)
+    support = np.asarray(support, dtype=np.intp)
     residual = system.rhs - system.matrix @ x
     correlations = system.matrix.T @ residual
     return float(delta_scores(support, x[support], correlations, w, lam)[j])
@@ -261,54 +256,38 @@ def womp_solve(
     y_norm = float(np.linalg.norm(y))
 
     in_support = np.zeros(n, dtype=bool)
-    selected: list[int] = []  # insertion order
-    support = np.zeros(0, dtype=np.intp)
-    values = np.zeros(0)
+    selected = np.zeros(0, dtype=np.intp)
+    values = np.zeros(0)  # the iterate on `selected`, in selection order
+    iterates = [values]
     qr = _IncrementalQR(y, min(config.max_iterations, m))
     residual = y.copy()
-    records: list[IterationRecord] = []
     stop_reason = STOP_MAX_ITERATIONS
 
-    for k in range(1, config.max_iterations + 1):
+    for _ in range(config.max_iterations):
         correlations = matrix.T @ residual
-        scores = delta_scores(support, values, correlations, w, lam)
+        scores = delta_scores(selected, values, correlations, w, lam)
         j = int(np.argmax(scores))
-        best = float(scores[j])
-        if best <= 0.0:
+        if scores[j] <= 0.0:
             stop_reason = STOP_ZERO_DELTA
             break
         if in_support[j]:
             stop_reason = STOP_IN_SUPPORT_RESELECT
             break
         in_support[j] = True
-        selected.append(j)
-        support = np.sort(selected)
+        selected = np.append(selected, j)
         if qr is not None and qr.append(matrix[:, j]):
-            coefficients = qr.coefficients()
+            values = qr.coefficients()
             residual = y - qr.qty[: qr.size] @ qr.q[: qr.size]
-            values = coefficients[np.argsort(selected)]
         else:
             qr = None
-            values = restricted_least_squares(system, support)[support]
-            residual = y - matrix[:, support] @ values
-        residual_norm = float(np.linalg.norm(residual))
-        g_value = residual_norm**2
-        if lam > 0:
-            g_value += lam * weighted_l0(values, w[support])
-        records.append(
-            IterationRecord(
-                k=k,
-                selected_index=j,
-                delta_value=best,
-                support=tuple(support.tolist()),
-                values=values,
-                residual_norm=residual_norm,
-                g_lambda=g_value,
-                n_columns=n,
-            )
-        )
-        if residual_norm < RESIDUAL_FLOOR * y_norm:
+            values = restricted_least_squares(system, selected)[selected]
+            residual = y - matrix[:, selected] @ values
+        iterates.append(values)
+        if np.linalg.norm(residual) < RESIDUAL_FLOOR * y_norm:
             stop_reason = STOP_RESIDUAL_FLOOR
             break
 
-    return SolveTrace(n_columns=n, records=records, stop_reason=stop_reason)
+    block = np.zeros((len(iterates), selected.size))
+    for k, row in enumerate(iterates):
+        block[k, :k] = row
+    return SolveTrace(n_columns=n, selected=selected, values=block, stop_reason=stop_reason)

@@ -111,9 +111,8 @@ def test_criterion_2_omp_reduction():
         rng = np.random.default_rng(np.random.SeedSequence([BASE_SEED, 2, instance]))
         system = random_test_system(20, 40, rng)
         trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=8))
-        sequence = [rec.selected_index for rec in trace.records]
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 8)
-        if sequence != ref_sequence:
+        if trace.selected.tolist() != ref_sequence:
             mismatches += 1
             continue
         gaps.append(np.max(np.abs(trace.final_coefficients - ref_x)))
@@ -172,7 +171,7 @@ def test_criterion_5_exact_sparse_recovery():
         system = normalize_columns(build_system(points, target, "legendre", index_set))
         trace = womp_solve(system, np.ones(n), WompConfig(lam=0.0, max_iterations=5))
         recovered = denormalize_solution(system, trace.final_coefficients)
-        if trace.records and set(trace.records[-1].support) == set(support.tolist()):
+        if set(trace.selected.tolist()) == set(support.tolist()):
             if np.max(np.abs(recovered - coefficients)) <= 1e-8:
                 successes += 1
     check(

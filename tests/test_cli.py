@@ -287,6 +287,12 @@ def test_run_refuses_nan_lambda_and_negative_seed(tmp_path, capsys):
         assert not out_dir.exists()
 
 
+def test_verify_refuses_negative_seed(capsys):
+    assert main(["verify", "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: verify --seed must be >= 0, got -1\n"
+
+
 def test_cmd_verify_passes(capsys):
     assert main(["verify", "--seed", "3"]) == 0
     out = capsys.readouterr().out

@@ -176,7 +176,10 @@ def test_config_rejects_bad_values():
         ({"lambdas": (0.0, float("nan"))}, r"lambdas .*nan"),
         ({"sample_counts": (30, 30)}, r"sample_counts .*\[30, 30\]"),
         ({"lambdas": (0.0, 0.0)}, r"lambdas .*\[0.0, 0.0\]"),
-        ({"base_seed": -1}, "base_seed must be >= 0, got -1"),
+        ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
+        # a non-integral count is refused, not truncated or left to fail in range()
+        ({"sample_counts": (80.5,)}, r"sample_counts must be .*integers.*\[80.5\]"),
+        ({"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
     ):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**bad)

@@ -27,8 +27,9 @@ def make_system(m, n, seed, noise=0.05):
 
 
 def solve_one(system, w, alpha, max_iterations=2000):
-    """`lasso_path` at a single alpha."""
-    return lasso_path(system, w, [alpha], max_iterations)[0]
+    """`lasso_path` at a single alpha: (coefficients, converged, breakpoints)."""
+    path = lasso_path(system, w, [alpha], max_iterations)
+    return path.coefficients[0], bool(path.converged[0]), int(path.n_iterations[0])
 
 
 def soft_threshold(v, threshold):
@@ -105,10 +106,10 @@ def test_large_alpha_gives_zero_solution():
     rng = np.random.default_rng(12)
     w = rng.uniform(1, 3, 30)
     threshold = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = solve_one(system, w, threshold * 1.01)
-    np.testing.assert_array_equal(result.coefficients, np.zeros(30))
-    assert result.converged
-    assert result.n_iterations == 0
+    z, converged, n_iterations = solve_one(system, w, threshold * 1.01)
+    np.testing.assert_array_equal(z, np.zeros(30))
+    assert converged
+    assert n_iterations == 0
 
 
 def test_single_column_closed_form():
@@ -119,9 +120,9 @@ def test_single_column_closed_form():
     system = LinearSystem(column[:, None], y, np.ones(1), True)
     inner = float(column @ y)
     for alpha, w in [(0.05, 1.0), (0.3, 2.0)]:
-        result = solve_one(system, np.array([w]), alpha)
+        z, _, _ = solve_one(system, np.array([w]), alpha)
         expected = soft_threshold(inner, alpha * w / 2.0)
-        assert result.coefficients[0] == pytest.approx(expected, abs=1e-14)
+        assert z[0] == pytest.approx(expected, abs=1e-14)
 
 
 def test_vanishing_regularization_matches_exact_solve():
@@ -130,8 +131,8 @@ def test_vanishing_regularization_matches_exact_solve():
     raw = LinearSystem(matrix, rng.standard_normal(12), np.ones(12), False)
     system = normalize_columns(raw)
     exact = np.linalg.solve(system.matrix, system.rhs)
-    result = solve_one(system, np.ones(12), 1e-12)
-    np.testing.assert_allclose(result.coefficients, exact, atol=1e-9)
+    z, _, _ = solve_one(system, np.ones(12), 1e-12)
+    np.testing.assert_allclose(z, exact, atol=1e-9)
 
 
 def test_fixed_point_stationarity():
@@ -139,8 +140,7 @@ def test_fixed_point_stationarity():
     rng = np.random.default_rng(6)
     w = rng.uniform(1, 2, 35)
     alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    result = solve_one(system, w, alpha)
-    z = result.coefficients
+    z, _, _ = solve_one(system, w, alpha)
     step = 1.0 / (2.0 * np.linalg.norm(system.matrix, 2) ** 2)
     gradient = 2.0 * system.matrix.T @ (system.matrix @ z - system.rhs)
     fixed_point = soft_threshold(z - step * gradient, step * alpha * w)
@@ -151,20 +151,20 @@ def test_matches_reference_ista_unweighted():
     for seed in range(3):
         system = make_system(30, 12, 100 + seed)
         alpha = 0.1 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-        result = solve_one(system, np.ones(12), alpha)
+        z, _, _ = solve_one(system, np.ones(12), alpha)
         reference = reference_ista(system, alpha)
-        np.testing.assert_allclose(result.coefficients, reference, atol=1e-6)
+        np.testing.assert_allclose(z, reference, atol=1e-6)
 
 
 def test_non_convergence_flag():
     system = make_system(15, 40, 9)
     alpha = 1e-4 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    assert solve_one(system, np.ones(40), alpha).n_iterations > 3
-    result = solve_one(system, np.ones(40), alpha, max_iterations=3)
-    assert not result.converged
-    assert result.n_iterations == 3
+    assert solve_one(system, np.ones(40), alpha)[2] > 3
+    z, converged, n_iterations = solve_one(system, np.ones(40), alpha, max_iterations=3)
+    assert not converged
+    assert n_iterations == 3
     # the cap leaves the solution of the third breakpoint, short of alpha
-    assert lasso_kkt_residual(system, np.ones(40), alpha, result.coefficients) > 1e-3
+    assert lasso_kkt_residual(system, np.ones(40), alpha, z) > 1e-3
 
 
 def test_default_alpha_grid_brackets_threshold():
@@ -182,9 +182,9 @@ def test_objective_drops_below_initial():
     system = make_system(15, 40, 11)
     w = np.ones(40)
     alpha = 0.02 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    result = solve_one(system, w, alpha)
+    z, _, _ = solve_one(system, w, alpha)
     initial = lasso_objective(np.zeros(40), system, w, alpha)
-    assert lasso_objective(result.coefficients, system, w, alpha) < initial
+    assert lasso_objective(z, system, w, alpha) < initial
 
 
 # --- homotopy path ----------------------------------------------------------
@@ -201,27 +201,30 @@ def path_problem():
 def test_path_columns_keep_their_own_counts_and_flags():
     system, w, alphas = path_problem()
     full = lasso_path(system, w, alphas, max_iterations=400)
-    counts = [r.n_iterations for r in full]
-    assert [r.converged for r in full] == [True] * 4
+    # one row or entry per alpha
+    assert full.coefficients.shape == (4, 40)
+    assert full.converged.shape == full.n_iterations.shape == (4,)
+    counts = full.n_iterations.tolist()
+    assert full.converged.tolist() == [True] * 4
     assert counts[0] == 0  # above the threshold: no breakpoint walked
     assert 0 < counts[1] < counts[2] < counts[3] < 400
 
     # a cap that reaches the third alpha but not the fourth
     capped = lasso_path(system, w, alphas, max_iterations=counts[2])
-    assert [r.converged for r in capped] == [True, True, True, False]
-    assert [r.n_iterations for r in capped] == counts[:3] + [counts[2]]
-    for result, reference in zip(capped[:3], full[:3]):
-        np.testing.assert_array_equal(result.coefficients, reference.coefficients)
+    assert capped.converged.tolist() == [True, True, True, False]
+    assert capped.n_iterations.tolist() == counts[:3] + [counts[2]]
+    np.testing.assert_array_equal(capped.coefficients[:3], full.coefficients[:3])
 
 
 def test_path_converged_columns_match_single_alpha_solves():
     system, w, alphas = path_problem()
-    results = lasso_path(system, w, alphas, max_iterations=400)
-    for alpha, result in zip(alphas, results):
-        single = solve_one(system, w, alpha, max_iterations=400)
-        assert result.converged and single.converged
-        scale = max(np.linalg.norm(single.coefficients), 1.0)
-        assert np.linalg.norm(result.coefficients - single.coefficients) <= 1e-12 * scale
+    path = lasso_path(system, w, alphas, max_iterations=400)
+    assert path.converged.all()
+    for alpha, z in zip(alphas, path.coefficients):
+        single, converged, _ = solve_one(system, w, alpha, max_iterations=400)
+        assert converged
+        scale = max(np.linalg.norm(single), 1.0)
+        assert np.linalg.norm(z - single) <= 1e-12 * scale
 
 
 def test_path_single_iteration_never_converges():
@@ -230,13 +233,13 @@ def test_path_single_iteration_never_converges():
     system, w, alphas = path_problem()
     below_threshold = alphas[1:]
     full = lasso_path(system, w, below_threshold, max_iterations=400)
-    assert min(r.n_iterations for r in full) > 1
-    results = lasso_path(system, w, below_threshold, max_iterations=1)
-    assert [r.converged for r in results] == [False] * len(below_threshold)
-    assert [r.n_iterations for r in results] == [1] * len(below_threshold)
-    for result in results:
-        assert np.count_nonzero(result.coefficients) == 1
-        np.testing.assert_array_equal(result.coefficients, results[0].coefficients)
+    assert full.n_iterations.min() > 1
+    capped = lasso_path(system, w, below_threshold, max_iterations=1)
+    assert capped.converged.tolist() == [False] * len(below_threshold)
+    assert capped.n_iterations.tolist() == [1] * len(below_threshold)
+    for z in capped.coefficients:
+        assert np.count_nonzero(z) == 1
+        np.testing.assert_array_equal(z, capped.coefficients[0])
 
 
 def test_path_results_do_not_depend_on_alpha_order():
@@ -244,11 +247,9 @@ def test_path_results_do_not_depend_on_alpha_order():
     order = [2, 0, 3, 1]
     given_order = lasso_path(system, w, alphas, max_iterations=400)
     shuffled = lasso_path(system, w, alphas[order], max_iterations=400)
-    for position, result in zip(order, shuffled):
-        expected = given_order[position]
-        np.testing.assert_array_equal(result.coefficients, expected.coefficients)
-        assert result.converged == expected.converged
-        assert result.n_iterations == expected.n_iterations
+    np.testing.assert_array_equal(shuffled.coefficients, given_order.coefficients[order])
+    np.testing.assert_array_equal(shuffled.converged, given_order.converged[order])
+    np.testing.assert_array_equal(shuffled.n_iterations, given_order.n_iterations[order])
 
 
 @settings(max_examples=20, deadline=None)
@@ -262,10 +263,9 @@ def test_path_is_kkt_exact_and_no_worse_than_ista(m, n, seed):
     w = np.random.default_rng(seed).uniform(1, 2, n)
     alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
     alphas = alpha_max * np.array([1.5, 0.5, 1e-1, 1e-3, 1e-8])
-    results = lasso_path(system, w, alphas, max_iterations=10 * (m + n))
-    for alpha, result in zip(alphas, results):
-        assert result.converged
-        z = result.coefficients
+    path = lasso_path(system, w, alphas, max_iterations=10 * (m + n))
+    assert path.converged.all()
+    for alpha, z in zip(alphas, path.coefficients):
         assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
         reference = reference_ista(system, alpha, n_iterations=1000, w=w)
         objective = lasso_objective(z, system, w, alpha)
@@ -274,8 +274,7 @@ def test_path_is_kkt_exact_and_no_worse_than_ista(m, n, seed):
 
 def test_kkt_residual_flags_perturbed_solution():
     system, w, alphas = path_problem()
-    for alpha, result in zip(alphas, lasso_path(system, w, alphas, max_iterations=400)):
-        z = result.coefficients
+    for alpha, z in zip(alphas, lasso_path(system, w, alphas, max_iterations=400).coefficients):
         assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
         for j in (int(np.argmax(np.abs(z))), int(np.argmin(np.abs(z)))):
             # moving one coordinate, on or off the support, breaks optimality
@@ -317,8 +316,8 @@ def test_study_trial_grid_converges_at_default_cap():
         build_system(points, target_log_sum(config.dimension), config.basis_kind, index_set)
     )
     alphas = default_alpha_grid(system, w, config.lasso_grid_size)
-    results = lasso_path(system, w, alphas, config.lasso_max_iterations)
-    assert [r.converged for r in results] == [True] * len(alphas)
-    for alpha, result, cold in zip(alphas, results, COLD_START_OBJECTIVES, strict=True):
-        assert lasso_objective(result.coefficients, system, w, alpha) <= cold * (1 + 1e-5)
-        assert lasso_kkt_residual(system, w, alpha, result.coefficients) <= LASSO_KKT_TOLERANCE
+    path = lasso_path(system, w, alphas, config.lasso_max_iterations)
+    assert path.converged.tolist() == [True] * len(alphas)
+    for alpha, z, cold in zip(alphas, path.coefficients, COLD_START_OBJECTIVES, strict=True):
+        assert lasso_objective(z, system, w, alpha) <= cold * (1 + 1e-5)
+        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE

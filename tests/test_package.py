@@ -53,6 +53,24 @@ def test_library_surface_used_by_the_benchmark():
         sparsepoly.build_system(points, target, "legendre", index_set)
     )
     trace = sparsepoly.womp_solve(system, sparsepoly.weights("legendre", index_set), config)
-    assert trace.records and trace.stop_reason
-    assert trace.coefficients_at(1).shape == (len(index_set),)
-    assert trace.support_size_at(1) == 1
+    assert len(trace) and trace.stop_reason
+    # the benchmark expands and sizes one iterate at a time, with a Python int k
+    n = len(trace)
+    for k in range(n + 3):
+        assert trace.coefficients_at(k).shape == (len(index_set),)
+        assert trace.support_size_at(k) == min(k, n)
+    np.testing.assert_array_equal(trace.coefficients_at(0), np.zeros(len(index_set)))
+    np.testing.assert_array_equal(trace.coefficients_at(n + 2), trace.coefficients_at(n))
+    np.testing.assert_array_equal(trace.coefficients_at(n), trace.final_coefficients)
+
+
+def test_readme_quickstart_runs(capsys):
+    readme = (ROOT / "README.md").read_text()
+    quickstart = readme.split("## Library quickstart", 1)[1]
+    code = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md quickstart", "exec"), {})
+    stop_reason, support_size = capsys.readouterr().out.split()
+    assert stop_reason in (
+        "max_iterations", "zero_delta", "in_support_reselect", "residual_floor"
+    )
+    assert 1 <= int(support_size) <= 25

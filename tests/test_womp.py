@@ -219,9 +219,8 @@ def test_matches_textbook_omp():
     for seed in range(10):
         system = make_system(20, 40, 100 + seed)
         trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
-        sequence = [rec.selected_index for rec in trace.records]
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
-        assert sequence == ref_sequence
+        assert trace.selected.tolist() == ref_sequence
         np.testing.assert_allclose(trace.final_coefficients, ref_x, atol=1e-10)
 
 
@@ -232,8 +231,8 @@ def test_single_active_column_recovered_immediately():
     system = normalize_columns(raw)
     system.rhs = system.matrix[:, 7] * 2.5
     trace = womp_solve(system, np.ones(20), WompConfig(lam=0.0, max_iterations=5))
-    assert trace.records[0].support == (7,)
-    assert trace.records[0].residual_norm <= 1e-10
+    assert trace.selected.tolist() == [7]
+    assert np.linalg.norm(system.rhs - system.matrix @ trace.coefficients_at(1)) <= 1e-10
     assert trace.stop_reason == STOP_RESIDUAL_FLOOR
 
 
@@ -272,23 +271,22 @@ def test_supports_nested_and_growing():
         rng = np.random.default_rng(seed)
         w = rng.uniform(1, 2, 30)
         trace = womp_solve(system, w, WompConfig(lam=1e-4, max_iterations=8))
-        previous = set()
-        for rec in trace.records:
-            current = set(rec.support)
-            assert previous <= current
-            assert len(current) == len(previous) + 1
-            assert len(current) <= rec.k
+        # one new index per iteration: the support after k iterations is selected[:k]
+        assert len(set(trace.selected.tolist())) == len(trace) <= 8
+        for k in range(len(trace) + 1):
+            assert trace.support_size_at(k) == k
             # numerical support stays inside the selected set
-            assert set(np.flatnonzero(np.abs(rec.coefficients) > 1e-12)) <= current
-            previous = current
+            x = trace.coefficients_at(k)
+            assert set(np.flatnonzero(np.abs(x) > 1e-12)) <= set(trace.selected[:k].tolist())
 
 
 def test_residual_monotonicity():
     for seed in range(5):
         system = make_system(15, 30, 300 + seed)
         trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=10))
-        norms = [float(np.linalg.norm(system.rhs))] + [
-            rec.residual_norm for rec in trace.records
+        norms = [
+            float(np.linalg.norm(system.rhs - system.matrix @ trace.coefficients_at(k)))
+            for k in range(len(trace) + 1)
         ]
         assert all(b <= a + 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -300,22 +298,20 @@ def test_descent_by_at_least_delta():
         w = rng.uniform(1, 2, 30)
         for lam in (0.0, 1e-4, 1e-2):
             trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=8))
-            g_previous = float(system.rhs @ system.rhs)
-            for rec in trace.records:
-                assert rec.g_lambda <= g_previous - rec.delta_value + 1e-9
-                g_previous = rec.g_lambda
+            for k, j in enumerate(trace.selected.tolist(), start=1):
+                x_previous = trace.coefficients_at(k - 1)
+                delta = compute_delta(x_previous, trace.selected[: k - 1], j, system, w, lam)
+                g_previous = g_lambda(x_previous, system, w, lam)
+                g_value = g_lambda(trace.coefficients_at(k), system, w, lam)
+                assert g_value <= g_previous - delta + 1e-9
 
 
 def test_selection_is_correlation_argmax_when_unweighted():
     system = make_system(15, 30, 500)
     trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=8))
-    x = np.zeros(30)
-    residual = system.rhs.copy()
-    for rec in trace.records:
-        expected = int(np.argmax(np.abs(system.matrix.T @ residual)))
-        assert rec.selected_index == expected
-        x = rec.coefficients
-        residual = system.rhs - system.matrix @ x
+    for k, j in enumerate(trace.selected.tolist()):
+        residual = system.rhs - system.matrix @ trace.coefficients_at(k)
+        assert j == int(np.argmax(np.abs(system.matrix.T @ residual)))
 
 
 def test_first_iteration_scale_covariance():
@@ -342,25 +338,43 @@ def test_coefficients_at_holds_last_value():
     system = make_system(15, 30, 800)
     trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=4))
     np.testing.assert_array_equal(trace.coefficients_at(0), np.zeros(30))
-    last = trace.records[-1].coefficients
+    # a negative k is the zero start too, not an index from the end
+    np.testing.assert_array_equal(trace.coefficients_at(-1), np.zeros(30))
+    assert trace.support_size_at(-1) == 0
+    last = trace.coefficients_at(len(trace))
+    assert np.count_nonzero(last) == len(trace) == 4
     np.testing.assert_array_equal(trace.coefficients_at(99), last)
-    assert trace.support_size_at(99) == len(trace.records[-1].support)
+    assert trace.support_size_at(99) == len(trace)
 
 
 def test_trace_stores_support_values_and_expands_them():
     system = make_system(15, 30, 801)
     trace = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=40))
-    assert 0 < len(trace) < 40  # stalls before the budget
-    for rec in trace.records:
-        assert list(rec.support) == sorted(rec.support)
-        assert rec.values.shape == (len(rec.support),)
-    for k in range(len(trace) + 3):
+    n = len(trace)
+    assert 0 < n < 40  # stalls before the budget
+    assert trace.selected.shape == (n,)
+    assert trace.values.shape == (n + 1, n)
+    # row k holds iterate k on selected[:k]; the zero start and the entries
+    # right of column k are zero
+    np.testing.assert_array_equal(np.triu(trace.values), 0.0)
+    for k in range(n + 3):
+        step = min(k, n)
         expected = np.zeros(30)
-        if k > 0:
-            rec = trace.records[min(k, len(trace)) - 1]
-            expected[list(rec.support)] = rec.values
+        expected[trace.selected[:step]] = trace.values[step, :step]
         np.testing.assert_array_equal(trace.coefficients_at(k), expected)
-    np.testing.assert_array_equal(trace.final_coefficients, trace.coefficients_at(len(trace)))
+    # one call with an array of k stacks the scalar calls bit for bit
+    ks = np.arange(0, n + 3)
+    np.testing.assert_array_equal(
+        trace.coefficients_at(ks), np.stack([trace.coefficients_at(int(k)) for k in ks])
+    )
+    np.testing.assert_array_equal(trace.support_size_at(ks), np.minimum(ks, n))
+    np.testing.assert_array_equal(trace.final_coefficients, trace.coefficients_at(n))
+    # a budget far above the iterations run gives the same trace, sized by
+    # the iterations run
+    unbounded = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=10**6))
+    assert unbounded.stop_reason == trace.stop_reason
+    np.testing.assert_array_equal(unbounded.selected, trace.selected)
+    np.testing.assert_array_equal(unbounded.values, trace.values)
 
 
 def test_in_span_column_falls_back_to_least_squares():
@@ -370,10 +384,9 @@ def test_in_span_column_falls_back_to_least_squares():
     raw = LinearSystem(matrix, np.array([0.3, 1.0, 1.0]), np.ones(3), False)
     system = normalize_columns(raw)
     trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
-    assert [rec.selected_index for rec in trace.records] == [1, 2, 0]
+    assert trace.selected.tolist() == [1, 2, 0]
     assert trace.stop_reason == STOP_ZERO_DELTA
-    for rec in trace.records:
-        assert np.all(np.isfinite(rec.values))
+    assert np.all(np.isfinite(trace.values))
     np.testing.assert_array_equal(
         trace.final_coefficients, restricted_least_squares(system, (0, 1, 2))
     )
@@ -399,9 +412,8 @@ def test_support_bounded_by_rows_and_iterates_finite(shape, seed, lam):
     system = random_test_system(m, n, rng)
     w = rng.uniform(1.0, 2.0, n)
     trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
-    for rec in trace.records:
-        assert len(rec.support) <= m
-        assert np.all(np.isfinite(rec.coefficients))
+    assert len(trace) <= m
+    assert np.all(np.isfinite(trace.values))
 
 
 @settings(max_examples=60, deadline=None)
@@ -425,7 +437,7 @@ def test_iterates_match_restricted_least_squares(shape, seed, lam):
     system = random_test_system(m, n, rng)
     w = rng.uniform(1.0, 2.0, n)
     trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
-    for rec in trace.records:
-        reference = restricted_least_squares(system, rec.support)
-        error = np.linalg.norm(rec.coefficients - reference)
+    for k in range(1, len(trace) + 1):
+        reference = restricted_least_squares(system, trace.selected[:k])
+        error = np.linalg.norm(trace.coefficients_at(k) - reference)
         assert error <= 1e-12 * np.linalg.norm(reference)
