@@ -118,6 +118,11 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     )
 
 
+def at_least(value, bound, whole=True) -> bool:
+    """value >= bound, and a whole number if `whole`; NaN fails both."""
+    return value >= bound and (not whole or float(value).is_integer())
+
+
 def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
     """Check a solver's inputs and return the weights as floats.
 

@@ -205,11 +205,3 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
                 block[p_rows[a:b] - lo] *= table[p_keys[a:b]]
             design[top : top + chunk.shape[0], lo:hi] = block.T
     return design
-
-
-def evaluate_expansion(kind: str, index_set, coefficients, points: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j c_j phi_j at each point; returns an (m,) array."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (len(index_set),):
-        raise ValueError("coefficient length must match the index set")
-    return evaluate_design(kind, index_set, points) @ coefficients

@@ -39,6 +39,7 @@ import numpy as np
 from . import basis
 from .assembly import (
     TargetFunction,
+    at_least,
     build_system,
     denormalize_solution,
     normalize_columns,
@@ -58,11 +59,6 @@ _LOWER_BOUNDS = {
     "dimension": 1, "cross_order": 1, "iterations": 1, "trials": 1,
     "reference_oversampling": 1, "base_seed": 0, "lasso_grid_size": 1, "lasso_max_iterations": 1,
 }
-
-
-def _at_least(value, bound, whole=True) -> bool:
-    """value >= bound, and a whole number if `whole`; NaN fails both."""
-    return value >= bound and (not whole or float(value).is_integer())
 
 
 @dataclass(frozen=True)
@@ -87,13 +83,13 @@ class ExperimentConfig:
             raise ValueError(f"basis_kind must be one of {basis.BASIS_KINDS}")
         for name, bound in _LOWER_BOUNDS.items():
             value = getattr(self, name)
-            if not _at_least(value, bound):
+            if not at_least(value, bound):
                 raise ValueError(f"{name} must be an integer >= {bound}, got {value}")
             object.__setattr__(self, name, int(value))
         for name, bound, whole in (("sample_counts", 1, True), ("lambdas", 0, False)):
             values = getattr(self, name)
             if not values or len(set(values)) < len(values) or not all(
-                _at_least(v, bound, whole) for v in values
+                at_least(v, bound, whole) for v in values
             ):
                 kind = "integers" if whole else "values"
                 raise ValueError(
@@ -115,22 +111,6 @@ def target_log_sum(d: int) -> TargetFunction:
         return np.log(d + 1.0 + points.sum(axis=-1))
 
     return TargetFunction(evaluator, description=f"ln({d + 1} + sum of {d} coordinates)")
-
-
-def expansion_target(
-    kind: str,
-    index_set: MultiIndexSet,
-    coefficients: np.ndarray,
-    description: str = "",
-) -> TargetFunction:
-    """A target that is exactly a finite combination of basis polynomials."""
-    coefficients = np.asarray(coefficients, dtype=np.float64).copy()
-
-    def evaluator(points: np.ndarray) -> np.ndarray:
-        return basis.evaluate_expansion(kind, index_set, coefficients, points)
-
-    label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
-    return TargetFunction(evaluator, description=label)
 
 
 def reference_coefficients(

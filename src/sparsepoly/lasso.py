@@ -22,7 +22,9 @@ that bound and moves inward, and rounding can otherwise put a spurious join
 there at a step of order 1e-18.  It may still cross to the opposite bound and
 join there.  Once |A| = m the active columns span the samples and no index
 can join (Tibshirani 2013), so the path ends with drops alone.  Each grid
-alpha is read off the segment that contains it.
+alpha is read off the segment that contains it.  The path never evaluates F;
+`verification.lasso_kkt_residual` certifies its solutions, and the tests
+evaluate F with their own helpers.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem, check_solver_inputs
+from .assembly import LinearSystem, at_least, check_solver_inputs
 
 
 @dataclass
@@ -43,16 +45,6 @@ class LassoResult:
     converged: np.ndarray
     # (G,): breakpoints walked to reach the alpha
     n_iterations: np.ndarray
-
-
-def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
-    """sum_j |z_j| w_j."""
-    return float(np.sum(np.abs(np.asarray(z)) * np.asarray(w)))
-
-
-def lasso_objective(z: np.ndarray, system: LinearSystem, w: np.ndarray, alpha: float) -> float:
-    residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
-    return float(residual @ residual) + alpha * weighted_l1_norm(z, w)
 
 
 def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int = 10) -> np.ndarray:
@@ -83,8 +75,8 @@ def lasso_path(
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
     if not (alphas.size and np.all(alphas > 0)):
         raise ValueError(f"alphas must be one or more values > 0, got {alphas.tolist()}")
-    if not max_iterations >= 1:
-        raise ValueError("max_iterations must be >= 1")
+    if not at_least(max_iterations, 1):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
 
     scaled = system.matrix / w
     m, n = scaled.shape

@@ -12,6 +12,12 @@ Each oracle takes a route independent of the code path it validates:
   closed-form sup-norm weights by dense grid maximization;
 * weighted-LASSO path solutions are certified by their KKT residual, computed
   from the optimality conditions of the unscaled problem.
+
+The module also holds what the oracles and the tests evaluate or build but no
+solver runs: the greedy objective G_lam (`g_lambda`, with its `weighted_l0`
+term), the random test systems, and targets that are exact finite expansions
+(`expansion_target`, through `evaluate_expansion`).  The solvers themselves
+live in `womp` and `lasso`.
 """
 
 from __future__ import annotations
@@ -22,10 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis
-from .assembly import LinearSystem, normalize_columns
-from .index_sets import hyperbolic_cross
+from .assembly import LinearSystem, TargetFunction, normalize_columns
+from .index_sets import MultiIndexSet, hyperbolic_cross
 from .lasso import lasso_path
-from .womp import WompConfig, compute_delta, g_lambda, womp_solve
+from .womp import SUPPORT_EPSILON, WompConfig, compute_delta, womp_solve
 
 DELTA_CHECK_LAMBDAS = (0.0, 1e-4, 1e-2)
 
@@ -108,6 +114,23 @@ def textbook_omp(matrix: np.ndarray, y: np.ndarray, n_iterations: int):
     return selected, x
 
 
+def weighted_l0(z: np.ndarray, w: np.ndarray) -> float:
+    """Sum of w_j^2 over the numerical support {j : |z_j| > SUPPORT_EPSILON}."""
+    z = np.asarray(z)
+    w = np.asarray(w)
+    mask = np.abs(z) > SUPPORT_EPSILON
+    return float(np.sum(w[mask] ** 2))
+
+
+def g_lambda(z: np.ndarray, system: LinearSystem, w: np.ndarray, lam: float) -> float:
+    """Objective value ||y - A z||^2 + lam * weighted_l0(z)."""
+    residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
+    value = float(residual @ residual)
+    if lam > 0:
+        value += lam * weighted_l0(z, w)
+    return value
+
+
 def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.ndarray) -> np.ndarray:
     """min_t G_lam(x + t e_j) for every j, by two-stage grid search.
 
@@ -165,6 +188,30 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
         matrix=matrix, rhs=y, column_norms=np.ones(n), normalized=False
     )
     return normalize_columns(raw)
+
+
+def evaluate_expansion(kind: str, index_set, coefficients, points: np.ndarray) -> np.ndarray:
+    """Evaluate sum_j c_j phi_j at each point; returns an (m,) array."""
+    coefficients = np.asarray(coefficients, dtype=np.float64)
+    if coefficients.shape != (len(index_set),):
+        raise ValueError("coefficient length must match the index set")
+    return basis.evaluate_design(kind, index_set, points) @ coefficients
+
+
+def expansion_target(
+    kind: str,
+    index_set: MultiIndexSet,
+    coefficients: np.ndarray,
+    description: str = "",
+) -> TargetFunction:
+    """A target that is exactly a finite combination of basis polynomials."""
+    coefficients = np.asarray(coefficients, dtype=np.float64).copy()
+
+    def evaluator(points: np.ndarray) -> np.ndarray:
+        return evaluate_expansion(kind, index_set, coefficients, points)
+
+    label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
+    return TargetFunction(evaluator, description=label)
 
 
 def lasso_kkt_residual(system: LinearSystem, w: np.ndarray, alpha: float, z: np.ndarray) -> float:

@@ -27,6 +27,8 @@ OMP.
 
 The solver returns its history as a `SolveTrace`, the selection order plus
 one block of iterates, and keeps the iterate in selection order throughout.
+It never evaluates G_lam itself; the oracles do, with `verification.g_lambda`
+and its `verification.weighted_l0` term.
 
 The greedy maximizer can land on an index already in the support (the
 middle case above scores the *removal* of a small coefficient, which the
@@ -40,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem, check_solver_inputs
+from .assembly import LinearSystem, at_least, check_solver_inputs
 
 # Iterations stop once the residual is this small relative to ||y||; further
 # refits would only churn floating-point noise.
@@ -75,8 +77,9 @@ class WompConfig:
     def __post_init__(self):
         if not self.lam >= 0:
             raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if not self.max_iterations >= 1:
-            raise ValueError("max_iterations must be >= 1")
+        if not at_least(self.max_iterations, 1):
+            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations}")
+        self.max_iterations = int(self.max_iterations)
 
 
 @dataclass
@@ -116,23 +119,6 @@ class SolveTrace:
         # two ufuncs rather than np.clip, whose call on a scalar costs about
         # three times as much
         return np.minimum(np.maximum(k, 0), len(self))
-
-
-def weighted_l0(z: np.ndarray, w: np.ndarray) -> float:
-    """Sum of w_j^2 over the numerical support {j : |z_j| > SUPPORT_EPSILON}."""
-    z = np.asarray(z)
-    w = np.asarray(w)
-    mask = np.abs(z) > SUPPORT_EPSILON
-    return float(np.sum(w[mask] ** 2))
-
-
-def g_lambda(z: np.ndarray, system: LinearSystem, w: np.ndarray, lam: float) -> float:
-    """Objective value ||y - A z||^2 + lam * weighted_l0(z)."""
-    residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
-    value = float(residual @ residual)
-    if lam > 0:
-        value += lam * weighted_l0(z, w)
-    return value
 
 
 def delta_scores(

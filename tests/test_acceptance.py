@@ -13,22 +13,19 @@ import pytest
 from sparsepoly import basis
 from sparsepoly.assembly import build_system, denormalize_solution, normalize_columns
 from sparsepoly.cli import main
-from sparsepoly.experiments import (
-    DEFAULT_LAMBDAS,
-    ExperimentConfig,
-    expansion_target,
-    run_sweep,
-)
+from sparsepoly.experiments import DEFAULT_LAMBDAS, ExperimentConfig, run_sweep
 from sparsepoly.index_sets import hyperbolic_cross
 from sparsepoly.verification import (
     brute_force_hyperbolic_cross,
     collect_womp_states,
+    expansion_target,
+    g_lambda,
     grid_min_g_lambda,
     grid_sup_norm,
     random_test_system,
     textbook_omp,
 )
-from sparsepoly.womp import WompConfig, compute_delta, g_lambda, womp_solve
+from sparsepoly.womp import WompConfig, compute_delta, womp_solve
 
 BASE_SEED = 515
 TUNED_LAMBDAS = (10.0**-4.5, 1e-4, 10.0**-3.5)

@@ -9,8 +9,9 @@ from sparsepoly.assembly import (
     denormalize_solution,
     normalize_columns,
 )
-from sparsepoly.experiments import expansion_target, target_log_sum
+from sparsepoly.experiments import target_log_sum
 from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
+from sparsepoly.verification import expansion_target
 
 
 def random_system(m, n, seed):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sparsepoly import basis
 from sparsepoly.index_sets import hyperbolic_cross
-from sparsepoly.verification import grid_sup_norm, quadrature_gram
+from sparsepoly.verification import evaluate_expansion, grid_sup_norm, quadrature_gram
 
 
 def test_constant_polynomial_is_one():
@@ -158,7 +158,7 @@ def test_expansion_evaluation_matches_tensor():
     coeffs[3] = 2.0
     coeffs[5] = -1.0
     pts = basis.sample_measure("legendre", 2, 10, 1)
-    values = basis.evaluate_expansion("legendre", ms, coeffs, pts)
+    values = evaluate_expansion("legendre", ms, coeffs, pts)
     expected = [
         2.0 * basis.eval_tensor("legendre", ms.indices[3], p)
         - basis.eval_tensor("legendre", ms.indices[5], p)

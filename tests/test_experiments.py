@@ -11,7 +11,6 @@ from sparsepoly import basis
 from sparsepoly.cli import main
 from sparsepoly.experiments import (
     ExperimentConfig,
-    expansion_target,
     reference_coefficients,
     relative_error,
     run_sweep,
@@ -19,7 +18,7 @@ from sparsepoly.experiments import (
     write_outputs,
 )
 from sparsepoly.index_sets import hyperbolic_cross
-from sparsepoly.verification import LASSO_KKT_TOLERANCE
+from sparsepoly.verification import LASSO_KKT_TOLERANCE, expansion_target
 from sparsepoly.womp import (
     STOP_IN_SUPPORT_RESELECT,
     STOP_MAX_ITERATIONS,

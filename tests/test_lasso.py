@@ -7,13 +7,18 @@ from sparsepoly import basis
 from sparsepoly.assembly import LinearSystem, build_system, normalize_columns
 from sparsepoly.experiments import DEFAULT_SEED, ExperimentConfig, target_log_sum
 from sparsepoly.index_sets import hyperbolic_cross
-from sparsepoly.lasso import (
-    default_alpha_grid,
-    lasso_objective,
-    lasso_path,
-    weighted_l1_norm,
-)
+from sparsepoly.lasso import default_alpha_grid, lasso_path
 from sparsepoly.verification import LASSO_KKT_TOLERANCE, lasso_kkt_residual
+
+
+def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
+    """sum_j |z_j| w_j."""
+    return float(np.sum(np.abs(np.asarray(z)) * np.asarray(w)))
+
+
+def lasso_objective(z: np.ndarray, system: LinearSystem, w: np.ndarray, alpha: float) -> float:
+    residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
+    return float(residual @ residual) + alpha * weighted_l1_norm(z, w)
 
 
 def make_system(m, n, seed, noise=0.05):

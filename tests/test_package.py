@@ -1,11 +1,13 @@
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 
 import sparsepoly
+from sparsepoly import basis, experiments, lasso, womp
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -24,6 +26,9 @@ BENCHMARK_NAMES = (
     "lasso_path",
     "default_alpha_grid",
 )
+
+# Everything the package exports: the benchmark's names plus the study's entry points.
+PUBLIC_NAMES = {*BENCHMARK_NAMES, "ExperimentConfig", "run_sweep", "target_log_sum"}
 
 
 def test_python_m_runs_the_cli_from_source():
@@ -62,6 +67,25 @@ def test_library_surface_used_by_the_benchmark():
     np.testing.assert_array_equal(trace.coefficients_at(0), np.zeros(len(index_set)))
     np.testing.assert_array_equal(trace.coefficients_at(n + 2), trace.coefficients_at(n))
     np.testing.assert_array_equal(trace.coefficients_at(n), trace.final_coefficients)
+
+
+def test_package_exports_only_the_benchmark_and_study_names():
+    public = {
+        name
+        for name, value in vars(sparsepoly).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == PUBLIC_NAMES
+
+
+def test_solver_and_library_modules_define_no_objective_or_test_builder():
+    # these live beside the oracles in verification.py, or in tests/test_lasso.py
+    moved = (
+        "g_lambda", "weighted_l0", "lasso_objective", "weighted_l1_norm",
+        "expansion_target", "evaluate_expansion",
+    )
+    for module in (womp, lasso, experiments, basis):
+        assert [name for name in moved if hasattr(module, name)] == [], module.__name__
 
 
 def test_readme_quickstart_runs(capsys):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly.assembly import LinearSystem, normalize_columns
+from sparsepoly.lasso import lasso_path
 from sparsepoly.womp import (
     STOP_IN_SUPPORT_RESELECT,
     STOP_RESIDUAL_FLOOR,
@@ -11,16 +12,16 @@ from sparsepoly.womp import (
     SUPPORT_EPSILON,
     WompConfig,
     compute_delta,
-    g_lambda,
     restricted_least_squares,
-    weighted_l0,
     womp_solve,
 )
 from sparsepoly.verification import (
     collect_womp_states,
+    g_lambda,
     grid_min_g_lambda,
     random_test_system,
     textbook_omp,
+    weighted_l0,
 )
 
 
@@ -213,6 +214,17 @@ def test_config_validation():
         WompConfig(lam=float("nan"))
     with pytest.raises(ValueError):
         WompConfig(max_iterations=0)
+
+
+@pytest.mark.parametrize("cap", [2.5, np.nan, 0])
+def test_both_solvers_refuse_an_iteration_cap_that_is_not_an_integer_ge_1(cap):
+    # the LASSO walk stops on `breakpoints == cap`, which a fractional cap never meets
+    system = random_test_system(10, 20, np.random.default_rng(0))
+    message = f"max_iterations must be an integer >= 1, got {cap}"
+    with pytest.raises(ValueError, match=message):
+        WompConfig(max_iterations=cap)
+    with pytest.raises(ValueError, match=message):
+        lasso_path(system, np.ones(20), [1e-3, 1e-6], max_iterations=cap)
 
 
 def test_matches_textbook_omp():
