@@ -21,7 +21,6 @@ from .experiments import (
     DEFAULT_SEED,
     OUTPUT_WRITERS,
     ExperimentConfig,
-    ExperimentReport,
     run_sweep,
     write_outputs,
 )
@@ -137,32 +136,34 @@ def render_config(config: ExperimentConfig) -> str:
 OUTPUT_NAMES = (*OUTPUT_WRITERS, "config_resolved.cfg")
 
 
-def _print_summary(report: ExperimentReport) -> None:
-    K = report.config.iterations
-    print(f"N = {report.n_basis_functions} basis functions, "
-          f"{report.config.trials} trials, K = {K}")
+def _print_summary(report: dict) -> None:
+    config = report["config"]
+    K = config["iterations"]
+    print(f"N = {report['n_basis_functions']} basis functions, "
+          f"{config['trials']} trials, K = {K}")
     print(f"{'decoder':<14}{'lambda':>14}{'m':>6}{'mean err @K':>14}{'support':>10}{'seconds':>10}")
-    for curve in report.womp_curves:
+    for curve in report["womp"]:
         print(
-            f"{'womp':<14}{curve.lam:>14.6g}{curve.m:>6}"
-            f"{curve.mean_errors[-1]:>14.4e}{curve.mean_supports[-1]:>10.1f}"
-            f"{curve.mean_seconds:>10.4f}"
+            f"{'womp':<14}{curve['lambda']:>14.6g}{curve['m']:>6}"
+            f"{curve['mean_errors'][-1]:>14.4e}{curve['mean_supports'][-1]:>10.1f}"
+            f"{curve['mean_seconds']:>10.4f}"
         )
-    for sweep in report.lasso_sweeps:
+    for sweep in report["lasso"]:
+        best = sweep["best_position"]
         print(
-            f"{'wlasso(best)':<14}{sweep.mean_alphas[sweep.best_position]:>14.6g}{sweep.m:>6}"
-            f"{sweep.best_mean_error:>14.4e}{sweep.mean_supports[sweep.best_position]:>10.1f}"
-            f"{sweep.mean_sweep_seconds:>10.4f}"
+            f"{'wlasso(best)':<14}{sweep['mean_alphas'][best]:>14.6g}{sweep['m']:>6}"
+            f"{sweep['best_mean_error']:>14.4e}{sweep['mean_supports'][best]:>10.1f}"
+            f"{sweep['mean_sweep_seconds']:>10.4f}"
         )
-    trials = report.config.trials
-    for sweep in report.lasso_sweeps:
+    trials = config["trials"]
+    for sweep in report["lasso"]:
         for alpha, converged, kkt in zip(
-            sweep.mean_alphas, sweep.converged_counts, sweep.max_kkt_residual
+            sweep["mean_alphas"], sweep["converged_counts"], sweep["max_kkt_residual"]
         ):
             if converged < trials or not kkt <= verification.LASSO_KKT_TOLERANCE:
                 print(
-                    f"wlasso m={sweep.m} alpha={alpha:.6g}: {trials - converged}/{trials} "
-                    f"paths hit the {report.config.lasso_max_iterations}-breakpoint cap, "
+                    f"wlasso m={sweep['m']} alpha={alpha:.6g}: {trials - converged}/{trials} "
+                    f"paths hit the {config['lasso_max_iterations']}-breakpoint cap, "
                     f"max KKT residual {kkt:.2e}"
                 )
 

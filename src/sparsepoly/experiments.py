@@ -5,23 +5,29 @@ orthogonality measure, assemble and column-normalize the sensing system, run
 one greedy solve per regularization value (its trace is the selection order
 plus one block of all iterates) and one weighted-LASSO sweep over a
 log-spaced alpha grid, solved exactly by one homotopy path from the
-zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).  The report aggregates, over trials, each greedy
-configuration's stop reasons and iterations run, and for each alpha how often
-the path reached it within the breakpoint cap, the breakpoints walked, and the
-largest KKT residual (`verification.lasso_kkt_residual`, computed outside the
-timed sweep).  Relative errors are measured coefficient-wise against a single
-shared reference fit obtained by least squares (through the normal equations)
-on an oversampled draw; since the basis is orthonormal for the sampling
-measure, the coefficient-space l2 distance equals the function-space L2 error
-of the truncated expansions.  One `coefficients_at` call expands the K
-iterates of a trace into a K x N block, the LASSO path returns one G x N block
-for the alpha grid, and one `relative_error` call scores each block.
+zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).
+The report aggregates, over trials, each greedy configuration's stop reasons
+and iterations run, and for each alpha how often the path reached it within
+the breakpoint cap, the breakpoints walked, and the largest KKT residual
+(`verification.lasso_kkt_residual`).  Relative errors are measured
+coefficient-wise against a single shared reference fit obtained by least
+squares (through the normal equations) on an oversampled draw; since the
+basis is orthonormal for the sampling measure, the coefficient-space l2
+distance equals the function-space L2 error of the truncated expansions.
+One `coefficients_at` call expands the K iterates of a trace into a K x N
+block, the LASSO path returns one G x N block for the alpha grid, and one
+`relative_error` call scores each block.
+
+`run_sweep` returns the data report.json holds, as one dict; the CSV writers
+and the CLI summary read that same dict.
 
 Everything is a pure function of the config (base seed included): the
 reference uses the stream SeedSequence([base_seed, 0]) and trial t at sample
 count m uses SeedSequence([base_seed, 1, m, t]), so earlier trials are stable
-when the trial count grows.  Wall-clock timings cover the decoder calls only
-(assembly excluded; normalization timed separately).
+when the trial count grows.  Wall-clock timings cover the solver calls only:
+a WOMP timing is one `womp_solve` call, a LASSO timing the alpha grid plus
+the `lasso_path` call.  Assembly, scoring and the KKT certificate are
+excluded from every decoder timing; normalization is timed separately.
 """
 
 from __future__ import annotations
@@ -31,7 +37,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -158,47 +164,6 @@ def relative_error(x_hat: np.ndarray, x_ref: np.ndarray):
     return np.sqrt(np.vecdot(diff, diff)) / ref_norm
 
 
-@dataclass
-class WompCurve:
-    """Aggregated K-point curve for one (m, lambda) greedy configuration."""
-
-    m: int
-    lam: float
-    mean_errors: np.ndarray = field(repr=False)
-    std_errors: np.ndarray = field(repr=False)
-    mean_supports: np.ndarray = field(repr=False)
-    mean_seconds: float = 0.0
-    # over trials: how many solves ended for each stop reason, and the mean
-    # number of iterations run
-    stop_reasons: dict[str, int] = field(default_factory=dict)
-    mean_iterations: float = 0.0
-
-
-@dataclass
-class LassoSweep:
-    """Aggregated alpha-grid results for one sample count."""
-
-    m: int
-    mean_alphas: np.ndarray = field(repr=False)
-    mean_errors: np.ndarray = field(repr=False)
-    std_errors: np.ndarray = field(repr=False)
-    mean_supports: np.ndarray = field(repr=False)
-    # per alpha, over trials: paths that reached it within the breakpoint
-    # cap, breakpoints walked to reach it, and the largest KKT residual
-    converged_counts: np.ndarray = field(repr=False)
-    mean_iterations: np.ndarray = field(repr=False)
-    max_iterations_run: np.ndarray = field(repr=False)
-    max_kkt_residual: np.ndarray = field(repr=False)
-    best_position: int = 0
-    best_mean_error: float = float("nan")
-    mean_sweep_seconds: float = 0.0
-
-
-def _json_entry(aggregate) -> dict:
-    """A WompCurve or LassoSweep as a dict, `lam` written as "lambda"."""
-    return {"lambda" if key == "lam" else key: value for key, value in asdict(aggregate).items()}
-
-
 def _json_value(value):
     """value as strict JSON data: arrays become lists, and each non-finite
     float None (null), since JSON has no NaN or Infinity."""
@@ -209,43 +174,6 @@ def _json_value(value):
     if isinstance(value, (list, tuple)):
         return [_json_value(item) for item in value]
     return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
-@dataclass
-class ExperimentReport:
-    config: ExperimentConfig
-    n_basis_functions: int
-    reference_norm: float
-    womp_curves: list[WompCurve]
-    lasso_sweeps: list[LassoSweep]
-    mean_normalize_seconds: dict[int, float]
-
-    def womp_curve(self, m: int, lam: float) -> WompCurve:
-        for curve in self.womp_curves:
-            if curve.m == m and curve.lam == lam:
-                return curve
-        raise KeyError(f"no curve for m={m}, lambda={lam}")
-
-    def lasso_sweep(self, m: int) -> LassoSweep:
-        for sweep in self.lasso_sweeps:
-            if sweep.m == m:
-                return sweep
-        raise KeyError(f"no lasso sweep for m={m}")
-
-    def to_json_dict(self) -> dict:
-        """The report as strict JSON data (see `_json_value`)."""
-        return _json_value({
-            "config": asdict(self.config),
-            "seed_scheme": (
-                "reference: SeedSequence([base_seed, 0]); "
-                "trial t at sample count m: SeedSequence([base_seed, 1, m, t])"
-            ),
-            "n_basis_functions": self.n_basis_functions,
-            "reference_norm": self.reference_norm,
-            "womp": [_json_entry(c) for c in self.womp_curves],
-            "lasso": [_json_entry(s) for s in self.lasso_sweeps],
-            "normalize_seconds": {str(m): t for m, t in self.mean_normalize_seconds.items()},
-        })
 
 
 def _run_trial(
@@ -269,8 +197,9 @@ def _run_trial(
     ks = np.arange(1, config.iterations + 1)
     womp = {"errors": [], "supports": [], "seconds": [], "stop_reasons": [], "iterations": []}
     for lam in config.lambdas:
+        solver_config = WompConfig(lam=lam, max_iterations=config.iterations)
         t0 = time.perf_counter()
-        trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=config.iterations))
+        trace = womp_solve(system, w, solver_config)
         womp["seconds"].append(time.perf_counter() - t0)
         iterates = denormalize_solution(system, trace.coefficients_at(ks))
         womp["errors"].append(relative_error(iterates, x_ref))
@@ -283,10 +212,10 @@ def _run_trial(
         t0 = time.perf_counter()
         alphas = default_alpha_grid(system, w, config.lasso_grid_size)
         path = lasso_path(system, w, alphas, config.lasso_max_iterations)
+        result["lasso_seconds"] = time.perf_counter() - t0
         coefficients = denormalize_solution(system, path.coefficients)
         result["lasso_errors"] = relative_error(coefficients, x_ref)
         result["lasso_supports"] = np.count_nonzero(np.abs(coefficients) > SUPPORT_EPSILON, axis=1)
-        result["lasso_seconds"] = time.perf_counter() - t0
         result["lasso_alphas"] = alphas
         result["lasso_converged"] = path.converged
         result["lasso_iterations"] = path.n_iterations
@@ -296,8 +225,13 @@ def _run_trial(
     return result
 
 
-def run_sweep(config: ExperimentConfig) -> ExperimentReport:
-    """Execute the full multi-trial study of the log-of-shifted-sum target."""
+def run_sweep(config: ExperimentConfig) -> dict:
+    """Execute the full multi-trial study of the log-of-shifted-sum target.
+
+    Returns the data report.json holds, keys in the file's order, with numpy
+    arrays where the file has lists: one `womp` entry per (m, lambda), one
+    `lasso` entry per m, and `normalize_seconds` keyed by str(m).
+    """
     target = target_log_sum(config.dimension)
     index_set = hyperbolic_cross(config.dimension, config.cross_order)
     w = basis.weights(config.basis_kind, index_set)
@@ -308,10 +242,18 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
         config.reference_oversampling,
         np.random.SeedSequence([config.base_seed, 0]),
     )
-
-    womp_curves: list[WompCurve] = []
-    lasso_sweeps: list[LassoSweep] = []
-    normalize_seconds: dict[int, float] = {}
+    report = {
+        "config": asdict(config),
+        "seed_scheme": (
+            "reference: SeedSequence([base_seed, 0]); "
+            "trial t at sample count m: SeedSequence([base_seed, 1, m, t])"
+        ),
+        "n_basis_functions": len(index_set),
+        "reference_norm": float(np.linalg.norm(x_ref)),
+        "womp": [],
+        "lasso": [],
+        "normalize_seconds": {},
+    }
 
     for m in config.sample_counts:
         trials = [
@@ -320,72 +262,66 @@ def run_sweep(config: ExperimentConfig) -> ExperimentReport:
         ]
         # axis 0 of every entry runs over the trials
         r = {key: np.array([t[key] for t in trials]) for key in trials[0]}
-        normalize_seconds[m] = float(r["normalize_seconds"].mean())
+        report["normalize_seconds"][str(m)] = float(r["normalize_seconds"].mean())
         mean_errors = r["womp_errors"].mean(axis=0)
         std_errors = r["womp_errors"].std(axis=0)
         mean_supports = r["womp_supports"].mean(axis=0)
         for i, lam in enumerate(config.lambdas):
+            # over trials: how many solves ended for each stop reason, and
+            # the mean number of iterations run
             stop_reasons = Counter(map(str, r["womp_stop_reasons"][:, i]))
-            womp_curves.append(
-                WompCurve(
-                    m=m,
-                    lam=lam,
-                    mean_errors=mean_errors[i],
-                    std_errors=std_errors[i],
-                    mean_supports=mean_supports[i],
-                    mean_seconds=float(r["womp_seconds"][:, i].mean()),
-                    stop_reasons=dict(sorted(stop_reasons.items())),
-                    mean_iterations=float(r["womp_iterations"][:, i].mean()),
-                )
-            )
+            report["womp"].append({
+                "m": m,
+                "lambda": lam,
+                "mean_errors": mean_errors[i],
+                "std_errors": std_errors[i],
+                "mean_supports": mean_supports[i],
+                "mean_seconds": float(r["womp_seconds"][:, i].mean()),
+                "stop_reasons": dict(sorted(stop_reasons.items())),
+                "mean_iterations": float(r["womp_iterations"][:, i].mean()),
+            })
         if config.include_lasso:
             mean_errors = r["lasso_errors"].mean(axis=0)
             best = int(np.argmin(mean_errors))
-            lasso_sweeps.append(
-                LassoSweep(
-                    m=m,
-                    mean_alphas=r["lasso_alphas"].mean(axis=0),
-                    mean_errors=mean_errors,
-                    std_errors=r["lasso_errors"].std(axis=0),
-                    mean_supports=r["lasso_supports"].mean(axis=0),
-                    converged_counts=r["lasso_converged"].sum(axis=0),
-                    mean_iterations=r["lasso_iterations"].mean(axis=0),
-                    max_iterations_run=r["lasso_iterations"].max(axis=0),
-                    max_kkt_residual=r["lasso_kkt"].max(axis=0),
-                    best_position=best,
-                    best_mean_error=float(mean_errors[best]),
-                    mean_sweep_seconds=float(r["lasso_seconds"].mean()),
-                )
-            )
-
-    return ExperimentReport(
-        config=config,
-        n_basis_functions=len(index_set),
-        reference_norm=float(np.linalg.norm(x_ref)),
-        womp_curves=womp_curves,
-        lasso_sweeps=lasso_sweeps,
-        mean_normalize_seconds=normalize_seconds,
-    )
+            # per alpha, over trials: paths that reached it within the
+            # breakpoint cap, breakpoints walked to reach it, and the largest
+            # KKT residual
+            report["lasso"].append({
+                "m": m,
+                "mean_alphas": r["lasso_alphas"].mean(axis=0),
+                "mean_errors": mean_errors,
+                "std_errors": r["lasso_errors"].std(axis=0),
+                "mean_supports": r["lasso_supports"].mean(axis=0),
+                "converged_counts": r["lasso_converged"].sum(axis=0),
+                "mean_iterations": r["lasso_iterations"].mean(axis=0),
+                "max_iterations_run": r["lasso_iterations"].max(axis=0),
+                "max_kkt_residual": r["lasso_kkt"].max(axis=0),
+                "best_position": best,
+                "best_mean_error": float(mean_errors[best]),
+                "mean_sweep_seconds": float(r["lasso_seconds"].mean()),
+            })
+    return report
 
 
 def _fmt(value) -> str:
     return repr(float(value))
 
 
-def _curve_rows(report: ExperimentReport):
+def _curve_rows(report: dict):
     """(decoder, lambda, m, k, mean error, std error, mean support) per curve
     point: k = 1..K for each greedy curve, then one k = 0 best-alpha row per
     LASSO sweep."""
-    for c in report.womp_curves:
-        for i, mean in enumerate(c.mean_errors):
-            yield "womp", c.lam, c.m, i + 1, mean, c.std_errors[i], c.mean_supports[i]
-    for s in report.lasso_sweeps:
-        b = s.best_position
-        support = s.mean_supports[b]
-        yield "wlasso", s.mean_alphas[b], s.m, 0, s.best_mean_error, s.std_errors[b], support
+    for c in report["womp"]:
+        rows = zip(c["mean_errors"], c["std_errors"], c["mean_supports"])
+        for k, (mean, std, support) in enumerate(rows, start=1):
+            yield "womp", c["lambda"], c["m"], k, mean, std, support
+    for s in report["lasso"]:
+        b = s["best_position"]
+        mean, std, support = s["best_mean_error"], s["std_errors"][b], s["mean_supports"][b]
+        yield "wlasso", s["mean_alphas"][b], s["m"], 0, mean, std, support
 
 
-def write_errors_csv(report: ExperimentReport, path) -> None:
+def write_errors_csv(report: dict, path) -> None:
     """Per-iteration mean/std error rows; one best-alpha row per LASSO sweep."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -394,7 +330,7 @@ def write_errors_csv(report: ExperimentReport, path) -> None:
             writer.writerow([decoder, _fmt(lam), m, k, _fmt(mean), _fmt(std)])
 
 
-def write_support_csv(report: ExperimentReport, path) -> None:
+def write_support_csv(report: dict, path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["decoder", "lambda", "m", "k", "mean_support"])
@@ -402,22 +338,22 @@ def write_support_csv(report: ExperimentReport, path) -> None:
             writer.writerow([decoder, _fmt(lam), m, k, _fmt(support)])
 
 
-def write_runtimes_csv(report: ExperimentReport, path) -> None:
+def write_runtimes_csv(report: dict, path) -> None:
     """Mean decoder wall-clock per configuration (normalization listed too)."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["decoder", "lambda", "m", "mean_seconds"])
-        for curve in report.womp_curves:
-            writer.writerow(["womp", _fmt(curve.lam), curve.m, _fmt(curve.mean_seconds)])
-        for sweep in report.lasso_sweeps:
-            writer.writerow(["wlasso_sweep", "", sweep.m, _fmt(sweep.mean_sweep_seconds)])
-        for m, seconds in report.mean_normalize_seconds.items():
+        for c in report["womp"]:
+            writer.writerow(["womp", _fmt(c["lambda"]), c["m"], _fmt(c["mean_seconds"])])
+        for s in report["lasso"]:
+            writer.writerow(["wlasso_sweep", "", s["m"], _fmt(s["mean_sweep_seconds"])])
+        for m, seconds in report["normalize_seconds"].items():
             writer.writerow(["normalize", "", m, _fmt(seconds)])
 
 
-def write_report_json(report: ExperimentReport, path) -> None:
+def write_report_json(report: dict, path) -> None:
     with open(path, "w") as fh:
-        json.dump(report.to_json_dict(), fh, indent=2, allow_nan=False)
+        json.dump(_json_value(report), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -430,7 +366,7 @@ OUTPUT_WRITERS = {
 }
 
 
-def write_outputs(report: ExperimentReport, out_dir) -> list[Path]:
+def write_outputs(report: dict, out_dir) -> list[Path]:
     """Write every file of OUTPUT_WRITERS into out_dir; returns their paths."""
     for name, writer in OUTPUT_WRITERS.items():
         writer(report, Path(out_dir) / name)

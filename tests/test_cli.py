@@ -12,7 +12,7 @@ from sparsepoly.cli import (
     parse_config_text,
     render_config,
 )
-from sparsepoly.experiments import ExperimentConfig
+from sparsepoly.experiments import ExperimentConfig, run_sweep
 from sparsepoly.womp import compute_delta
 
 QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
@@ -239,6 +239,27 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
         # report.json is strict JSON: a NaN is written as null
         report = json.loads((out_dir / "report.json").read_text(), parse_constant=reject)
         assert report["lasso"][0]["max_kkt_residual"] == [written] * 4
+
+
+def test_report_json_reruns_equal_run_sweep(tmp_path, capsys):
+    # reruns of one config and seed write the same report.json apart from
+    # its timing values, and that data is what run_sweep returns
+    timings = {"mean_seconds", "mean_sweep_seconds", "normalize_seconds"}
+
+    def without_timings(value):
+        if isinstance(value, dict):
+            return {k: without_timings(v) for k, v in value.items() if k not in timings}
+        if isinstance(value, list):
+            return [without_timings(v) for v in value]
+        return value
+
+    reports = []
+    for name in ("a", "b"):
+        assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(tmp_path / name)]) == 0
+        reports.append(json.loads((tmp_path / name / "report.json").read_text()))
+    capsys.readouterr()
+    expected = without_timings(experiments._json_value(run_sweep(parse_config(QUICK_CONFIG))))
+    assert without_timings(reports[0]) == without_timings(reports[1]) == expected
 
 
 def test_failed_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 from pathlib import Path
 
 import numpy as np
@@ -7,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepoly import basis
+from sparsepoly import basis, experiments
 from sparsepoly.cli import main
 from sparsepoly.experiments import (
     ExperimentConfig,
+    _json_value,
     reference_coefficients,
     relative_error,
     run_sweep,
@@ -201,24 +203,24 @@ def test_minimal_sweep_shapes():
         include_lasso=False,
     )
     report = run_sweep(config)
-    assert len(report.womp_curves) == 1
-    curve = report.womp_curves[0]
-    assert curve.mean_errors.shape == (1,)
-    assert curve.mean_supports.shape == (1,)
-    assert report.lasso_sweeps == []
-    assert report.n_basis_functions == 5
+    assert len(report["womp"]) == 1
+    curve = report["womp"][0]
+    assert curve["mean_errors"].shape == (1,)
+    assert curve["mean_supports"].shape == (1,)
+    assert report["lasso"] == []
+    assert report["n_basis_functions"] == 5
 
 
 def test_sweep_is_deterministic():
     config = ExperimentConfig(**SMALL)
     a = run_sweep(config)
     b = run_sweep(config)
-    for ca, cb in zip(a.womp_curves, b.womp_curves):
-        np.testing.assert_array_equal(ca.mean_errors, cb.mean_errors)
-        np.testing.assert_array_equal(ca.mean_supports, cb.mean_supports)
-    for sa, sb in zip(a.lasso_sweeps, b.lasso_sweeps):
-        np.testing.assert_array_equal(sa.mean_errors, sb.mean_errors)
-        assert sa.best_position == sb.best_position
+    for ca, cb in zip(a["womp"], b["womp"]):
+        np.testing.assert_array_equal(ca["mean_errors"], cb["mean_errors"])
+        np.testing.assert_array_equal(ca["mean_supports"], cb["mean_supports"])
+    for sa, sb in zip(a["lasso"], b["lasso"]):
+        np.testing.assert_array_equal(sa["mean_errors"], sb["mean_errors"])
+        assert sa["best_position"] == sb["best_position"]
 
 
 @settings(max_examples=4, deadline=None)
@@ -244,31 +246,29 @@ def test_sweep_repeats_give_equal_curves(kind, d, m, seed):
     )
     a = run_sweep(config)
     b = run_sweep(config)
-    for ca, cb in zip(a.womp_curves, b.womp_curves, strict=True):
-        np.testing.assert_array_equal(ca.mean_errors, cb.mean_errors)
-        np.testing.assert_array_equal(ca.std_errors, cb.std_errors)
-        np.testing.assert_array_equal(ca.mean_supports, cb.mean_supports)
-    for sa, sb in zip(a.lasso_sweeps, b.lasso_sweeps, strict=True):
-        np.testing.assert_array_equal(sa.mean_errors, sb.mean_errors)
-        np.testing.assert_array_equal(sa.std_errors, sb.std_errors)
-        np.testing.assert_array_equal(sa.converged_counts, sb.converged_counts)
+    for ca, cb in zip(a["womp"], b["womp"], strict=True):
+        np.testing.assert_array_equal(ca["mean_errors"], cb["mean_errors"])
+        np.testing.assert_array_equal(ca["std_errors"], cb["std_errors"])
+        np.testing.assert_array_equal(ca["mean_supports"], cb["mean_supports"])
+    for sa, sb in zip(a["lasso"], b["lasso"], strict=True):
+        np.testing.assert_array_equal(sa["mean_errors"], sb["mean_errors"])
+        np.testing.assert_array_equal(sa["std_errors"], sb["std_errors"])
+        np.testing.assert_array_equal(sa["converged_counts"], sb["converged_counts"])
 
 
 def test_sweep_report_lookup_and_json():
     config = ExperimentConfig(**SMALL)
     report = run_sweep(config)
-    curve = report.womp_curve(25, 1e-4)
-    assert curve.lam == 1e-4
-    with pytest.raises(KeyError):
-        report.womp_curve(25, 0.123)
-    sweep = report.lasso_sweep(25)
-    assert sweep.mean_errors.shape == (4,)
-    assert sweep.best_mean_error == sweep.mean_errors[sweep.best_position]
+    (curve,) = [c for c in report["womp"] if (c["m"], c["lambda"]) == (25, 1e-4)]
+    assert curve["lambda"] == 1e-4
+    (sweep,) = [s for s in report["lasso"] if s["m"] == 25]
+    assert sweep["mean_errors"].shape == (4,)
+    assert sweep["best_mean_error"] == sweep["mean_errors"][sweep["best_position"]]
 
-    payload = report.to_json_dict()
+    payload = _json_value(report)
     text = json.dumps(payload)
     back = json.loads(text)
-    assert back["n_basis_functions"] == report.n_basis_functions
+    assert back["n_basis_functions"] == report["n_basis_functions"]
     assert len(back["womp"]) == 2
     assert back["config"]["trials"] == 2
     # every grid alpha carries its worst KKT certificate over the trials
@@ -276,12 +276,28 @@ def test_sweep_report_lookup_and_json():
     assert max(back["lasso"][0]["max_kkt_residual"]) <= LASSO_KKT_TOLERANCE
 
 
+def test_decoder_timings_exclude_scoring(monkeypatch):
+    # with scoring slowed to 50 ms a call, no decoder timing reaches 50 ms
+    score = experiments.relative_error
+
+    def slow_score(*args):
+        time.sleep(0.05)
+        return score(*args)
+
+    monkeypatch.setattr(experiments, "relative_error", slow_score)
+    report = run_sweep(ExperimentConfig(**{**SMALL, "trials": 1}))
+    seconds = [c["mean_seconds"] for c in report["womp"]]
+    seconds += [s["mean_sweep_seconds"] for s in report["lasso"]]
+    assert len(seconds) == 3
+    assert max(seconds) < 0.05
+
+
 def test_errors_decrease_from_one():
     config = ExperimentConfig(**SMALL)
     report = run_sweep(config)
-    for curve in report.womp_curves:
-        assert curve.mean_errors[0] < 1.0
-        assert np.all(curve.mean_errors >= 0.0)
+    for curve in report["womp"]:
+        assert curve["mean_errors"][0] < 1.0
+        assert np.all(curve["mean_errors"] >= 0.0)
 
 
 def test_csv_outputs(tmp_path):
@@ -360,9 +376,9 @@ def test_womp_stop_reasons_cover_every_trial():
     config = ExperimentConfig(**SMALL)
     report = run_sweep(config)
     reasons = {STOP_MAX_ITERATIONS, STOP_ZERO_DELTA, STOP_IN_SUPPORT_RESELECT, STOP_RESIDUAL_FLOOR}
-    for curve, entry in zip(report.womp_curves, report.to_json_dict()["womp"], strict=True):
-        assert set(curve.stop_reasons) <= reasons
-        assert sum(curve.stop_reasons.values()) == config.trials
-        assert 1.0 <= curve.mean_iterations <= config.iterations
-        assert entry["stop_reasons"] == curve.stop_reasons
-        assert entry["mean_iterations"] == curve.mean_iterations
+    for curve, entry in zip(report["womp"], _json_value(report)["womp"], strict=True):
+        assert set(curve["stop_reasons"]) <= reasons
+        assert sum(curve["stop_reasons"].values()) == config.trials
+        assert 1.0 <= curve["mean_iterations"] <= config.iterations
+        assert entry["stop_reasons"] == curve["stop_reasons"]
+        assert entry["mean_iterations"] == curve["mean_iterations"]

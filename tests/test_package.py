@@ -88,6 +88,15 @@ def test_solver_and_library_modules_define_no_objective_or_test_builder():
         assert [name for name in moved if hasattr(module, name)] == [], module.__name__
 
 
+def test_experiments_keeps_the_report_only_as_report_json_data():
+    # run_sweep returns the dict report.json holds; no dataclass mirrors it
+    deleted = (
+        "WompCurve", "LassoSweep", "ExperimentReport", "womp_curve", "lasso_sweep",
+        "_json_entry", "to_json_dict",
+    )
+    assert [name for name in deleted if hasattr(experiments, name)] == []
+
+
 def test_readme_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     quickstart = readme.split("## Library quickstart", 1)[1]
