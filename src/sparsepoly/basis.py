@@ -40,9 +40,11 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
         Array of shape t.shape + (max_degree + 1,).
 
     Raises:
-        ValueError: for unknown kind or points outside [-1, 1].
+        ValueError: for unknown kind, max_degree < 0 or points outside [-1, 1].
     """
     _check_kind(kind)
+    if max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.abs(t) <= 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
@@ -66,18 +68,6 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
     return out * scale
 
 
-def eval_1d(kind: str, degree: int, t):
-    """Orthonormal univariate polynomial of the given degree at t.
-
-    t may be a scalar or an array; the result has the same shape.
-    """
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
-    table = eval_1d_table(kind, degree, np.asarray(t, dtype=np.float64))
-    value = table[..., degree]
-    return float(value) if value.ndim == 0 else value
-
-
 def eval_tensor(kind: str, index, point) -> float:
     """Tensor-product polynomial phi_j(t) = prod_k phi_{j_k}(t_k)."""
     index = np.asarray(index, dtype=np.int64)
@@ -88,37 +78,23 @@ def eval_tensor(kind: str, index, point) -> float:
         )
     value = 1.0
     for jk, tk in zip(index, point):
-        value *= eval_1d(kind, int(jk), float(tk))
+        value *= float(eval_1d_table(kind, int(jk), tk)[jk])
     return value
-
-
-def _sup_norms(kind: str, indices: np.ndarray) -> np.ndarray:
-    """Closed-form tensor sup norms of the rows of an (N, d) index array."""
-    idx = np.asarray(indices, dtype=np.float64)
-    if kind == LEGENDRE:
-        # product of per-factor norms, in coordinate order, so the value is
-        # bit-identical to |phi_j| evaluated at the corner (1, ..., 1)
-        return np.multiply.reduce(np.sqrt(2.0 * idx + 1.0), axis=1)
-    return np.sqrt(2.0) ** np.count_nonzero(idx, axis=1)
-
-
-def weight(kind: str, index) -> float:
-    """Sup norm of the tensor polynomial phi_j on the open cube (closed form)."""
-    _check_kind(kind)
-    index = np.asarray(index, dtype=np.int64)
-    if np.any(index < 0):
-        raise ValueError("multi-index entries must be nonnegative")
-    return float(_sup_norms(kind, index.reshape(1, -1))[0])
 
 
 def weights(kind: str, index_set) -> np.ndarray:
     """Weight vector aligned to the index-set ordering.
 
-    Entries are the tensor sup norms; they are >= 1 for both families, with
-    exactly 1 at the zero index.
+    Entries are the closed-form tensor sup norms; they are >= 1 for both
+    families, with exactly 1 at the zero index.
     """
     _check_kind(kind)
-    return _sup_norms(kind, index_set.indices)
+    idx = np.asarray(index_set.indices, dtype=np.float64)
+    if kind == LEGENDRE:
+        # product of per-factor norms, in coordinate order, so the value is
+        # bit-identical to |phi_j| evaluated at the corner (1, ..., 1)
+        return np.multiply.reduce(np.sqrt(2.0 * idx + 1.0), axis=1)
+    return np.sqrt(2.0) ** np.count_nonzero(idx, axis=1)
 
 
 def sample_measure(kind: str, d: int, m: int, rng_seed) -> np.ndarray:

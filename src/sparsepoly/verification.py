@@ -8,16 +8,19 @@ Each oracle takes a route independent of the code path it validates:
   classical matching-pursuit implementation;
 * hyperbolic-cross membership is re-enumerated by scanning the full degree
   box;
-* univariate orthonormality is re-checked by Gaussian quadrature, and
-  closed-form sup-norm weights by dense grid maximization;
+* the design columns (`basis.evaluate_design`) are re-checked for
+  orthonormality by tensor Gaussian quadrature, and the closed-form sup-norm
+  weights (`basis.weights`) by dense grid maximization;
 * weighted-LASSO path solutions are certified by their KKT residual, computed
   from the optimality conditions of the unscaled problem.
 
 The module also holds what the oracles and the tests evaluate or build but no
 solver runs: the greedy objective G_lam (`g_lambda`, with its `weighted_l0`
 term), the random test systems, and targets that are exact finite expansions
-(`expansion_target`, through `evaluate_expansion`).  The solvers themselves
-live in `womp` and `lasso`.
+(`expansion_target`).  The solvers themselves live in `womp` and `lasso`.
+Each check calls the study's own function through its module (for instance
+`womp.delta_scores`, which `womp_solve` looks up too), so a change to it
+shows in `verify`.
 """
 
 from __future__ import annotations
@@ -27,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import basis
+from . import basis, womp
 from .assembly import LinearSystem, TargetFunction, normalize_columns
 from .index_sets import MultiIndexSet, hyperbolic_cross
 from .lasso import lasso_path
-from .womp import SUPPORT_EPSILON, WompConfig, compute_delta, womp_solve
+from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
 
 DELTA_CHECK_LAMBDAS = (0.0, 1e-4, 1e-2)
 
@@ -59,12 +62,13 @@ def brute_force_hyperbolic_cross(d: int, s: int) -> set[tuple[int, ...]]:
     return out
 
 
-def quadrature_gram(kind: str, max_degree: int) -> np.ndarray:
-    """Gram matrix of the univariate basis under its probability measure.
+def quadrature_gram(kind: str, index_set: MultiIndexSet) -> np.ndarray:
+    """Gram matrix of the `basis.evaluate_design` columns under the product
+    probability measure, by a tensor product of 64-node rules.
 
-    64-node Gauss-Legendre rule (weights halved) for the uniform measure,
-    64-node Gauss-Chebyshev rule (equal weights 1/64) for the arcsine
-    measure; both are exact for the polynomial integrands up to degree 63.
+    Gauss-Legendre (weights halved) for the uniform measure, Gauss-Chebyshev
+    (equal weights 1/64) for the arcsine measure; both are exact up to degree
+    127 per axis, so for products of two polynomials of degree <= 63.
     """
     if kind == basis.LEGENDRE:
         nodes, wts = np.polynomial.legendre.leggauss(64)
@@ -73,8 +77,11 @@ def quadrature_gram(kind: str, max_degree: int) -> np.ndarray:
         i = np.arange(1, 65)
         nodes = np.cos((2 * i - 1) * np.pi / 128)
         wts = np.full(64, 1.0 / 64)
-    table = basis.eval_1d_table(kind, max_degree, nodes)
-    return table.T @ (wts[:, None] * table)
+    d = index_set.dimension
+    points = np.stack(np.meshgrid(*[nodes] * d, indexing="ij"), axis=-1).reshape(-1, d)
+    point_wts = np.prod(np.meshgrid(*[wts] * d, indexing="ij"), axis=0).ravel()
+    design = basis.evaluate_design(kind, index_set, points)
+    return design.T @ (point_wts[:, None] * design)
 
 
 def grid_sup_norm(kind: str, index) -> float:
@@ -87,7 +94,7 @@ def grid_sup_norm(kind: str, index) -> float:
     grid = np.linspace(-1.0, 1.0, 2001)
     value = 1.0
     for jk in np.asarray(index, dtype=np.int64):
-        value *= float(np.max(np.abs(basis.eval_1d(kind, int(jk), grid))))
+        value *= float(np.max(np.abs(basis.eval_1d_table(kind, int(jk), grid)[:, jk])))
     return value
 
 
@@ -135,10 +142,11 @@ def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.nda
     """min_t G_lam(x + t e_j) for every j, by two-stage grid search.
 
     Stage one scans 2001 uniform points over [-3||y||, 3||y||]; stage two
-    rescans one coarse cell around the best candidate at the same
-    resolution.  The jump points t = 0 and t = -x_j of the support term are
-    always included as candidates.  The objective is evaluated directly from
-    its definition (explicit residuals, support sum thresholded at 1e-12).
+    rescans one coarse cell on either side of the point with the smallest
+    residual term at the same resolution.  The jump points t = 0 and t = -x_j
+    of the support term are always included as candidates.  The objective is
+    evaluated directly from its definition (explicit residuals, support sum
+    thresholded at 1e-12).
     """
     matrix, y = system.matrix, system.rhs
     x = np.asarray(x, dtype=np.float64)
@@ -150,12 +158,12 @@ def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.nda
     # weighted-l0 of x with coordinate j's own contribution removed
     base = support_sum - w2 * active
 
-    def evaluate(ts: np.ndarray) -> np.ndarray:
-        # ts has shape (n, T): candidate updates per coordinate
+    def evaluate(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # ts is (n, T), candidate updates per coordinate; returns (fit, objective)
         shifted = residual[:, None, None] - matrix[:, :, None] * ts[None, :, :]
         fit = np.sum(shifted**2, axis=0)
         updated = x[:, None] + ts
-        return fit + lam * (base[:, None] + w2[:, None] * (np.abs(updated) > 1e-12))
+        return fit, fit + lam * (base[:, None] + w2[:, None] * (np.abs(updated) > 1e-12))
 
     half_width = 3.0 * float(np.linalg.norm(y))
     if half_width == 0.0:
@@ -164,13 +172,17 @@ def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.nda
     specials = np.stack([np.zeros(n), -x], axis=1)
 
     ts1 = np.concatenate([np.broadcast_to(coarse, (n, coarse.size)), specials], axis=1)
-    values1 = evaluate(ts1)
-    best1 = ts1[np.arange(n), np.argmin(values1, axis=1)]
+    fit1, values1 = evaluate(ts1)
+    # off the jump points the support term is constant, so rescan around the
+    # grid point with the smallest residual term: a jump point that wins stage
+    # one (t = 0 is on the grid) is exact already and would hide a smaller
+    # decrease off it
+    best1 = coarse[np.argmin(fit1[:, : coarse.size], axis=1)]
 
     cell = coarse[1] - coarse[0]
     fine = np.linspace(-cell, cell, 2001)
     ts2 = np.concatenate([best1[:, None] + fine[None, :], specials], axis=1)
-    values2 = evaluate(ts2)
+    _, values2 = evaluate(ts2)
     return np.minimum(np.min(values1, axis=1), np.min(values2, axis=1))
 
 
@@ -190,25 +202,20 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
     return normalize_columns(raw)
 
 
-def evaluate_expansion(kind: str, index_set, coefficients, points: np.ndarray) -> np.ndarray:
-    """Evaluate sum_j c_j phi_j at each point; returns an (m,) array."""
-    coefficients = np.asarray(coefficients, dtype=np.float64)
-    if coefficients.shape != (len(index_set),):
-        raise ValueError("coefficient length must match the index set")
-    return basis.evaluate_design(kind, index_set, points) @ coefficients
-
-
 def expansion_target(
     kind: str,
     index_set: MultiIndexSet,
     coefficients: np.ndarray,
     description: str = "",
 ) -> TargetFunction:
-    """A target that is exactly a finite combination of basis polynomials."""
+    """A target that is exactly a finite combination of basis polynomials,
+    sum_j c_j phi_j, evaluated through `basis.evaluate_design`."""
     coefficients = np.asarray(coefficients, dtype=np.float64).copy()
+    if coefficients.shape != (len(index_set),):
+        raise ValueError("coefficient length must match the index set")
 
     def evaluator(points: np.ndarray) -> np.ndarray:
-        return evaluate_expansion(kind, index_set, coefficients, points)
+        return basis.evaluate_design(kind, index_set, points) @ coefficients
 
     label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
     return TargetFunction(evaluator, description=label)
@@ -253,10 +260,9 @@ def _delta_identity_cases(seed: int):
         w = rng.uniform(1.0, 2.0, size=30)
         for lam in DELTA_CHECK_LAMBDAS:
             for state, (x, support) in enumerate(collect_womp_states(system, w, lam, 4)):
-                g_value = g_lambda(x, system, w, lam)
-                predicted = [
-                    g_value - compute_delta(x, support, j, system, w, lam) for j in range(30)
-                ]
+                correlations = system.matrix.T @ (system.rhs - system.matrix @ x)
+                scores = womp.delta_scores(support, x[support], correlations, w, lam)
+                predicted = g_lambda(x, system, w, lam) - scores
                 deviation = np.max(np.abs(grid_min_g_lambda(system, w, lam, x) - predicted))
                 yield float(deviation), (
                     f"instance {instance} (seed {seed}), lambda={lam}, state {state}"
@@ -285,8 +291,11 @@ def _cross_cases():
 
 
 def _orthonormality_cases():
+    # every univariate degree <= 12 and their products, N = 37
+    index_set = hyperbolic_cross(2, 13)
     for kind in basis.BASIS_KINDS:
-        yield float(np.max(np.abs(quadrature_gram(kind, 12) - np.eye(13)))), f"{kind} Gram"
+        gram = quadrature_gram(kind, index_set)
+        yield float(np.max(np.abs(gram - np.eye(len(index_set))))), f"{kind} Gram"
 
 
 def _weight_cases(seed: int):
@@ -295,7 +304,7 @@ def _weight_cases(seed: int):
         d = int(rng.integers(1, 4))
         index = rng.integers(0, 7, size=d)
         for kind in basis.BASIS_KINDS:
-            closed = basis.weight(kind, index)
+            closed = basis.weights(kind, MultiIndexSet(d, [index]))[0]
             yield abs(grid_sup_norm(kind, index) - closed) / closed, (
                 f"{kind} index {index.tolist()} (seed {seed})"
             )
@@ -341,7 +350,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         ("hyperbolic_cross_counts", _cross_cases(), 0.0,
          "box scans for d<=4, s<=8 and |cross(10,10)| = 571"),
         ("orthonormality_quadrature", _orthonormality_cases(), 1e-10,
-         "degrees <= 12, both bases"),
+         "design columns of hyperbolic_cross(2, 13), N=37, both bases"),
         ("weight_closed_forms", _weight_cases(seed + 2), 1e-6, "50 indices, both bases"),
         ("weighted_lasso_kkt", _lasso_kkt_cases(seed + 3), LASSO_KKT_TOLERANCE,
          "5 paths of 12 alphas"),

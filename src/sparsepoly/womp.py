@@ -140,21 +140,6 @@ def delta_scores(
     return scores
 
 
-def compute_delta(
-    x: np.ndarray, support, j: int, system: LinearSystem, w: np.ndarray, lam: float
-) -> float:
-    """Exact achievable decrease of G_lam by re-optimizing coordinate j.
-
-    Assumes x minimizes the residual over vectors supported on `support`
-    and that the system columns are unit-norm.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    support = np.asarray(support, dtype=np.intp)
-    residual = system.rhs - system.matrix @ x
-    correlations = system.matrix.T @ residual
-    return float(delta_scores(support, x[support], correlations, w, lam)[j])
-
-
 def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
     """Minimize ||A_S z - y|| over z supported on S; zero elsewhere.
 

@@ -4,53 +4,57 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly import basis
-from sparsepoly.index_sets import hyperbolic_cross
-from sparsepoly.verification import evaluate_expansion, grid_sup_norm, quadrature_gram
+from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
+from sparsepoly.verification import expansion_target, grid_sup_norm, quadrature_gram
 
 
 def test_constant_polynomial_is_one():
     for kind in basis.BASIS_KINDS:
         for t in (-1.0, -0.3, 0.0, 0.99, 1.0):
-            assert basis.eval_1d(kind, 0, t) == 1.0
+            assert basis.eval_1d_table(kind, 0, t)[0] == 1.0
 
 
 def test_legendre_degree_one():
     # orthonormalized P_1(t) = t against the uniform probability measure
-    assert basis.eval_1d("legendre", 1, 0.5) == pytest.approx(np.sqrt(3) * 0.5, abs=1e-14)
+    assert basis.eval_1d_table("legendre", 1, 0.5)[1] == pytest.approx(np.sqrt(3) * 0.5, abs=1e-14)
 
 
 def test_chebyshev_closed_form():
     # phi_k(t) = sqrt(2) cos(k arccos t) for k >= 1
     t = np.cos(np.pi / 7)
     expected = np.sqrt(2) * np.cos(3 * np.pi / 7)
-    assert basis.eval_1d("chebyshev", 3, t) == pytest.approx(expected, abs=1e-14)
+    assert basis.eval_1d_table("chebyshev", 3, t)[3] == pytest.approx(expected, abs=1e-14)
     ts = np.linspace(-1, 1, 101)
     for k in (1, 2, 5, 9):
         np.testing.assert_allclose(
-            basis.eval_1d("chebyshev", k, ts),
+            basis.eval_1d_table("chebyshev", k, ts)[:, k],
             np.sqrt(2) * np.cos(k * np.arccos(ts)),
             atol=1e-12,
         )
 
 
 def test_orthonormality_by_quadrature():
+    # every univariate degree <= 12 and their products, through evaluate_design
+    index_set = hyperbolic_cross(2, 13)
     for kind in basis.BASIS_KINDS:
-        gram = quadrature_gram(kind, 12)
-        np.testing.assert_allclose(gram, np.eye(13), atol=1e-10)
+        gram = quadrature_gram(kind, index_set)
+        np.testing.assert_allclose(gram, np.eye(37), atol=1e-10)
 
 
 def test_rejects_out_of_domain_points():
     with pytest.raises(ValueError):
-        basis.eval_1d("legendre", 2, 1.0 + 1e-9)
+        basis.eval_1d_table("legendre", 2, 1.0 + 1e-9)
     with pytest.raises(ValueError):
-        basis.eval_1d("chebyshev", 2, np.array([0.0, -1.1]))
+        basis.eval_1d_table("chebyshev", 2, np.array([0.0, -1.1]))
     with pytest.raises(ValueError):
-        basis.eval_1d("legendre", 2, np.array([0.0, np.nan]))
+        basis.eval_1d_table("legendre", 2, np.array([0.0, np.nan]))
+    with pytest.raises(ValueError, match="max_degree must be >= 0"):
+        basis.eval_1d_table("legendre", -1, 0.5)
 
 
 def test_rejects_unknown_kind():
     with pytest.raises(ValueError):
-        basis.eval_1d("hermite", 1, 0.0)
+        basis.eval_1d_table("hermite", 1, 0.0)
 
 
 def test_tensor_zero_index_is_one():
@@ -79,12 +83,14 @@ def test_tensor_dimension_mismatch():
 
 def test_weight_zero_index():
     for kind in basis.BASIS_KINDS:
-        assert basis.weight(kind, [0, 0, 0, 0]) == 1.0
+        assert basis.weights(kind, MultiIndexSet(4, [[0, 0, 0, 0]]))[0] == 1.0
 
 
 def test_weight_closed_forms():
-    assert basis.weight("legendre", [2, 1]) == pytest.approx(np.sqrt(5) * np.sqrt(3), abs=1e-14)
-    assert basis.weight("chebyshev", [4, 0, 7]) == pytest.approx(2.0, abs=1e-14)
+    legendre = basis.weights("legendre", MultiIndexSet(2, [[2, 1]]))[0]
+    assert legendre == pytest.approx(np.sqrt(5) * np.sqrt(3), abs=1e-14)
+    chebyshev = basis.weights("chebyshev", MultiIndexSet(3, [[4, 0, 7]]))[0]
+    assert chebyshev == pytest.approx(2.0, abs=1e-14)
 
 
 def test_weight_matches_grid_maximization():
@@ -93,7 +99,7 @@ def test_weight_matches_grid_maximization():
         d = int(rng.integers(1, 4))
         index = rng.integers(0, 7, size=d)
         for kind in basis.BASIS_KINDS:
-            closed = basis.weight(kind, index)
+            closed = basis.weights(kind, MultiIndexSet(d, [index]))[0]
             assert grid_sup_norm(kind, index) == pytest.approx(closed, rel=1e-6)
 
 
@@ -103,7 +109,7 @@ def test_legendre_sup_attained_at_corner():
         d = int(rng.integers(1, 5))
         index = rng.integers(0, 8, size=d)
         value = abs(basis.eval_tensor("legendre", index, np.ones(d)))
-        assert value == basis.weight("legendre", index)
+        assert value == basis.weights("legendre", MultiIndexSet(d, [index]))[0]
 
 
 def test_weights_vector_alignment():
@@ -113,7 +119,7 @@ def test_weights_vector_alignment():
     assert w[0] == 1.0
     assert np.all(w >= 1.0)
     for i, j in enumerate(ms.indices):
-        assert w[i] == pytest.approx(basis.weight("legendre", j), abs=0)
+        assert w[i] == basis.weights("legendre", MultiIndexSet(3, [j]))[0]
 
 
 @settings(max_examples=30, deadline=None)
@@ -122,7 +128,7 @@ def test_weights_vector_alignment():
     kind=st.sampled_from(basis.BASIS_KINDS),
 )
 def test_weight_at_least_one(entries, kind):
-    assert basis.weight(kind, entries) >= 1.0
+    assert basis.weights(kind, MultiIndexSet(len(entries), [entries]))[0] >= 1.0
 
 
 def test_sampling_is_reproducible():
@@ -158,13 +164,16 @@ def test_expansion_evaluation_matches_tensor():
     coeffs[3] = 2.0
     coeffs[5] = -1.0
     pts = basis.sample_measure("legendre", 2, 10, 1)
-    values = evaluate_expansion("legendre", ms, coeffs, pts)
+    values = expansion_target("legendre", ms, coeffs)(pts)
     expected = [
         2.0 * basis.eval_tensor("legendre", ms.indices[3], p)
         - basis.eval_tensor("legendre", ms.indices[5], p)
         for p in pts
     ]
     np.testing.assert_allclose(values, expected, atol=1e-12)
+    # the length is checked when the target is built, not when it is evaluated
+    with pytest.raises(ValueError, match="coefficient length"):
+        expansion_target("legendre", ms, coeffs[:-1])
 
 
 def plain_design(kind, index_set, points):

@@ -1,10 +1,11 @@
+import functools
 import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsepoly import cli, experiments, verification
+from sparsepoly import basis, cli, experiments, verification, womp
 from sparsepoly.cli import (
     ConfigError,
     main,
@@ -13,7 +14,6 @@ from sparsepoly.cli import (
     render_config,
 )
 from sparsepoly.experiments import ExperimentConfig, run_sweep
-from sparsepoly.womp import compute_delta
 
 QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
 
@@ -327,15 +327,34 @@ def test_cmd_verify_passes(capsys):
     ]
 
 
-def test_corrupted_delta_is_detected(monkeypatch):
-    def corrupted(x, support, j, system, w, lam):
-        return -compute_delta(x, support, j, system, w, lam)
+def scale_weights(original, kind, index_set):
+    return 1.01 * original(kind, index_set)
 
-    monkeypatch.setattr(verification, "compute_delta", corrupted)
+
+def scale_last_design_column(original, kind, index_set, points):
+    design = original(kind, index_set, points)
+    design[:, -1] *= 1.01
+    return design
+
+
+def score_without_lambda(original, support, values, correlations, w, lam):
+    return original(support, values, correlations, w, 0.0)
+
+
+# study function -> (its module, a corruption of it, the one check that must catch it)
+STUDY_MUTATIONS = {
+    "weights": (basis, scale_weights, "weight_closed_forms"),
+    "evaluate_design": (basis, scale_last_design_column, "orthonormality_quadrature"),
+    "delta_scores": (womp, score_without_lambda, "greedy_delta_identity"),
+}
+
+
+@pytest.mark.parametrize("function", STUDY_MUTATIONS)
+def test_a_corrupted_study_function_fails_exactly_its_check(monkeypatch, function):
+    module, corrupt, check_name = STUDY_MUTATIONS[function]
+    monkeypatch.setattr(module, function, functools.partial(corrupt, getattr(module, function)))
     results = verification.run_checks(seed=0)
-    by_name = {r.name: r for r in results}
-    assert not by_name["greedy_delta_identity"].passed
-    assert by_name["omp_reduction"].passed
+    assert [r.passed for r in results] == [r.name != check_name for r in results]
 
 
 # oracle -> (the check it serves, where that check's first case is)

@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 
 import sparsepoly
-from sparsepoly import basis, experiments, lasso, womp
+from sparsepoly import (
+    assembly, basis, cli, experiments, index_sets, lasso, verification, womp,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -81,20 +83,24 @@ def test_package_exports_only_the_benchmark_and_study_names():
 def test_solver_and_library_modules_define_no_objective_or_test_builder():
     # these live beside the oracles in verification.py, or in tests/test_lasso.py
     moved = (
-        "g_lambda", "weighted_l0", "lasso_objective", "weighted_l1_norm",
-        "expansion_target", "evaluate_expansion",
+        "g_lambda", "weighted_l0", "lasso_objective", "weighted_l1_norm", "expansion_target",
     )
     for module in (womp, lasso, experiments, basis):
         assert [name for name in moved if hasattr(module, name)] == [], module.__name__
 
 
-def test_experiments_keeps_the_report_only_as_report_json_data():
-    # run_sweep returns the dict report.json holds; no dataclass mirrors it
+def test_deleted_names_stay_deleted():
     deleted = (
+        # run_sweep returns the dict report.json holds; no dataclass mirrors it
         "WompCurve", "LassoSweep", "ExperimentReport", "womp_curve", "lasso_sweep",
         "_json_entry", "to_json_dict",
+        # second entry points that only the oracles called; `verify` runs the
+        # study's delta_scores, weights, eval_1d_table and evaluate_design
+        "compute_delta", "weight", "eval_1d", "evaluate_expansion",
     )
-    assert [name for name in deleted if hasattr(experiments, name)] == []
+    modules = (assembly, basis, cli, experiments, index_sets, lasso, verification, womp)
+    for module in modules:
+        assert [name for name in deleted if hasattr(module, name)] == [], module.__name__
 
 
 def test_readme_quickstart_runs(capsys):

@@ -1,7 +1,7 @@
 """Solver properties on the systems the study itself builds: polynomial
 designs at points from `sample_measure`, column-normalized, with the basis
 weights, rather than the Gaussian test systems of test_womp.py and
-test_lasso.py."""
+test_lasso.py.  The greedy-selection property draws from both."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -12,15 +12,27 @@ from sparsepoly.assembly import build_system, normalize_columns
 from sparsepoly.experiments import DEFAULT_LAMBDAS, target_log_sum
 from sparsepoly.index_sets import hyperbolic_cross
 from sparsepoly.lasso import default_alpha_grid, lasso_path
-from sparsepoly.verification import LASSO_KKT_TOLERANCE, expansion_target, lasso_kkt_residual
+from sparsepoly.verification import (
+    DELTA_CHECK_LAMBDAS,
+    LASSO_KKT_TOLERANCE,
+    collect_womp_states,
+    expansion_target,
+    g_lambda,
+    grid_min_g_lambda,
+    lasso_kkt_residual,
+    random_test_system,
+)
 from sparsepoly.womp import (
     STOP_IN_SUPPORT_RESELECT,
     STOP_MAX_ITERATIONS,
     STOP_RESIDUAL_FLOOR,
     STOP_ZERO_DELTA,
     WompConfig,
+    delta_scores,
     womp_solve,
 )
+
+from test_lasso import lasso_objective, reference_ista
 
 
 @st.composite
@@ -48,6 +60,16 @@ def study_systems(draw):
     return system, basis.weights(kind, index_set)
 
 
+@st.composite
+def gaussian_systems(draw):
+    """(system, w): `random_test_system` with m <= 20, n <= 40 and weights in
+    [1, 2]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    system = random_test_system(draw(st.integers(2, 20)), n, rng)
+    return system, rng.uniform(1.0, 2.0, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(drawn=study_systems())
 def test_lasso_path_reaches_every_grid_alpha_with_a_kkt_certificate(drawn):
@@ -71,3 +93,43 @@ def test_womp_trace_is_bounded_finite_and_names_its_stop(drawn, lam):
     assert trace.stop_reason in (
         STOP_MAX_ITERATIONS, STOP_ZERO_DELTA, STOP_IN_SUPPORT_RESELECT, STOP_RESIDUAL_FLOOR
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.one_of(study_systems(), gaussian_systems()),
+    lam=st.sampled_from(DELTA_CHECK_LAMBDAS),
+)
+def test_womp_selects_the_argmax_of_the_delta_scores(drawn, lam):
+    system, w = drawn
+    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
+    for k, j in enumerate(trace.selected.tolist()):
+        x, support = trace.coefficients_at(k), trace.selected[:k]
+        correlations = system.matrix.T @ (system.rhs - system.matrix @ x)
+        assert j == int(np.argmax(delta_scores(support, x[support], correlations, w, lam)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(drawn=study_systems())
+def test_delta_scores_match_the_grid_minimum_on_solver_states(drawn):
+    system, w = drawn
+    for lam in DELTA_CHECK_LAMBDAS:
+        # the first three states: the zero start and the first two iterates
+        for x, support in collect_womp_states(system, w, lam, 2):
+            correlations = system.matrix.T @ (system.rhs - system.matrix @ x)
+            scores = delta_scores(support, x[support], correlations, w, lam)
+            predicted = g_lambda(x, system, w, lam) - scores
+            deviation = np.abs(grid_min_g_lambda(system, w, lam, x) - predicted)
+            assert np.max(deviation) <= 1e-6  # the tolerance of `verify`; a NaN fails
+
+
+@settings(max_examples=20, deadline=None)
+@given(drawn=study_systems())
+def test_lasso_path_objective_is_no_worse_than_ista(drawn):
+    system, w = drawn
+    alphas = default_alpha_grid(system, w, 10)[::3]
+    path = lasso_path(system, w, alphas, 1500)
+    for alpha, z in zip(alphas, path.coefficients):
+        reference = reference_ista(system, alpha, n_iterations=1000, w=w)
+        objective = lasso_objective(z, system, w, alpha)
+        assert objective <= lasso_objective(reference, system, w, alpha) * (1 + 1e-9)

@@ -11,7 +11,7 @@ from sparsepoly.womp import (
     STOP_ZERO_DELTA,
     SUPPORT_EPSILON,
     WompConfig,
-    compute_delta,
+    delta_scores,
     restricted_least_squares,
     womp_solve,
 )
@@ -102,15 +102,14 @@ def test_g_lambda_matches_independent_recomputation():
 # --- greedy score -----------------------------------------------------------
 
 
+NO_SUPPORT = np.zeros(0, dtype=np.intp)
+
+
 def test_delta_out_of_support_lam_zero():
     system = make_system(10, 15, 5)
-    w = np.ones(15)
     correlations = system.matrix.T @ system.rhs
-    for j in range(15):
-        expected = correlations[j] ** 2
-        assert compute_delta(np.zeros(15), (), j, system, w, 0.0) == pytest.approx(
-            expected, rel=1e-12
-        )
+    scores = delta_scores(NO_SUPPORT, np.zeros(0), correlations, np.ones(15), 0.0)
+    np.testing.assert_allclose(scores, correlations**2, rtol=1e-12)
 
 
 def test_delta_in_support_zero_coefficient():
@@ -118,7 +117,9 @@ def test_delta_in_support_zero_coefficient():
     x = restricted_least_squares(system, [3])
     x_mod = x.copy()
     x_mod[7] = 0.0
-    assert compute_delta(x_mod, (3, 7), 7, system, np.ones(15), 1e-2) == 0.0
+    support = np.array([3, 7])
+    correlations = system.matrix.T @ (system.rhs - system.matrix @ x_mod)
+    assert delta_scores(support, x_mod[support], correlations, np.ones(15), 1e-2)[7] == 0.0
 
 
 def test_delta_in_support_small_coefficient():
@@ -126,9 +127,9 @@ def test_delta_in_support_small_coefficient():
     x = restricted_least_squares(system, [3])
     lam = 1.0
     expected = max(lam * 1.0 - x[3] ** 2, 0.0)
-    assert compute_delta(x, (3,), 3, system, np.ones(15), lam) == pytest.approx(
-        expected, rel=1e-12
-    )
+    correlations = system.matrix.T @ (system.rhs - system.matrix @ x)
+    score = delta_scores(np.array([3]), x[[3]], correlations, np.ones(15), lam)[3]
+    assert score == pytest.approx(expected, rel=1e-12)
 
 
 def test_delta_matches_grid_oracle_on_solver_states():
@@ -140,10 +141,20 @@ def test_delta_matches_grid_oracle_on_solver_states():
             states = collect_womp_states(system, w, lam, iterations=4)
             for x, support in states:
                 minima = grid_min_g_lambda(system, w, lam, x)
-                g_value = g_lambda(x, system, w, lam)
-                for j in range(30):
-                    delta = compute_delta(x, support, j, system, w, lam)
-                    assert minima[j] == pytest.approx(g_value - delta, abs=1e-6)
+                correlations = system.matrix.T @ (system.rhs - system.matrix @ x)
+                scores = delta_scores(support, x[support], correlations, w, lam)
+                predicted = g_lambda(x, system, w, lam) - scores
+                np.testing.assert_allclose(minima, predicted, rtol=0, atol=1e-6)
+
+
+def test_grid_oracle_finds_a_decrease_smaller_than_its_coarse_cell():
+    # column 1 gains c^2 - lam = 4e-6 at t = c = 0.03, but the coarse grid
+    # point nearest c (spacing 0.018) is 3.6e-5 worse than t = 0, where the
+    # penalty jumps off; the rescan must still look around c
+    system = LinearSystem(np.eye(2), np.array([6.0, 0.03]), np.ones(2), True)
+    lam = 0.03**2 - 4e-6
+    minima = grid_min_g_lambda(system, np.ones(2), lam, np.zeros(2))
+    assert minima[1] == pytest.approx(6.0**2 + 0.03**2 - 4e-6, abs=1e-9)
 
 
 # --- restricted least squares ----------------------------------------------
@@ -312,7 +323,9 @@ def test_descent_by_at_least_delta():
             trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=8))
             for k, j in enumerate(trace.selected.tolist(), start=1):
                 x_previous = trace.coefficients_at(k - 1)
-                delta = compute_delta(x_previous, trace.selected[: k - 1], j, system, w, lam)
+                support = trace.selected[: k - 1]
+                correlations = system.matrix.T @ (system.rhs - system.matrix @ x_previous)
+                delta = delta_scores(support, x_previous[support], correlations, w, lam)[j]
                 g_previous = g_lambda(x_previous, system, w, lam)
                 g_value = g_lambda(trace.coefficients_at(k), system, w, lam)
                 assert g_value <= g_previous - delta + 1e-9
@@ -336,12 +349,8 @@ def test_first_iteration_scale_covariance():
         normalized=True,
     )
     w = np.ones(30)
-    base = np.array(
-        [compute_delta(np.zeros(30), (), j, system, w, 0.0) for j in range(30)]
-    )
-    scaled_scores = np.array(
-        [compute_delta(np.zeros(30), (), j, scaled, w, 0.0) for j in range(30)]
-    )
+    base = delta_scores(NO_SUPPORT, np.zeros(0), system.matrix.T @ system.rhs, w, 0.0)
+    scaled_scores = delta_scores(NO_SUPPORT, np.zeros(0), scaled.matrix.T @ scaled.rhs, w, 0.0)
     np.testing.assert_allclose(scaled_scores, c**2 * base, rtol=1e-12)
     assert int(np.argmax(base)) == int(np.argmax(scaled_scores))
 
