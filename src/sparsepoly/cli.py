@@ -3,7 +3,9 @@
 Config files are flat ``key=value`` lines (``#`` starts a comment); lists use
 commas.  Floats accept ``10^x`` shorthand, so a regularization grid like
 ``lambdas=0,10^-5,10^-4.5,10^-4`` reads the way it is usually written.
-Command-line overrides use the same syntax and win over file values.
+Command-line overrides use the same syntax and win over file values.  The
+keys are the field names of ``ExperimentConfig``, and each value is read as
+the type of its field's default.
 
 All randomness flows from one seed (config key ``seed``; ``run --seed N`` is
 the override ``seed=N`` given last); omitting it selects the fixed default,
@@ -15,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .experiments import (
@@ -48,48 +51,22 @@ def _parse_bool(token: str) -> bool:
     raise ValueError(f"expected a boolean, got {token!r}")
 
 
-def _parse_int_list(token: str) -> tuple[int, ...]:
-    return tuple(int(part) for part in token.split(",") if part.strip())
+def _parse_value(default, token: str):
+    """token read as the type of a config field's default: a tuple is a comma
+    list of its element's type, a bool true/false, a float takes 10^x."""
+    if isinstance(default, tuple):
+        return tuple(_parse_value(default[0], part) for part in token.split(",") if part.strip())
+    if isinstance(default, bool):
+        return _parse_bool(token)
+    if isinstance(default, float):
+        return _parse_float(token)
+    return type(default)(token.strip())
 
 
-def _parse_float_list(token: str) -> tuple[float, ...]:
-    return tuple(_parse_float(part) for part in token.split(",") if part.strip())
-
-
-def _render_bool(value: bool) -> str:
-    return "true" if value else "false"
-
-
-def _render_list(values) -> str:
-    return ",".join(repr(v) for v in values)
-
-
-# config key -> (ExperimentConfig field, value parser, value renderer), in
-# the order render_config writes them
-CONFIG_KEYS = {
-    "basis": ("basis_kind", str.strip, str),
-    "d": ("dimension", int, str),
-    "s": ("cross_order", int, str),
-    "m": ("sample_counts", _parse_int_list, _render_list),
-    "lambdas": ("lambdas", _parse_float_list, _render_list),
-    "iterations": ("iterations", int, str),
-    "trials": ("trials", int, str),
-    "reference_oversampling": ("reference_oversampling", int, str),
-    "seed": ("base_seed", int, str),
-    "include_lasso": ("include_lasso", _parse_bool, _render_bool),
-    "lasso_grid_size": ("lasso_grid_size", int, str),
-    "lasso_max_iterations": ("lasso_max_iterations", int, str),
-}
-
-
-def _apply_setting(values: dict, key: str, raw: str, where: str) -> None:
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"{where}: unknown key {key!r}")
-    field, parser, _ = CONFIG_KEYS[key]
-    try:
-        values[field] = parser(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: invalid value for {key!r}: {exc}") from exc
+def _render_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_render_value, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def parse_config_text(
@@ -98,20 +75,25 @@ def parse_config_text(
     source: str = "<config>",
 ) -> ExperimentConfig:
     """Parse config text plus key=value overrides into a validated config."""
+    defaults = {field.name: field.default for field in fields(ExperimentConfig)}
+    settings = [
+        (f"{source}:{lineno}", line.split("#", 1)[0].strip())
+        for lineno, line in enumerate(text.splitlines(), start=1)
+    ]
+    settings = [(where, line) for where, line in settings if line]
+    settings += [(f"override {o!r}", o) for o in overrides]
     values: dict = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{source}:{lineno}: expected key=value, got {line!r}")
-        key, raw = line.split("=", 1)
-        _apply_setting(values, key.strip(), raw, f"{source}:{lineno}")
-    for override in overrides:
-        if "=" not in override:
-            raise ConfigError(f"override {override!r}: expected key=value")
-        key, raw = override.split("=", 1)
-        _apply_setting(values, key.strip(), raw, f"override {override!r}")
+    for where, setting in settings:
+        if "=" not in setting:
+            raise ConfigError(f"{where}: expected key=value, got {setting!r}")
+        key, raw = setting.split("=", 1)
+        key = key.strip()
+        if key not in defaults:
+            raise ConfigError(f"{where}: unknown key {key!r}")
+        try:
+            values[key] = _parse_value(defaults[key], raw)
+        except ValueError as exc:
+            raise ConfigError(f"{where}: invalid value for {key!r}: {exc}") from exc
     try:
         return ExperimentConfig(**values)
     except ValueError as exc:
@@ -119,18 +101,18 @@ def parse_config_text(
 
 
 def parse_config(path, overrides=()) -> ExperimentConfig:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(path.read_text(), overrides, source=str(path))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ConfigError(f"config file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    return parse_config_text(text, overrides, source=str(path))
 
 
 def render_config(config: ExperimentConfig) -> str:
-    """Key=value rendering; parse_config_text(render_config(c)) == c."""
-    return "".join(
-        f"{key}={render(getattr(config, field))}\n"
-        for key, (field, _, render) in CONFIG_KEYS.items()
-    )
+    """One key=value line per field; parse_config_text(render_config(c)) == c."""
+    return "".join(f"{f.name}={_render_value(getattr(config, f.name))}\n" for f in fields(config))
 
 
 OUTPUT_NAMES = (*OUTPUT_WRITERS, "config_resolved.cfg")
@@ -170,7 +152,7 @@ def _print_summary(report: dict) -> None:
 
 def reference_fit_shape(config: ExperimentConfig) -> tuple[int, int]:
     """Rows and columns of the dense matrix of the oversampled reference fit."""
-    n = len(hyperbolic_cross(config.dimension, config.cross_order))
+    n = len(hyperbolic_cross(config.d, config.s))
     return config.reference_oversampling * n, n
 
 
@@ -235,7 +217,7 @@ def cmd_info(args) -> int:
     config = parse_config(args.config, args.overrides)
     print(render_config(config), end="")
     rows, n = reference_fit_shape(config)
-    print(f"derived: d={config.dimension} s={config.cross_order} N={n}")
+    print(f"derived: d={config.d} s={config.s} N={n}")
     print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")
     return 0
 

@@ -21,12 +21,12 @@ block, the LASSO path returns one G x N block for the alpha grid, and one
 `run_sweep` returns the data report.json holds, as one dict; the CSV writers
 and the CLI summary read that same dict.
 
-Everything is a pure function of the config (base seed included): the
-reference uses the stream SeedSequence([base_seed, 0]) and trial t at sample
-count m uses SeedSequence([base_seed, 1, m, t]), so earlier trials are stable
-when the trial count grows.  Wall-clock timings cover the solver calls only:
-a WOMP timing is one `womp_solve` call, a LASSO timing the alpha grid plus
-the `lasso_path` call.  Assembly, scoring and the KKT certificate are
+Everything is a pure function of the config (seed included): the reference
+uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
+SeedSequence([seed, 1, m, t]), so earlier trials are stable when the trial
+count grows.  Wall-clock timings cover the solver calls only: a WOMP timing
+is one `womp_solve` call, a LASSO timing the alpha grid plus the
+`lasso_path` call.  Assembly, scoring and the KKT certificate are
 excluded from every decoder timing; normalization is timed separately.
 """
 
@@ -37,7 +37,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -60,48 +60,55 @@ DEFAULT_SEED = 1729
 DEFAULT_LAMBDAS = (0.0, 1e-5, 10.0**-4.5, 1e-4, 10.0**-3.5, 1e-3)
 
 
-# the smallest value each integer config field may take
+# the smallest value each numeric config field, or each entry of a list
+# field, may take
 _LOWER_BOUNDS = {
-    "dimension": 1, "cross_order": 1, "iterations": 1, "trials": 1,
-    "reference_oversampling": 1, "base_seed": 0, "lasso_grid_size": 1, "lasso_max_iterations": 1,
+    "d": 1, "s": 1, "m": 1, "lambdas": 0, "iterations": 1, "trials": 1,
+    "reference_oversampling": 1, "seed": 0, "lasso_grid_size": 1, "lasso_max_iterations": 1,
 }
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    basis_kind: str = "legendre"
-    dimension: int = 10
-    cross_order: int = 10
-    sample_counts: tuple[int, ...] = (80,)
+    """The study's settings; each field name is its config key."""
+
+    basis: str = "legendre"
+    d: int = 10
+    s: int = 10
+    m: tuple[int, ...] = (80,)
     lambdas: tuple[float, ...] = DEFAULT_LAMBDAS
     iterations: int = 25
     trials: int = 25
     reference_oversampling: int = 20
-    base_seed: int = DEFAULT_SEED
+    seed: int = DEFAULT_SEED
     include_lasso: bool = True
     lasso_grid_size: int = 10
     # breakpoint cap of the LASSO homotopy path
     lasso_max_iterations: int = 1500
 
     def __post_init__(self):
-        object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.basis_kind not in basis.BASIS_KINDS:
-            raise ValueError(f"basis_kind must be one of {basis.BASIS_KINDS}")
+        if self.basis not in basis.BASIS_KINDS:
+            raise ValueError(f"basis must be one of {basis.BASIS_KINDS}")
+        if not isinstance(self.include_lasso, bool):
+            raise ValueError(f"include_lasso must be True or False, got {self.include_lasso!r}")
+        defaults = {field.name: field.default for field in fields(self)}
         for name, bound in _LOWER_BOUNDS.items():
-            value = getattr(self, name)
-            if not at_least(value, bound):
+            value, default = getattr(self, name), defaults[name]
+            if isinstance(default, tuple):
+                # a list field: distinct entries of its default's element type
+                kind, value = type(default[0]), tuple(value)
+                if not value or len(set(value)) < len(value) or not all(
+                    at_least(v, bound, kind is int) for v in value
+                ):
+                    noun = "integers" if kind is int else "values"
+                    raise ValueError(
+                        f"{name} must be one or more distinct {noun} >= {bound}, got {list(value)}"
+                    )
+                object.__setattr__(self, name, tuple(map(kind, value)))
+            elif at_least(value, bound):
+                object.__setattr__(self, name, int(value))
+            else:
                 raise ValueError(f"{name} must be an integer >= {bound}, got {value}")
-            object.__setattr__(self, name, int(value))
-        for name, bound, whole in (("sample_counts", 1, True), ("lambdas", 0, False)):
-            values = getattr(self, name)
-            if not values or len(set(values)) < len(values) or not all(
-                at_least(v, bound, whole) for v in values
-            ):
-                kind = "integers" if whole else "values"
-                raise ValueError(
-                    f"{name} must be one or more distinct {kind} >= {bound}, got {list(values)}"
-                )
-        object.__setattr__(self, "sample_counts", tuple(int(m) for m in self.sample_counts))
 
 
 def target_log_sum(d: int) -> TargetFunction:
@@ -187,9 +194,9 @@ def _run_trial(
 ) -> dict:
     """One trial's results: the womp_* entries hold one row per lambda, the
     lasso_* entries one value per grid alpha."""
-    seed = np.random.SeedSequence([config.base_seed, 1, m, trial])
-    points = basis.sample_measure(config.basis_kind, config.dimension, m, seed)
-    raw = build_system(points, target, config.basis_kind, index_set)
+    seed = np.random.SeedSequence([config.seed, 1, m, trial])
+    points = basis.sample_measure(config.basis, config.d, m, seed)
+    raw = build_system(points, target, config.basis, index_set)
     t0 = time.perf_counter()
     system = normalize_columns(raw)
     result = {"normalize_seconds": time.perf_counter() - t0}
@@ -232,21 +239,21 @@ def run_sweep(config: ExperimentConfig) -> dict:
     arrays where the file has lists: one `womp` entry per (m, lambda), one
     `lasso` entry per m, and `normalize_seconds` keyed by str(m).
     """
-    target = target_log_sum(config.dimension)
-    index_set = hyperbolic_cross(config.dimension, config.cross_order)
-    w = basis.weights(config.basis_kind, index_set)
+    target = target_log_sum(config.d)
+    index_set = hyperbolic_cross(config.d, config.s)
+    w = basis.weights(config.basis, index_set)
     x_ref = reference_coefficients(
         target,
-        config.basis_kind,
+        config.basis,
         index_set,
         config.reference_oversampling,
-        np.random.SeedSequence([config.base_seed, 0]),
+        np.random.SeedSequence([config.seed, 0]),
     )
     report = {
         "config": asdict(config),
         "seed_scheme": (
-            "reference: SeedSequence([base_seed, 0]); "
-            "trial t at sample count m: SeedSequence([base_seed, 1, m, t])"
+            "reference: SeedSequence([seed, 0]); "
+            "trial t at sample count m: SeedSequence([seed, 1, m, t])"
         ),
         "n_basis_functions": len(index_set),
         "reference_norm": float(np.linalg.norm(x_ref)),
@@ -255,7 +262,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
         "normalize_seconds": {},
     }
 
-    for m in config.sample_counts:
+    for m in config.m:
         trials = [
             _run_trial(config, target, index_set, w, x_ref, m, trial)
             for trial in range(config.trials)

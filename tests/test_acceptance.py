@@ -43,12 +43,12 @@ def full_reports():
     return {
         kind: run_sweep(
             ExperimentConfig(
-                basis_kind=kind,
-                sample_counts=(80,),
+                basis=kind,
+                m=(80,),
                 lambdas=DEFAULT_LAMBDAS,
                 iterations=25,
                 trials=25,
-                base_seed=BASE_SEED,
+                seed=BASE_SEED,
             )
         )
         for kind in basis.BASIS_KINDS
@@ -60,13 +60,13 @@ def long_omp_reports():
     return {
         kind: run_sweep(
             ExperimentConfig(
-                basis_kind=kind,
-                sample_counts=(80,),
+                basis=kind,
+                m=(80,),
                 lambdas=(0.0,),
                 iterations=160,
                 trials=25,
                 include_lasso=False,
-                base_seed=BASE_SEED,
+                seed=BASE_SEED,
             )
         )
         for kind in basis.BASIS_KINDS

@@ -1,5 +1,6 @@
 import functools
 import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -59,10 +60,10 @@ lasso_max_iterations=1
 
 def test_parse_full_study_configuration():
     config = parse_config_text(FULL_STUDY_TEXT)
-    assert config.basis_kind == "legendre"
-    assert config.dimension == 10
-    assert config.cross_order == 10
-    assert config.sample_counts == (60, 80)
+    assert config.basis == "legendre"
+    assert config.d == 10
+    assert config.s == 10
+    assert config.m == (60, 80)
     assert config.iterations == 25
     assert config.trials == 25
     assert config.reference_oversampling == 20
@@ -103,15 +104,15 @@ def test_override_must_be_key_value():
 
 def test_render_parse_round_trip():
     config = ExperimentConfig(
-        basis_kind="chebyshev",
-        dimension=4,
-        cross_order=6,
-        sample_counts=(18, 36),
+        basis="chebyshev",
+        d=4,
+        s=6,
+        m=(18, 36),
         lambdas=(0.0, 10.0**-4.5, 2.5e-3),
         iterations=7,
         trials=3,
         reference_oversampling=5,
-        base_seed=321,
+        seed=321,
         include_lasso=True,
         lasso_grid_size=6,
         lasso_max_iterations=700,
@@ -119,9 +120,27 @@ def test_render_parse_round_trip():
     assert parse_config_text(render_config(config)) == config
 
 
-def test_missing_config_file():
+def test_missing_config_file(tmp_path, capsys):
     with pytest.raises(ConfigError, match="not found"):
         parse_config("/nonexistent/path.cfg")
+    # a file that cannot be read is a config error too: one line, exit 2
+    not_utf8 = tmp_path / "latin1.cfg"
+    not_utf8.write_bytes("basis=legendre\n# r\xe9sum\xe9\n".encode("latin-1"))
+    for path, reason in ((tmp_path, "Is a directory"), (not_utf8, "can't decode byte 0xe9")):
+        out_dir = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read config file {path}: ") and err.count("\n") == 1
+        assert reason in err
+        assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("path", sorted(QUICK_CONFIG.parent.glob("*.cfg")), ids=lambda p: p.name)
+def test_committed_config_names_only_fields_and_round_trips(path):
+    config = parse_config(path)
+    keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in path.read_text().splitlines()]
+    assert set(filter(None, keys)) <= {field.name for field in fields(ExperimentConfig)}
+    assert parse_config_text(render_config(config)) == config
 
 
 def test_cmd_info(tmp_path, capsys):
@@ -260,6 +279,9 @@ def test_report_json_reruns_equal_run_sweep(tmp_path, capsys):
     capsys.readouterr()
     expected = without_timings(experiments._json_value(run_sweep(parse_config(QUICK_CONFIG))))
     assert without_timings(reports[0]) == without_timings(reports[1]) == expected
+    # the config echo uses the config keys, in config_resolved.cfg's order
+    resolved = (tmp_path / "a" / "config_resolved.cfg").read_text().splitlines()
+    assert list(reports[0]["config"]) == [line.split("=", 1)[0] for line in resolved]
 
 
 def test_failed_run_leaves_no_outputs(tmp_path, capsys, monkeypatch):
@@ -299,12 +321,16 @@ def test_cmd_run_bad_config_exits_nonzero(tmp_path, capsys):
 
 def test_run_refuses_nan_lambda_and_negative_seed(tmp_path, capsys):
     # both are config errors: one error line, exit 2, no output directory
-    for extra, field in ((["lambdas=0,nan"], "lambdas"), (["--seed", "-1"], "base_seed")):
-        out_dir = tmp_path / field
+    # the message names the key as it was typed
+    for extra, message in (
+        (["lambdas=0,nan"], "lambdas must be one or more distinct values >= 0, got [0.0, nan]"),
+        (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
+        (["m=30,30"], "m must be one or more distinct integers >= 1, got [30, 30]"),
+    ):
+        out_dir = tmp_path / message.split()[0]
         assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir), *extra]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
-        assert field in err
+        assert err == f"error: {QUICK_CONFIG}: {message}\n"
         assert not out_dir.exists()
 
 

@@ -31,15 +31,15 @@ from sparsepoly.womp import (
 TESTS = Path(__file__).parent
 
 SMALL = dict(
-    basis_kind="legendre",
-    dimension=3,
-    cross_order=4,
-    sample_counts=(25,),
+    basis="legendre",
+    d=3,
+    s=4,
+    m=(25,),
     lambdas=(0.0, 1e-4),
     iterations=4,
     trials=2,
     reference_oversampling=6,
-    base_seed=99,
+    seed=99,
     lasso_grid_size=4,
     lasso_max_iterations=400,
 )
@@ -165,9 +165,9 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         ExperimentConfig(lambdas=(-1e-3,))
     with pytest.raises(ValueError):
-        ExperimentConfig(sample_counts=())
+        ExperimentConfig(m=())
     with pytest.raises(ValueError):
-        ExperimentConfig(basis_kind="fourier")
+        ExperimentConfig(basis="fourier")
     with pytest.raises(ValueError):
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError):
@@ -175,15 +175,24 @@ def test_config_rejects_bad_values():
     # NaN fails every bound; a repeated m or lambda would key two curves alike
     for bad, match in (
         ({"lambdas": (0.0, float("nan"))}, r"lambdas .*nan"),
-        ({"sample_counts": (30, 30)}, r"sample_counts .*\[30, 30\]"),
+        ({"m": (30, 30)}, r"^m must be .*\[30, 30\]"),
         ({"lambdas": (0.0, 0.0)}, r"lambdas .*\[0.0, 0.0\]"),
-        ({"base_seed": -1}, "base_seed must be an integer >= 0, got -1"),
+        ({"seed": -1}, "^seed must be an integer >= 0, got -1"),
         # a non-integral count is refused, not truncated or left to fail in range()
-        ({"sample_counts": (80.5,)}, r"sample_counts must be .*integers.*\[80.5\]"),
-        ({"dimension": 2.5}, "dimension must be an integer >= 1, got 2.5"),
+        ({"m": (80.5,)}, r"^m must be .*integers.*\[80.5\]"),
+        ({"d": 2.5}, "^d must be an integer >= 1, got 2.5"),
+        # a string would run LASSO yet read back as its text
+        ({"include_lasso": "false"}, "^include_lasso must be True or False, got 'false'"),
     ):
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**bad)
+
+
+def test_config_stores_list_fields_as_tuples():
+    # a list field is known by its default, so a list value is accepted too
+    config = ExperimentConfig(m=[60, 80], lambdas=[0, 1e-4])
+    assert config.m == (60, 80) and type(config.m[0]) is int
+    assert config.lambdas == (0.0, 1e-4) and type(config.lambdas[0]) is float
 
 
 # --- sweep ------------------------------------------------------------------
@@ -191,15 +200,15 @@ def test_config_rejects_bad_values():
 
 def test_minimal_sweep_shapes():
     config = ExperimentConfig(
-        basis_kind="legendre",
-        dimension=2,
-        cross_order=3,
-        sample_counts=(10,),
+        basis="legendre",
+        d=2,
+        s=3,
+        m=(10,),
         lambdas=(0.0,),
         iterations=1,
         trials=1,
         reference_oversampling=4,
-        base_seed=1,
+        seed=1,
         include_lasso=False,
     )
     report = run_sweep(config)
@@ -232,15 +241,15 @@ def test_sweep_is_deterministic():
 )
 def test_sweep_repeats_give_equal_curves(kind, d, m, seed):
     config = ExperimentConfig(
-        basis_kind=kind,
-        dimension=d,
-        cross_order=4,
-        sample_counts=(m,),
+        basis=kind,
+        d=d,
+        s=4,
+        m=(m,),
         lambdas=(0.0, 1e-4),
         iterations=3,
         trials=2,
         reference_oversampling=4,
-        base_seed=seed,
+        seed=seed,
         lasso_grid_size=3,
         lasso_max_iterations=100,
     )
@@ -325,15 +334,15 @@ def test_csv_outputs(tmp_path):
 
 def test_csv_rows_per_sample_count(tmp_path):
     config = ExperimentConfig(
-        basis_kind="legendre",
-        dimension=2,
-        cross_order=3,
-        sample_counts=(8, 12),
+        basis="legendre",
+        d=2,
+        s=3,
+        m=(8, 12),
         lambdas=(0.0, 1e-4, 1e-3),
         iterations=3,
         trials=1,
         reference_oversampling=4,
-        base_seed=2,
+        seed=2,
         include_lasso=False,
     )
     report = run_sweep(config)
@@ -364,12 +373,13 @@ def test_csv_determinism(tmp_path):
 def test_quick_womp_rows_match_recorded(tmp_path):
     """configs/quick.cfg's errors.csv and support.csv, womp and wlasso rows
     alike, are pinned byte for byte in tests/data; changing them is a
-    numerical change that must be named."""
+    numerical change that must be named.  Its config_resolved.cfg is pinned
+    too: the benchmark reads its key names and order."""
     config = TESTS.parent / "configs" / "quick.cfg"
     assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
-    for name in ("errors", "support"):
-        recorded = (TESTS / "data" / f"quick_{name}.csv").read_bytes()
-        assert (tmp_path / f"{name}.csv").read_bytes() == recorded
+    for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
+        recorded = (TESTS / "data" / f"quick_{name}").read_bytes()
+        assert (tmp_path / name).read_bytes() == recorded
 
 
 def test_womp_stop_reasons_cover_every_trial():

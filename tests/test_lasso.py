@@ -313,12 +313,12 @@ COLD_START_OBJECTIVES = (
 
 def test_study_trial_grid_converges_at_default_cap():
     config = ExperimentConfig()
-    index_set = hyperbolic_cross(config.dimension, config.cross_order)
-    w = basis.weights(config.basis_kind, index_set)
+    index_set = hyperbolic_cross(config.d, config.s)
+    w = basis.weights(config.basis, index_set)
     seed = np.random.SeedSequence([DEFAULT_SEED, 1, 80, 0])
-    points = basis.sample_measure(config.basis_kind, config.dimension, 80, seed)
+    points = basis.sample_measure(config.basis, config.d, 80, seed)
     system = normalize_columns(
-        build_system(points, target_log_sum(config.dimension), config.basis_kind, index_set)
+        build_system(points, target_log_sum(config.d), config.basis, index_set)
     )
     alphas = default_alpha_grid(system, w, config.lasso_grid_size)
     path = lasso_path(system, w, alphas, config.lasso_max_iterations)

@@ -1,4 +1,6 @@
+import dataclasses
 import os
+import re
 import subprocess
 import sys
 import types
@@ -101,6 +103,14 @@ def test_deleted_names_stay_deleted():
     modules = (assembly, basis, cli, experiments, index_sets, lasso, verification, womp)
     for module in modules:
         assert [name for name in deleted if hasattr(module, name)] == [], module.__name__
+
+
+def test_readme_config_keys_are_the_config_fields():
+    readme = (ROOT / "README.md").read_text()
+    config_format = readme.split("## Config format", 1)[1]
+    sentence = re.split(r"\.\s", config_format.split("Keys:", 1)[1], maxsplit=1)[0]
+    fields = dataclasses.fields(experiments.ExperimentConfig)
+    assert re.findall(r"`([^`]+)`", sentence) == [field.name for field in fields]
 
 
 def test_readme_quickstart_runs(capsys):
