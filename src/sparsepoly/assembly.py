@@ -8,7 +8,8 @@ whose least-squares/sparse solutions approximate the expansion coefficients
 of f.  Greedy selection requires unit-norm columns, so the system can be
 rescaled as A_tilde = A M^{-1} with M = diag(column norms); a solution x_hat
 of the rescaled system is mapped back through the same diagonal, since
-A (M^{-1} x_hat) = A_tilde x_hat.
+A (M^{-1} x_hat) = A_tilde x_hat.  A system records its frame once: its
+column norms are None in the raw frame and M's diagonal once rescaled.
 
 Everything here is real-valued and densely stored: the intended scale is
 m <= a few hundred, N up to some ten thousand (300 x 12,645 doubles is 30 MB).
@@ -16,6 +17,7 @@ m <= a few hundred, N up to some ten thousand (300 x 12,645 doubles is 30 MB).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -44,15 +46,13 @@ class TargetFunction:
 class LinearSystem:
     """Sensing matrix, measurements, and the column-norm record.
 
-    column_norms holds the diagonal of M once normalize_columns has been
-    applied (all ones before that); `normalized` flags which frame `matrix`
-    is in.
+    column_norms is None while `matrix` is in the raw frame and holds the
+    diagonal of M once normalize_columns has been applied.
     """
 
     matrix: np.ndarray
     rhs: np.ndarray
-    column_norms: np.ndarray = field(repr=False)
-    normalized: bool = False
+    column_norms: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def n_columns(self) -> int:
@@ -68,8 +68,7 @@ def build_system(
     """Assemble the 1/sqrt(m)-scaled sensing system at the given points.
 
     Columns follow the index-set ordering.  The returned system is in the
-    raw (unnormalized) frame: column_norms are all 1 and `normalized` is
-    False.
+    raw (unnormalized) frame: its column_norms are None.
 
     Raises:
         ValueError: on dimension mismatch or a non-finite target value.
@@ -88,12 +87,7 @@ def build_system(
         raise ValueError(f"target returned shape {values.shape}, expected ({m},)")
     if not np.all(np.isfinite(values)):
         raise ValueError("target function is not finite at a sample point")
-    return LinearSystem(
-        matrix=matrix,
-        rhs=values * scale,
-        column_norms=np.ones(len(index_set)),
-        normalized=False,
-    )
+    return LinearSystem(matrix=matrix, rhs=values * scale)
 
 
 def normalize_columns(system: LinearSystem) -> LinearSystem:
@@ -110,17 +104,12 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     norms = np.sqrt(np.add.reduce(squares, axis=0))
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise ValueError("zero or non-finite column encountered; sampling is degenerate")
-    return replace(
-        system,
-        matrix=np.divide(matrix, norms, out=squares),
-        column_norms=norms,
-        normalized=True,
-    )
+    return replace(system, matrix=np.divide(matrix, norms, out=squares), column_norms=norms)
 
 
 def at_least(value, bound, whole=True) -> bool:
-    """value >= bound, and a whole number if `whole`; NaN fails both."""
-    return value >= bound and (not whole or float(value).is_integer())
+    """value >= bound, finite, and a whole number if `whole`; NaN fails."""
+    return bound <= value < math.inf and (not whole or float(value).is_integer())
 
 
 def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
@@ -130,7 +119,7 @@ def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
         ValueError: naming `solver` if the system is not normalized, or the
             first weight that is not finite and > 0 (NaN included).
     """
-    if not system.normalized:
+    if system.column_norms is None:
         raise ValueError(f"{solver} requires unit-norm columns; apply normalize_columns first")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (system.n_columns,):
@@ -150,6 +139,6 @@ def denormalize_solution(system: LinearSystem, coefficients: np.ndarray) -> np.n
     Raises:
         ValueError: if the system has not been normalized.
     """
-    if not system.normalized:
+    if system.column_norms is None:
         raise ValueError("system is not normalized; nothing to denormalize")
     return np.asarray(coefficients, dtype=np.float64) / system.column_norms

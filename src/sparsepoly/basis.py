@@ -68,20 +68,6 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
     return out * scale
 
 
-def eval_tensor(kind: str, index, point) -> float:
-    """Tensor-product polynomial phi_j(t) = prod_k phi_{j_k}(t_k)."""
-    index = np.asarray(index, dtype=np.int64)
-    point = np.asarray(point, dtype=np.float64)
-    if index.shape != point.shape:
-        raise ValueError(
-            f"index/point dimension mismatch: {index.shape} vs {point.shape}"
-        )
-    value = 1.0
-    for jk, tk in zip(index, point):
-        value *= float(eval_1d_table(kind, int(jk), tk)[jk])
-    return value
-
-
 def weights(kind: str, index_set) -> np.ndarray:
     """Weight vector aligned to the index-set ordering.
 

@@ -7,6 +7,10 @@ Command-line overrides use the same syntax and win over file values.  The
 keys are the field names of ``ExperimentConfig``, and each value is read as
 the type of its field's default.
 
+``run`` writes no file itself: ``experiments.write_outputs`` writes every
+file of ``experiments.OUTPUT_WRITERS``, and the overwrite check, the cleanup
+after a failed run and the closing ``wrote`` line walk that same table.
+
 All randomness flows from one seed (config key ``seed``; ``run --seed N`` is
 the override ``seed=N`` given last); omitting it selects the fixed default,
 so runs are reproducible by default.
@@ -17,13 +21,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .experiments import (
     DEFAULT_SEED,
     OUTPUT_WRITERS,
     ExperimentConfig,
+    render_config,
     run_sweep,
     write_outputs,
 )
@@ -38,7 +43,10 @@ class ConfigError(Exception):
 def _parse_float(token: str) -> float:
     token = token.strip()
     if token.startswith("10^"):
-        return 10.0 ** float(token[3:])
+        try:
+            return 10.0 ** float(token[3:])
+        except OverflowError:
+            raise ValueError(f"{token} is too large for a float") from None
     return float(token)
 
 
@@ -61,12 +69,6 @@ def _parse_value(default, token: str):
     if isinstance(default, float):
         return _parse_float(token)
     return type(default)(token.strip())
-
-
-def _render_value(value) -> str:
-    if isinstance(value, tuple):
-        return ",".join(map(_render_value, value))
-    return str(value).lower() if isinstance(value, bool) else str(value)
 
 
 def parse_config_text(
@@ -108,14 +110,6 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return parse_config_text(text, overrides, source=str(path))
-
-
-def render_config(config: ExperimentConfig) -> str:
-    """One key=value line per field; parse_config_text(render_config(c)) == c."""
-    return "".join(f"{f.name}={_render_value(getattr(config, f.name))}\n" for f in fields(config))
-
-
-OUTPUT_NAMES = (*OUTPUT_WRITERS, "config_resolved.cfg")
 
 
 def _print_summary(report: dict) -> None:
@@ -177,7 +171,7 @@ def cmd_run(args) -> int:
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    existing = [name for name in OUTPUT_NAMES if (out_dir / name).exists()]
+    existing = [name for name in OUTPUT_WRITERS if (out_dir / name).exists()]
     if existing and not args.force:
         print(
             f"error: refusing to overwrite {', '.join(existing)} in {out_dir} "
@@ -189,14 +183,13 @@ def cmd_run(args) -> int:
     try:
         report = run_sweep(config)
         write_outputs(report, out_dir)
-        (out_dir / "config_resolved.cfg").write_text(render_config(config))
     except Exception as exc:
-        for name in OUTPUT_NAMES:
+        for name in OUTPUT_WRITERS:
             (out_dir / name).unlink(missing_ok=True)
         print(f"error: run failed: {exc}", file=sys.stderr)
         return 1
     _print_summary(report)
-    print(f"wrote {', '.join(OUTPUT_NAMES)} to {out_dir}")
+    print(f"wrote {', '.join(OUTPUT_WRITERS)} to {out_dir}")
     return 0
 
 
@@ -215,7 +208,7 @@ def cmd_verify(args) -> int:
 
 def cmd_info(args) -> int:
     config = parse_config(args.config, args.overrides)
-    print(render_config(config), end="")
+    print(render_config(asdict(config)), end="")
     rows, n = reference_fit_shape(config)
     print(f"derived: d={config.d} s={config.s} N={n}")
     print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")

@@ -18,8 +18,10 @@ One `coefficients_at` call expands the K iterates of a trace into a K x N
 block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
-`run_sweep` returns the data report.json holds, as one dict; the CSV writers
-and the CLI summary read that same dict.
+`run_sweep` returns the data report.json holds, as one dict.  One table,
+`OUTPUT_WRITERS`, names a run's five files and the writer of each, and
+every writer reads that same dict, as does the CLI summary; the resolved
+config file is rendered from the dict's `config` echo.
 
 Everything is a pure function of the config (seed included): the reference
 uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
@@ -100,7 +102,7 @@ class ExperimentConfig:
                 if not value or len(set(value)) < len(value) or not all(
                     at_least(v, bound, kind is int) for v in value
                 ):
-                    noun = "integers" if kind is int else "values"
+                    noun = "integers" if kind is int else "finite values"
                     raise ValueError(
                         f"{name} must be one or more distinct {noun} >= {bound}, got {list(value)}"
                     )
@@ -364,17 +366,33 @@ def write_report_json(report: dict, path) -> None:
         fh.write("\n")
 
 
-# data file -> writer, in the order write_outputs writes them
+def _render_value(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(map(_render_value, value))
+    return str(value).lower() if isinstance(value, bool) else str(value)
+
+
+def render_config(values: dict) -> str:
+    """One key=value line per config field, from a field -> value mapping
+    such as asdict(config); cli.parse_config_text reads it back."""
+    return "".join(f"{key}={_render_value(value)}\n" for key, value in values.items())
+
+
+def write_config_resolved(report: dict, path) -> None:
+    Path(path).write_text(render_config(report["config"]))
+
+
+# output file -> writer, in the order write_outputs writes them
 OUTPUT_WRITERS = {
     "errors.csv": write_errors_csv,
     "support.csv": write_support_csv,
     "runtimes.csv": write_runtimes_csv,
     "report.json": write_report_json,
+    "config_resolved.cfg": write_config_resolved,
 }
 
 
-def write_outputs(report: dict, out_dir) -> list[Path]:
-    """Write every file of OUTPUT_WRITERS into out_dir; returns their paths."""
+def write_outputs(report: dict, out_dir) -> None:
+    """Write every file of OUTPUT_WRITERS into out_dir."""
     for name, writer in OUTPUT_WRITERS.items():
         writer(report, Path(out_dir) / name)
-    return [Path(out_dir) / name for name in OUTPUT_WRITERS]

@@ -196,10 +196,7 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
         [-1.0, 1.0], size=support.size
     )
     y = matrix @ x_true + 0.05 * rng.standard_normal(m)
-    raw = LinearSystem(
-        matrix=matrix, rhs=y, column_norms=np.ones(n), normalized=False
-    )
-    return normalize_columns(raw)
+    return normalize_columns(LinearSystem(matrix=matrix, rhs=y))
 
 
 def expansion_target(

@@ -75,8 +75,8 @@ class WompConfig:
     max_iterations: int = 25
 
     def __post_init__(self):
-        if not self.lam >= 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
+        if not at_least(self.lam, 0, whole=False):
+            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
         if not at_least(self.max_iterations, 1):
             raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations}")
         self.max_iterations = int(self.max_iterations)

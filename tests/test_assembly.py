@@ -13,15 +13,12 @@ from sparsepoly.experiments import target_log_sum
 from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
 from sparsepoly.verification import expansion_target
 
+from test_basis import eval_tensor
+
 
 def random_system(m, n, seed):
     rng = np.random.default_rng(seed)
-    return LinearSystem(
-        matrix=rng.standard_normal((m, n)),
-        rhs=rng.standard_normal(m),
-        column_norms=np.ones(n),
-        normalized=False,
-    )
+    return LinearSystem(matrix=rng.standard_normal((m, n)), rhs=rng.standard_normal(m))
 
 
 def test_constant_column_has_unit_norm():
@@ -31,8 +28,7 @@ def test_constant_column_has_unit_norm():
     assert system.matrix.shape == (7, 1)
     np.testing.assert_allclose(system.matrix[:, 0], 1 / np.sqrt(7), atol=1e-15)
     assert np.linalg.norm(system.matrix[:, 0]) == pytest.approx(1.0, abs=1e-14)
-    assert not system.normalized
-    assert np.all(system.column_norms == 1.0)
+    assert system.column_norms is None
 
 
 def test_basis_element_target_gives_unit_vector_system():
@@ -71,23 +67,15 @@ def test_build_rejects_dimension_mismatch():
 
 
 def test_normalize_unit_columns_unchanged():
-    system = LinearSystem(
-        matrix=np.eye(4)[:, :2], rhs=np.ones(4), column_norms=np.ones(2), normalized=False
-    )
+    system = LinearSystem(matrix=np.eye(4)[:, :2], rhs=np.ones(4))
     normalized = normalize_columns(system)
     np.testing.assert_array_equal(normalized.matrix, system.matrix)
     np.testing.assert_array_equal(normalized.column_norms, np.ones(2))
-    assert normalized.normalized
 
 
 def test_normalize_single_column():
     c = 3.7
-    system = LinearSystem(
-        matrix=np.array([[c], [0.0], [0.0]]),
-        rhs=np.zeros(3),
-        column_norms=np.ones(1),
-        normalized=False,
-    )
+    system = LinearSystem(matrix=np.array([[c], [0.0], [0.0]]), rhs=np.zeros(3))
     normalized = normalize_columns(system)
     np.testing.assert_allclose(normalized.matrix[:, 0], [1.0, 0.0, 0.0], atol=0)
     assert normalized.column_norms[0] == pytest.approx(c, abs=0)
@@ -108,9 +96,7 @@ def test_normalize_rejects_zero_column():
 
 
 def test_denormalize_identity_when_norms_one():
-    system = LinearSystem(
-        matrix=np.eye(3), rhs=np.zeros(3), column_norms=np.ones(3), normalized=True
-    )
+    system = LinearSystem(matrix=np.eye(3), rhs=np.zeros(3), column_norms=np.ones(3))
     x = np.array([1.0, -2.0, 0.5])
     np.testing.assert_array_equal(denormalize_solution(system, x), x)
 
@@ -122,7 +108,7 @@ def test_denormalize_zero_is_zero():
 
 def test_denormalize_requires_normalized_system():
     system = random_system(8, 5, 7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^system is not normalized; nothing to denormalize$"):
         denormalize_solution(system, np.zeros(5))
 
 
@@ -168,5 +154,5 @@ def test_column_ordering_matches_index_set():
     pts = basis.sample_measure("legendre", 2, 9, 21)
     system = build_system(pts, target_log_sum(2), "legendre", ms)
     for col, index in [(1, ms.indices[1]), (4, ms.indices[4])]:
-        expected = [basis.eval_tensor("legendre", index, p) / np.sqrt(9) for p in pts]
+        expected = [eval_tensor("legendre", index, p) / np.sqrt(9) for p in pts]
         np.testing.assert_allclose(system.matrix[:, col], expected, atol=1e-13)

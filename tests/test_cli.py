@@ -1,6 +1,6 @@
 import functools
 import json
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -12,9 +12,8 @@ from sparsepoly.cli import (
     main,
     parse_config,
     parse_config_text,
-    render_config,
 )
-from sparsepoly.experiments import ExperimentConfig, run_sweep
+from sparsepoly.experiments import ExperimentConfig, render_config, run_sweep
 
 QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
 
@@ -117,7 +116,7 @@ def test_render_parse_round_trip():
         lasso_grid_size=6,
         lasso_max_iterations=700,
     )
-    assert parse_config_text(render_config(config)) == config
+    assert parse_config_text(render_config(asdict(config))) == config
 
 
 def test_missing_config_file(tmp_path, capsys):
@@ -140,7 +139,7 @@ def test_committed_config_names_only_fields_and_round_trips(path):
     config = parse_config(path)
     keys = [line.split("#", 1)[0].split("=", 1)[0].strip() for line in path.read_text().splitlines()]
     assert set(filter(None, keys)) <= {field.name for field in fields(ExperimentConfig)}
-    assert parse_config_text(render_config(config)) == config
+    assert parse_config_text(render_config(asdict(config))) == config
 
 
 def test_cmd_info(tmp_path, capsys):
@@ -323,7 +322,11 @@ def test_run_refuses_nan_lambda_and_negative_seed(tmp_path, capsys):
     # both are config errors: one error line, exit 2, no output directory
     # the message names the key as it was typed
     for extra, message in (
-        (["lambdas=0,nan"], "lambdas must be one or more distinct values >= 0, got [0.0, nan]"),
+        # an infinite lambda (or one past the float range) would run a curve
+        # that stops at once and write its lambda as null
+        (["lambdas=0,inf"], "lambdas must be one or more distinct finite values >= 0, got [0.0, inf]"),
+        (["lambdas=1e400"], "lambdas must be one or more distinct finite values >= 0, got [inf]"),
+        (["lambdas=0,nan"], "lambdas must be one or more distinct finite values >= 0, got [0.0, nan]"),
         (["--seed", "-1"], "seed must be an integer >= 0, got -1"),
         (["m=30,30"], "m must be one or more distinct integers >= 1, got [30, 30]"),
     ):
@@ -332,6 +335,15 @@ def test_run_refuses_nan_lambda_and_negative_seed(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err == f"error: {QUICK_CONFIG}: {message}\n"
         assert not out_dir.exists()
+
+
+def test_power_of_ten_past_the_float_range_is_a_config_error(capsys):
+    # 10.0 ** 400 raises OverflowError; it is reported like any bad value
+    assert main(["info", "--config", str(QUICK_CONFIG), "lambdas=0,10^400"]) == 2
+    assert capsys.readouterr().err == (
+        "error: override 'lambdas=0,10^400': invalid value for 'lambdas': "
+        "10^400 is too large for a float\n"
+    )
 
 
 def test_verify_refuses_negative_seed(capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly import basis, experiments
-from sparsepoly.cli import main
+from sparsepoly.cli import main, parse_config
 from sparsepoly.experiments import (
     ExperimentConfig,
     _json_value,
@@ -175,6 +175,9 @@ def test_config_rejects_bad_values():
     # NaN fails every bound; a repeated m or lambda would key two curves alike
     for bad, match in (
         ({"lambdas": (0.0, float("nan"))}, r"lambdas .*nan"),
+        # an infinite lambda is no regularization value: refused like NaN
+        ({"lambdas": (0.0, float("inf"))}, r"^lambdas must be .*finite values >= 0, got \[0.0, inf\]"),
+        ({"lambdas": (float("-inf"),)}, r"^lambdas .*\[-inf\]"),
         ({"m": (30, 30)}, r"^m must be .*\[30, 30\]"),
         ({"lambdas": (0.0, 0.0)}, r"lambdas .*\[0.0, 0.0\]"),
         ({"seed": -1}, "^seed must be an integer >= 0, got -1"),
@@ -312,9 +315,11 @@ def test_errors_decrease_from_one():
 def test_csv_outputs(tmp_path):
     config = ExperimentConfig(**SMALL)
     report = run_sweep(config)
-    written = write_outputs(report, tmp_path)
-    names = {p.name for p in written}
-    assert names == {"errors.csv", "support.csv", "runtimes.csv", "report.json"}
+    assert write_outputs(report, tmp_path) is None
+    names = [p.name for p in sorted(tmp_path.iterdir())]
+    assert names == sorted(
+        ["errors.csv", "support.csv", "runtimes.csv", "report.json", "config_resolved.cfg"]
+    )
 
     with open(tmp_path / "errors.csv") as fh:
         rows = list(csv.reader(fh))
@@ -366,8 +371,18 @@ def test_csv_determinism(tmp_path):
     dir_b.mkdir()
     write_outputs(run_sweep(config), dir_a)
     write_outputs(run_sweep(config), dir_b)
-    for name in ("errors.csv", "support.csv"):
+    for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
         assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes()
+
+
+def test_library_and_cli_write_the_same_config_resolved(tmp_path, capsys):
+    # one writer renders config_resolved.cfg for write_outputs and for `run`
+    config = TESTS.parent / "configs" / "quick.cfg"
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "cli")]) == 0
+    capsys.readouterr()
+    write_outputs(run_sweep(parse_config(config)), tmp_path)
+    cli_bytes = (tmp_path / "cli" / "config_resolved.cfg").read_bytes()
+    assert (tmp_path / "config_resolved.cfg").read_bytes() == cli_bytes
 
 
 def test_quick_womp_rows_match_recorded(tmp_path):

@@ -28,7 +28,7 @@ def make_system(m, n, seed, noise=0.05):
     support = rng.choice(n, size=max(2, n // 6), replace=False)
     x0[support] = rng.uniform(1.0, 2.0, support.size) * rng.choice([-1, 1], support.size)
     y = matrix @ x0 + noise * rng.standard_normal(m)
-    return normalize_columns(LinearSystem(matrix, y, np.ones(n), False))
+    return normalize_columns(LinearSystem(matrix, y))
 
 
 def solve_one(system, w, alpha, max_iterations=2000):
@@ -99,10 +99,8 @@ def test_config_validation():
 
 def test_requires_normalized_system():
     rng = np.random.default_rng(0)
-    system = LinearSystem(
-        rng.standard_normal((10, 5)), rng.standard_normal(10), np.ones(5), False
-    )
-    with pytest.raises(ValueError):
+    system = LinearSystem(rng.standard_normal((10, 5)), rng.standard_normal(10))
+    with pytest.raises(ValueError, match="^lasso_path requires unit-norm columns; apply normalize_columns first$"):
         solve_one(system, np.ones(5), 0.1)
 
 
@@ -122,7 +120,7 @@ def test_single_column_closed_form():
     column = rng.standard_normal(12)
     column /= np.linalg.norm(column)
     y = rng.standard_normal(12)
-    system = LinearSystem(column[:, None], y, np.ones(1), True)
+    system = LinearSystem(column[:, None], y, np.ones(1))
     inner = float(column @ y)
     for alpha, w in [(0.05, 1.0), (0.3, 2.0)]:
         z, _, _ = solve_one(system, np.array([w]), alpha)
@@ -133,7 +131,7 @@ def test_single_column_closed_form():
 def test_vanishing_regularization_matches_exact_solve():
     rng = np.random.default_rng(4)
     matrix = rng.standard_normal((12, 12)) + 3 * np.eye(12)
-    raw = LinearSystem(matrix, rng.standard_normal(12), np.ones(12), False)
+    raw = LinearSystem(matrix, rng.standard_normal(12))
     system = normalize_columns(raw)
     exact = np.linalg.solve(system.matrix, system.rhs)
     z, _, _ = solve_one(system, np.ones(12), 1e-12)

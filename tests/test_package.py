@@ -99,10 +99,19 @@ def test_deleted_names_stay_deleted():
         # second entry points that only the oracles called; `verify` runs the
         # study's delta_scores, weights, eval_1d_table and evaluate_design
         "compute_delta", "weight", "eval_1d", "evaluate_expansion",
+        # a one-point tensor evaluation no study code called (now a helper in
+        # tests/test_basis.py), and the CLI's second list of the output files
+        "eval_tensor", "OUTPUT_NAMES",
     )
     modules = (assembly, basis, cli, experiments, index_sets, lasso, verification, womp)
     for module in modules:
         assert [name for name in deleted if hasattr(module, name)] == [], module.__name__
+
+
+def test_linear_system_records_its_frame_once():
+    # the column norms are None in the raw frame; no flag can contradict them
+    names = [field.name for field in dataclasses.fields(assembly.LinearSystem)]
+    assert names == ["matrix", "rhs", "column_norms"]
 
 
 def test_readme_config_keys_are_the_config_fields():
@@ -111,6 +120,13 @@ def test_readme_config_keys_are_the_config_fields():
     sentence = re.split(r"\.\s", config_format.split("Keys:", 1)[1], maxsplit=1)[0]
     fields = dataclasses.fields(experiments.ExperimentConfig)
     assert re.findall(r"`([^`]+)`", sentence) == [field.name for field in fields]
+
+
+def test_readme_output_files_are_the_writer_table():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("`run` executes the configured sweep and writes", 1)[1]
+    sentence = re.split(r"\.\s", sentence, maxsplit=1)[0]
+    assert re.findall(r"`([^`]+)`", sentence) == list(experiments.OUTPUT_WRITERS)
 
 
 def test_readme_quickstart_runs(capsys):

@@ -32,8 +32,7 @@ def make_system(m, n, seed, noise=0.05):
     support = rng.choice(n, size=max(2, n // 8), replace=False)
     x0[support] = rng.uniform(1.0, 2.0, support.size) * rng.choice([-1, 1], support.size)
     y = matrix @ x0 + noise * rng.standard_normal(m)
-    raw = LinearSystem(matrix=matrix, rhs=y, column_norms=np.ones(n), normalized=False)
-    return normalize_columns(raw)
+    return normalize_columns(LinearSystem(matrix=matrix, rhs=y))
 
 
 # --- weighted l0 ------------------------------------------------------------
@@ -151,7 +150,7 @@ def test_grid_oracle_finds_a_decrease_smaller_than_its_coarse_cell():
     # column 1 gains c^2 - lam = 4e-6 at t = c = 0.03, but the coarse grid
     # point nearest c (spacing 0.018) is 3.6e-5 worse than t = 0, where the
     # penalty jumps off; the rescan must still look around c
-    system = LinearSystem(np.eye(2), np.array([6.0, 0.03]), np.ones(2), True)
+    system = LinearSystem(np.eye(2), np.array([6.0, 0.03]), np.ones(2))
     lam = 0.03**2 - 4e-6
     minima = grid_min_g_lambda(system, np.ones(2), lam, np.zeros(2))
     assert minima[1] == pytest.approx(6.0**2 + 0.03**2 - 4e-6, abs=1e-9)
@@ -199,13 +198,8 @@ def test_restricted_ls_empty_support():
 
 def test_refuses_unnormalized_system():
     rng = np.random.default_rng(12)
-    system = LinearSystem(
-        matrix=rng.standard_normal((10, 15)),
-        rhs=rng.standard_normal(10),
-        column_norms=np.ones(15),
-        normalized=False,
-    )
-    with pytest.raises(ValueError):
+    system = LinearSystem(matrix=rng.standard_normal((10, 15)), rhs=rng.standard_normal(10))
+    with pytest.raises(ValueError, match="^womp_solve requires unit-norm columns; apply normalize_columns first$"):
         womp_solve(system, np.ones(15), WompConfig())
 
 
@@ -221,8 +215,10 @@ def test_rejects_nonpositive_weights():
 def test_config_validation():
     with pytest.raises(ValueError):
         WompConfig(lam=-1.0)
-    with pytest.raises(ValueError, match="lam must be >= 0, got nan"):
-        WompConfig(lam=float("nan"))
+    # NaN and infinity fail the finite-and->=-0 rule that every lambda meets
+    for bad in ("inf", "nan"):
+        with pytest.raises(ValueError, match=f"^lam must be finite and >= 0, got {bad}$"):
+            WompConfig(lam=float(bad))
     with pytest.raises(ValueError):
         WompConfig(max_iterations=0)
 
@@ -250,7 +246,7 @@ def test_matches_textbook_omp():
 def test_single_active_column_recovered_immediately():
     rng = np.random.default_rng(14)
     matrix = rng.standard_normal((12, 20))
-    raw = LinearSystem(matrix, np.zeros(12), np.ones(20), False)
+    raw = LinearSystem(matrix, np.zeros(12))
     system = normalize_columns(raw)
     system.rhs = system.matrix[:, 7] * 2.5
     trace = womp_solve(system, np.ones(20), WompConfig(lam=0.0, max_iterations=5))
@@ -282,7 +278,7 @@ def test_in_support_reselect_stop():
     idx = rng.choice(40, 5, replace=False)
     x0[idx] = rng.uniform(1, 2, 5) * rng.choice([-1, 1], 5)
     y = matrix @ x0 + 0.05 * rng.standard_normal(12)
-    system = normalize_columns(LinearSystem(matrix, y, np.ones(40), False))
+    system = normalize_columns(LinearSystem(matrix, y))
     w = rng.uniform(1, 3, 40)
     trace = womp_solve(system, w, WompConfig(lam=1e-3, max_iterations=12))
     assert trace.stop_reason == STOP_IN_SUPPORT_RESELECT
@@ -346,7 +342,6 @@ def test_first_iteration_scale_covariance():
         matrix=system.matrix,
         rhs=c * system.rhs,
         column_norms=system.column_norms,
-        normalized=True,
     )
     w = np.ones(30)
     base = delta_scores(NO_SUPPORT, np.zeros(0), system.matrix.T @ system.rhs, w, 0.0)
@@ -402,7 +397,7 @@ def test_in_span_column_falls_back_to_least_squares():
     # column 2 is column 0 tilted by 1e-9 out of the (e1, e2) plane: once
     # columns 1 and 2 are in, column 0's orthogonal part is about 1e-9
     matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-9]])
-    raw = LinearSystem(matrix, np.array([0.3, 1.0, 1.0]), np.ones(3), False)
+    raw = LinearSystem(matrix, np.array([0.3, 1.0, 1.0]))
     system = normalize_columns(raw)
     trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
     assert trace.selected.tolist() == [1, 2, 0]
