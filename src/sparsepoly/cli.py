@@ -19,7 +19,6 @@ so runs are reproducible by default.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -28,11 +27,12 @@ from .experiments import (
     DEFAULT_SEED,
     OUTPUT_WRITERS,
     ExperimentConfig,
+    ScaleError,
     render_config,
     run_sweep,
     write_outputs,
 )
-from .index_sets import hyperbolic_cross
+from .index_sets import hyperbolic_cross_size
 from . import verification
 
 
@@ -144,33 +144,10 @@ def _print_summary(report: dict) -> None:
                 )
 
 
-def reference_fit_shape(config: ExperimentConfig) -> tuple[int, int]:
-    """Rows and columns of the dense matrix of the oversampled reference fit."""
-    n = len(hyperbolic_cross(config.d, config.s))
-    return config.reference_oversampling * n, n
-
-
-def physical_memory_bytes() -> int | None:
-    """Installed physical memory, or None where os.sysconf cannot tell."""
-    try:
-        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
 def cmd_run(args) -> int:
     overrides = args.overrides + ([f"seed={args.seed}"] if args.seed is not None else [])
     config = parse_config(args.config, overrides)
-    rows, n = reference_fit_shape(config)
-    memory = physical_memory_bytes()
-    if memory is not None and rows * n * 8 > memory:
-        raise ConfigError(
-            f"the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
-            f"more than the {memory / 1e6:.1f} MB of physical memory"
-        )
-
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     existing = [name for name in OUTPUT_WRITERS if (out_dir / name).exists()]
     if existing and not args.force:
         print(
@@ -182,7 +159,10 @@ def cmd_run(args) -> int:
 
     try:
         report = run_sweep(config)
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_outputs(report, out_dir)
+    except ScaleError as exc:  # refused before the output directory exists
+        raise ConfigError(str(exc)) from None
     except Exception as exc:
         for name in OUTPUT_WRITERS:
             (out_dir / name).unlink(missing_ok=True)
@@ -209,7 +189,8 @@ def cmd_verify(args) -> int:
 def cmd_info(args) -> int:
     config = parse_config(args.config, args.overrides)
     print(render_config(asdict(config)), end="")
-    rows, n = reference_fit_shape(config)
+    n = hyperbolic_cross_size(config.d, config.s)
+    rows = config.reference_oversampling * n
     print(f"derived: d={config.d} s={config.s} N={n}")
     print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")
     return 0

@@ -8,8 +8,10 @@ log-spaced alpha grid, solved exactly by one homotopy path from the
 zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).
 The report aggregates, over trials, each greedy configuration's stop reasons
 and iterations run, and for each alpha how often the path reached it within
-the breakpoint cap, the breakpoints walked, and the largest KKT residual
-(`verification.lasso_kkt_residual`).  Relative errors are measured
+the breakpoint cap, the breakpoints walked, the largest KKT residual (one
+`verification.lasso_kkt_residual` call certifies a trial's whole block) and
+the mean seconds into the path at which it reached the alpha.  Relative
+errors are measured
 coefficient-wise against a single shared reference fit obtained by least
 squares (through the normal equations) on an oversampled draw; since the
 basis is orthonormal for the sampling measure, the coefficient-space l2
@@ -18,7 +20,9 @@ One `coefficients_at` call expands the K iterates of a trace into a K x N
 block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
-`run_sweep` returns the data report.json holds, as one dict.  One table,
+`run_sweep` first refuses (`check_scale`, on the counted basis size) a
+config whose reference fit would not fit in physical memory, and otherwise
+returns the data report.json holds, as one dict.  One table,
 `OUTPUT_WRITERS`, names a run's five files and the writer of each, and
 every writer reads that same dict, as does the CLI summary; the resolved
 config file is rendered from the dict's `config` echo.
@@ -37,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import time
 from collections import Counter
 from dataclasses import asdict, dataclass, fields
@@ -52,7 +57,7 @@ from .assembly import (
     denormalize_solution,
     normalize_columns,
 )
-from .index_sets import MultiIndexSet, hyperbolic_cross
+from .index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 from .lasso import default_alpha_grid, lasso_path
 from .verification import lasso_kkt_residual
 from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
@@ -228,10 +233,35 @@ def _run_trial(
         result["lasso_alphas"] = alphas
         result["lasso_converged"] = path.converged
         result["lasso_iterations"] = path.n_iterations
-        result["lasso_kkt"] = [
-            lasso_kkt_residual(system, w, a, z) for a, z in zip(alphas, path.coefficients)
-        ]
+        result["lasso_path_seconds"] = path.seconds
+        result["lasso_kkt"] = lasso_kkt_residual(system, w, alphas, path.coefficients)
     return result
+
+
+class ScaleError(ValueError):
+    """A config beyond what this machine can run."""
+
+
+def physical_memory_bytes() -> int | None:
+    """Installed physical memory, or None where os.sysconf cannot tell."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
+def check_scale(config: ExperimentConfig) -> None:
+    """Raise ScaleError when the dense matrix of the oversampled reference
+    fit (reference_oversampling * N rows, N columns) exceeds physical memory.
+    N is counted, not enumerated, so an oversized config allocates nothing."""
+    n = hyperbolic_cross_size(config.d, config.s)
+    rows = config.reference_oversampling * n
+    memory = physical_memory_bytes()
+    if memory is not None and rows * n * 8 > memory:
+        raise ScaleError(
+            f"the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
+            f"more than the {memory / 1e6:.1f} MB of physical memory"
+        )
 
 
 def run_sweep(config: ExperimentConfig) -> dict:
@@ -239,8 +269,11 @@ def run_sweep(config: ExperimentConfig) -> dict:
 
     Returns the data report.json holds, keys in the file's order, with numpy
     arrays where the file has lists: one `womp` entry per (m, lambda), one
-    `lasso` entry per m, and `normalize_seconds` keyed by str(m).
+    `lasso` entry per m, and `normalize_seconds` keyed by str(m).  Raises
+    ScaleError, before it allocates anything, for a config `check_scale`
+    refuses.
     """
+    check_scale(config)
     target = target_log_sum(config.d)
     index_set = hyperbolic_cross(config.d, config.s)
     w = basis.weights(config.basis, index_set)
@@ -293,8 +326,8 @@ def run_sweep(config: ExperimentConfig) -> dict:
             mean_errors = r["lasso_errors"].mean(axis=0)
             best = int(np.argmin(mean_errors))
             # per alpha, over trials: paths that reached it within the
-            # breakpoint cap, breakpoints walked to reach it, and the largest
-            # KKT residual
+            # breakpoint cap, breakpoints walked to reach it, the largest KKT
+            # residual, and the seconds into the path at which it was reached
             report["lasso"].append({
                 "m": m,
                 "mean_alphas": r["lasso_alphas"].mean(axis=0),
@@ -308,6 +341,7 @@ def run_sweep(config: ExperimentConfig) -> dict:
                 "best_position": best,
                 "best_mean_error": float(mean_errors[best]),
                 "mean_sweep_seconds": float(r["lasso_seconds"].mean()),
+                "mean_path_seconds": r["lasso_path_seconds"].mean(axis=0),
             })
     return report
 

@@ -19,6 +19,7 @@ total and reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -66,6 +67,45 @@ def graded_lex_order(indices: np.ndarray) -> np.ndarray:
     return np.lexsort(keys + (indices.sum(axis=1),))
 
 
+def _check_order(d: int, s: int) -> None:
+    if d < 1:
+        raise ValueError(f"dimension must be >= 1, got {d}")
+    if s < 1:
+        raise ValueError(f"cross order must be >= 1, got {s}")
+
+
+def hyperbolic_cross_size(d: int, s: int) -> int:
+    """|hyperbolic_cross(d, s)|, counted without building the set.
+
+    A member's nonzero entries have factors j_k + 1 >= 2 whose product is at
+    most s, so it has r <= log2(s) of them.  With P(r, q) the number of
+    r-tuples of integers >= 2 whose product is at most q, the cross has
+    sum_r C(d, r) P(r, s) members, and P(r, q) = sum_{b >= 2} P(r - 1, q // b)
+    sums over the runs of b that share one quotient q // b.  (d, s) =
+    (1, 10^9), (2, 10^9), (10, 1000) and (30, 100) each take well under a
+    second.
+    """
+    _check_order(d, s)
+    memo: dict[tuple[int, int], int] = {}
+
+    def tuples(r: int, q: int) -> int:
+        if q < 2**r:
+            return 0
+        if r <= 1:
+            return 1 if r == 0 else q - 1
+        if (r, q) not in memo:
+            total, b = 0, 2
+            while b <= q:
+                quotient = q // b
+                last = q // quotient  # the largest b' with q // b' == quotient
+                total += (last - b + 1) * tuples(r - 1, quotient)
+                b = last + 1
+            memo[r, q] = total
+        return memo[r, q]
+
+    return sum(math.comb(d, r) * tuples(r, s) for r in range(min(d, s.bit_length() - 1) + 1))
+
+
 def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     """Build the hyperbolic cross of order s in dimension d.
 
@@ -84,11 +124,7 @@ def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     Raises:
         ValueError: if d < 1 or s < 1.
     """
-    if d < 1:
-        raise ValueError(f"dimension must be >= 1, got {d}")
-    if s < 1:
-        raise ValueError(f"cross order must be >= 1, got {s}")
-
+    _check_order(d, s)
     arr = np.zeros((1, 0), dtype=np.int64)
     prods = np.ones(1, dtype=np.int64)
     for _ in range(d):

@@ -14,26 +14,46 @@ active set and |c_j| <= alpha off it.
 The path starts from u = 0 at alpha_max = max_j |c_j(0)|.  Along a segment
 the active coefficients move along d = G_AA^{-1} s_A (G = A~^T A~, s_A the
 active signs): as alpha falls by gamma, u_A grows by (gamma / 2) d and the
-correlations fall by gamma A~^T (A~_A d).  The segment ends at a breakpoint,
-where an inactive correlation reaches +-alpha (the index joins) or an active
-coefficient reaches zero (it drops).  An index dropped at a breakpoint may
+correlations fall by gamma A~^T (A~_A d).  The path keeps G_AA^{-1} rather
+than solving for d afresh: a join borders it through the Schur complement
+of the new column, and a drop downdates it and closes the gap, so the active
+set keeps its insertion order (and argmin its tie-breaks).  Each breakpoint
+checks the inverse by the residual s_A - G_AA d, formed from the m-vector
+A~_A d that the correlation update needs anyway; within
+INVERSE_CHECK_TOLERANCE one correction step with the same inverse takes it
+to rounding level, and past it (a nearly dependent active set) the inverse
+and d are refactored from the active Gram matrix.  A breakpoint thus costs
+O(k^2 + km) for k active indices, plus the one O(mN) product for the
+correlations.  The segment ends at a breakpoint, where an inactive
+correlation reaches +-alpha (the index joins) or an active coefficient
+reaches zero (it drops).  An index dropped at a breakpoint may
 not rejoin through the same bound at the next one: its correlation sits on
 that bound and moves inward, and rounding can otherwise put a spurious join
 there at a step of order 1e-18.  It may still cross to the opposite bound and
-join there.  Once |A| = m the active columns span the samples and no index
-can join (Tibshirani 2013), so the path ends with drops alone.  Each grid
-alpha is read off the segment that contains it.  The path never evaluates F;
+join there.  A column equal to +-an active one has a join ratio of 0/0 at
+the bound that one sits on: a NaN, which never counts as a join.  (Where
+rounding leaves both terms of that ratio slightly nonzero it is noise, and
+such a copy can still join and make the active Gram matrix singular; the
+path has no guard against exact copies of columns.)  Once
+|A| = m the active columns span the samples and no index can join
+(Tibshirani 2013), so the path ends with drops alone.  Each grid alpha is
+read off the segment that contains it.  The path never evaluates F;
 `verification.lasso_kkt_residual` certifies its solutions, and the tests
 evaluate F with their own helpers.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .assembly import LinearSystem, at_least, check_solver_inputs
+
+# Largest entry of |s_A - G_AA d| accepted from the updated inverse; past it
+# the inverse is refactored from the active Gram matrix at that breakpoint.
+INVERSE_CHECK_TOLERANCE = 1e-9
 
 
 @dataclass
@@ -45,6 +65,9 @@ class LassoResult:
     converged: np.ndarray
     # (G,): breakpoints walked to reach the alpha
     n_iterations: np.ndarray
+    # (G,): perf_counter seconds from the call's start until the path
+    # emitted the alpha
+    seconds: np.ndarray
 
 
 def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int = 10) -> np.ndarray:
@@ -78,11 +101,22 @@ def lasso_path(
     if not at_least(max_iterations, 1):
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
 
+    start = time.perf_counter()
     scaled = system.matrix / w
     m, n = scaled.shape
     correlations = 2.0 * (scaled.T @ system.rhs)
-    u = np.zeros(n)
-    active: list[int] = []
+    # The active set in insertion order: its indices, its scaled columns as
+    # rows, its coefficients u_A and the inverse of its Gram matrix, all in
+    # the leading k entries of buffers sized for the largest possible set.
+    size = min(m, n)
+    active = np.empty(size, dtype=np.intp)
+    rows = np.empty((size, m))
+    coef = np.empty(size)
+    inverse = np.empty((size, size))
+    k = 0
+    # row j: index j's join ratios at the +alpha and -alpha bounds; argmin
+    # over this layout breaks ties by the smaller index
+    ratios = np.empty((n, 2))
     alpha = float(np.max(np.abs(correlations)))
     alpha_min = float(alphas.min())
     order = np.argsort(-alphas, kind="stable")
@@ -90,18 +124,21 @@ def lasso_path(
         coefficients=np.zeros((alphas.size, n)),
         converged=np.zeros(alphas.size, dtype=bool),
         n_iterations=np.zeros(alphas.size, dtype=np.int64),
+        seconds=np.zeros(alphas.size),
     )
     emitted = 0
 
     def emit(floor, d=0.0, converged=True):
         """Write the row of each pending grid alpha a >= floor: u_A + ((alpha - a) / 2) d."""
         nonlocal emitted
+        now = time.perf_counter() - start
         while emitted < alphas.size and alphas[order[emitted]] >= floor:
             i = order[emitted]
             step = 0.5 * (alpha - alphas[i])
-            result.coefficients[i, active] = (u[active] + step * d) / w[active]
+            result.coefficients[i, active[:k]] = (coef[:k] + step * d) / w[active[:k]]
             result.converged[i] = converged
             result.n_iterations[i] = breakpoints
+            result.seconds[i] = now
             emitted += 1
 
     joining, dropped, breakpoints = int(np.argmax(np.abs(correlations))), -1, 0
@@ -112,39 +149,70 @@ def lasso_path(
             break
         breakpoints += 1
         if joining >= 0:
-            active.append(joining)
-        columns = scaled[:, active]
-        d = np.linalg.solve(columns.T @ columns, np.sign(correlations[active]))
-        slopes = scaled.T @ (columns @ d)
+            # border the inverse through the Schur complement of the new column
+            column = scaled[:, joining]
+            cross = rows[:k] @ column
+            q = inverse[:k, :k] @ cross
+            schur = column @ column - cross @ q
+            q_scaled = q / schur
+            inverse[:k, :k] += q_scaled[:, None] * q
+            inverse[:k, k] = inverse[k, :k] = -q_scaled
+            inverse[k, k] = 1.0 / schur
+            rows[k], active[k], coef[k] = column, joining, 0.0
+            k += 1
+        on = active[:k]
+        signs = np.sign(correlations[on])
+        d = inverse[:k, :k] @ signs
+        direction = d @ rows[:k]
+        # check the updated inverse by the residual of G_AA d = s_A; one
+        # correction step with it leaves d at the accuracy of a fresh solve
+        residual = signs - rows[:k] @ direction
+        if np.abs(residual).max() <= INVERSE_CHECK_TOLERANCE:
+            d += inverse[:k, :k] @ residual
+        else:
+            d, inverse[:k, :k] = _refactored(rows[:k], signs)
+        direction = d @ rows[:k]
+        slopes = scaled.T @ direction
 
         with np.errstate(divide="ignore", invalid="ignore"):
-            rising = (alpha - correlations) / (1.0 - slopes)
-            falling = (alpha + correlations) / (1.0 + slopes)
-            vanishing = -2.0 * u[active] / d
+            np.divide(alpha - correlations, 1.0 - slopes, out=ratios[:, 0])
+            np.divide(alpha + correlations, 1.0 + slopes, out=ratios[:, 1])
+            vanishing = -2.0 * coef[:k] / d
+        # a 0/0 ratio is NaN: not a join
+        ratios[~(ratios > 0)] = np.inf
+        vanishing[~(vanishing > 0)] = np.inf
         if dropped >= 0:
             # the bound the dropped index just left
-            if correlations[dropped] > 0:
-                rising[dropped] = np.inf
-            else:
-                falling[dropped] = np.inf
-        joins = np.minimum(
-            np.where(rising > 0, rising, np.inf), np.where(falling > 0, falling, np.inf)
-        )
-        joins[active] = np.inf
-        if len(active) == m:
-            joins[:] = np.inf
-        drops = np.where(vanishing > 0, vanishing, np.inf)
-        join, drop = int(np.argmin(joins)), int(np.argmin(drops))
-        gamma = min(joins[join], drops[drop], alpha - alpha_min)
+            ratios[dropped, 0 if correlations[dropped] > 0 else 1] = np.inf
+        ratios[on] = np.inf
+        join = int(ratios.argmin()) if k < m else 0
+        join_gamma = ratios.item(join) if k < m else np.inf
+        drop = int(vanishing.argmin())
+        gamma = min(join_gamma, vanishing.item(drop), alpha - alpha_min)
 
         emit(alpha - gamma if gamma < alpha - alpha_min else alpha_min, d)
-        u[active] += (0.5 * gamma) * d
+        coef[:k] += (0.5 * gamma) * d
         correlations -= gamma * slopes
         alpha -= gamma
         joining, dropped = -1, -1
-        if gamma == drops[drop]:
-            dropped = active.pop(drop)
-            u[dropped] = 0.0
-        elif gamma == joins[join]:
-            joining = join
+        if gamma == vanishing[drop]:
+            dropped = int(on[drop])
+            # downdate the inverse, then close the gap, keeping the order
+            q = inverse[:k, drop].copy()
+            inverse[:k, :k] -= (q / q[drop])[:, None] * q
+            inverse[drop : k - 1, :k] = inverse[drop + 1 : k, :k]
+            inverse[: k - 1, drop : k - 1] = inverse[: k - 1, drop + 1 : k]
+            rows[drop : k - 1] = rows[drop + 1 : k]
+            active[drop : k - 1] = active[drop + 1 : k]
+            coef[drop : k - 1] = coef[drop + 1 : k]
+            k -= 1
+        elif gamma == join_gamma:
+            joining = join // 2
     return result
+
+
+def _refactored(rows: np.ndarray, signs: np.ndarray):
+    """(G^{-1} s, G^{-1}) for the Gram matrix G = rows @ rows.T, from one
+    fresh factorization of G."""
+    solved = np.linalg.solve(rows @ rows.T, np.column_stack((signs, np.eye(len(signs)))))
+    return solved[:, 0], solved[:, 1:]

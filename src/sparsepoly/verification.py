@@ -6,8 +6,8 @@ Each oracle takes a route independent of the code path it validates:
   re-derived by brute-force grid minimization over the update magnitude;
 * the lam = 0, unit-weight solver is compared against a plainly written
   classical matching-pursuit implementation;
-* hyperbolic-cross membership is re-enumerated by scanning the full degree
-  box;
+* hyperbolic-cross membership, and the counted size the scale guard uses,
+  are re-enumerated by scanning the full degree box;
 * the design columns (`basis.evaluate_design`) are re-checked for
   orthonormality by tensor Gaussian quadrature, and the closed-form sup-norm
   weights (`basis.weights`) by dense grid maximization;
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import basis, womp
 from .assembly import LinearSystem, TargetFunction, normalize_columns
-from .index_sets import MultiIndexSet, hyperbolic_cross
+from .index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 from .lasso import lasso_path
 from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
 
@@ -218,26 +218,32 @@ def expansion_target(
     return TargetFunction(evaluator, description=label)
 
 
-def lasso_kkt_residual(system: LinearSystem, w: np.ndarray, alpha: float, z: np.ndarray) -> float:
-    """Worst violation of the weighted-LASSO optimality conditions at z.
+def lasso_kkt_residual(
+    system: LinearSystem, w: np.ndarray, alphas, coefficients: np.ndarray
+) -> np.ndarray:
+    """Worst violation of the weighted-LASSO optimality conditions at each
+    row of a (G, N) coefficient block, for the alpha of the same position.
 
     For min ||A z - y||^2 + alpha sum_j w_j |z_j| and g = 2 A^T (y - A z),
     z is optimal iff g_j = alpha w_j sign(z_j) wherever z_j != 0 and
-    |g_j| <= alpha w_j elsewhere.  Returns max_j v_j / (w_j alpha_max), with
-    v_j the violation of coordinate j's condition and alpha_max =
+    |g_j| <= alpha w_j elsewhere.  Returns, per row, max_j v_j / (w_j alpha_max),
+    with v_j the violation of coordinate j's condition and alpha_max =
     2 max_j |(A^T y)_j| / w_j the threshold above which z = 0 is optimal.
+    One pair of matrix products serves the whole block, and A^T y is formed
+    once.
     """
     matrix, y = system.matrix, system.rhs
     w = np.asarray(w, dtype=np.float64)
-    z = np.asarray(z, dtype=np.float64)
-    g = 2.0 * matrix.T @ (y - matrix @ z)
+    alphas = np.asarray(alphas, dtype=np.float64)[:, None]
+    z = np.asarray(coefficients, dtype=np.float64)
+    g = 2.0 * (matrix.T @ (y[:, None] - matrix @ z.T)).T
     violation = np.where(
         z != 0,
-        np.abs(g - alpha * w * np.sign(z)),
-        np.maximum(np.abs(g) - alpha * w, 0.0),
+        np.abs(g - alphas * w * np.sign(z)),
+        np.maximum(np.abs(g) - alphas * w, 0.0),
     )
     alpha_max = 2.0 * float(np.max(np.abs(matrix.T @ y) / w))
-    return float(np.max(violation / w)) / (alpha_max if alpha_max > 0 else 1.0)
+    return np.max(violation / w, axis=1) / (alpha_max if alpha_max > 0 else 1.0)
 
 
 def collect_womp_states(system: LinearSystem, w: np.ndarray, lam: float, iterations: int):
@@ -282,8 +288,10 @@ def _omp_cases(seed: int):
 def _cross_cases():
     for d in range(1, 5):
         for s in range(1, 9):
-            same = set(hyperbolic_cross(d, s).as_tuples()) == brute_force_hyperbolic_cross(d, s)
+            box = brute_force_hyperbolic_cross(d, s)
+            same = set(hyperbolic_cross(d, s).as_tuples()) == box
             yield (0.0 if same else np.inf), f"d={d}, s={s}: box scan"
+            yield abs(hyperbolic_cross_size(d, s) - len(box)), f"d={d}, s={s}: count"
     yield abs(len(hyperbolic_cross(10, 10)) - 571), "|cross(10, 10)| against 571"
 
 
@@ -315,10 +323,11 @@ def _lasso_kkt_cases(seed: int):
         alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
         alphas = np.geomspace(1e-8 * alpha_max, alpha_max, 12)
         path = lasso_path(system, w, alphas, max_iterations=500)
-        for alpha, z, converged in zip(alphas, path.coefficients, path.converged):
+        residuals = lasso_kkt_residual(system, w, alphas, path.coefficients)
+        for alpha, residual, converged in zip(alphas, residuals, path.converged):
             location = f"instance {instance} (seed {seed}), alpha={alpha:.3e}"
             if converged:
-                yield lasso_kkt_residual(system, w, alpha, z), location
+                yield float(residual), location
             else:
                 yield np.inf, location + ": path did not reach it"
 
@@ -345,7 +354,7 @@ def run_checks(seed: int = 0) -> list[CheckResult]:
         ("omp_reduction", _omp_cases(seed + 1), 1e-10,
          "10 instances against the classical implementation"),
         ("hyperbolic_cross_counts", _cross_cases(), 0.0,
-         "box scans for d<=4, s<=8 and |cross(10,10)| = 571"),
+         "box scans of sets and counts for d<=4, s<=8 and |cross(10,10)| = 571"),
         ("orthonormality_quadrature", _orthonormality_cases(), 1e-10,
          "design columns of hyperbolic_cross(2, 13), N=37, both bases"),
         ("weight_closed_forms", _weight_cases(seed + 2), 1e-6, "50 indices, both bases"),

@@ -162,7 +162,7 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
 
 def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
     # quick.cfg's reference fit is 115 x 23 doubles = 21,160 bytes
-    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 21_159)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 21_159)
     out_dir = tmp_path / "refused"
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
@@ -170,7 +170,7 @@ def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monk
     assert "physical memory" in err
     assert not out_dir.exists()
 
-    monkeypatch.setattr(cli, "physical_memory_bytes", lambda: 21_160)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 21_160)
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 
@@ -245,7 +245,8 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
         raise ValueError(f"{token} is not JSON")
 
     for residual, shown, written in ((1e-6, "1.00e-06", 1e-6), (float("nan"), "nan", None)):
-        monkeypatch.setattr(experiments, "lasso_kkt_residual", lambda *args: residual)
+        monkeypatch.setattr(experiments, "lasso_kkt_residual",
+                            lambda system, w, alphas, block: np.full(len(alphas), residual))
         out_dir = tmp_path / f"kkt_{shown}"
         assert main(["run", "--config", str(config_path), "--out", str(out_dir),
                      "lasso_max_iterations=600"]) == 0
@@ -262,7 +263,7 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
 def test_report_json_reruns_equal_run_sweep(tmp_path, capsys):
     # reruns of one config and seed write the same report.json apart from
     # its timing values, and that data is what run_sweep returns
-    timings = {"mean_seconds", "mean_sweep_seconds", "normalize_seconds"}
+    timings = {"mean_seconds", "mean_sweep_seconds", "mean_path_seconds", "normalize_seconds"}
 
     def without_timings(value):
         if isinstance(value, dict):

@@ -286,6 +286,29 @@ def test_sweep_report_lookup_and_json():
     # every grid alpha carries its worst KKT certificate over the trials
     assert len(back["lasso"][0]["max_kkt_residual"]) == 4
     assert max(back["lasso"][0]["max_kkt_residual"]) <= LASSO_KKT_TOLERANCE
+    # the path reaches the grid alphas largest first, no sooner than the
+    # previous one, and within the timed sweep
+    order = np.argsort(-sweep["mean_alphas"])
+    seconds = sweep["mean_path_seconds"][order]
+    assert seconds.shape == (4,) and np.all(np.diff(seconds) >= 0)
+    assert 0 < seconds[-1] <= sweep["mean_sweep_seconds"]
+
+
+def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
+    # d=1, s=10^9: a 10^9-entry index set and a 2e10 x 1e9 reference fit; the
+    # guard counts N and refuses before anything of that size exists
+    def allocation(*args):
+        raise AssertionError("allocated before the scale guard refused")
+
+    for name in ("hyperbolic_cross", "target_log_sum", "reference_coefficients"):
+        monkeypatch.setattr(experiments, name, allocation)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 8_000_000_000)
+    message = (
+        r"^the reference fit needs 20000000000 x 1000000000 doubles = 160000000000000\.0 MB, "
+        r"more than the 8000\.0 MB of physical memory$"
+    )
+    with pytest.raises(experiments.ScaleError, match=message):
+        run_sweep(ExperimentConfig(d=1, s=10**9))
 
 
 def test_decoder_timings_exclude_scoring(monkeypatch):

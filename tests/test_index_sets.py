@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
+from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 
 
 def box_scan_cross(d, s):
@@ -22,6 +22,21 @@ def box_scan_cross(d, s):
 
 def test_d10_s10_cardinality():
     assert len(hyperbolic_cross(10, 10)) == 571
+
+
+def test_counted_size_matches_the_enumeration():
+    for d in range(1, 6):
+        for s in range(1, 40):
+            assert hyperbolic_cross_size(d, s) == len(hyperbolic_cross(d, s)), (d, s)
+    assert hyperbolic_cross_size(16, 20) == 12645
+    # sizes whose enumeration would not fit in memory are counted at once:
+    # the axis, the degree-2 terms, and one nonzero entry per coordinate
+    assert hyperbolic_cross_size(1, 10**9) == 10**9
+    assert hyperbolic_cross_size(10**6, 2) == 10**6 + 1
+    with pytest.raises(ValueError, match="dimension must be >= 1"):
+        hyperbolic_cross_size(0, 5)
+    with pytest.raises(ValueError, match="cross order must be >= 1"):
+        hyperbolic_cross_size(5, 0)
 
 
 def test_trivial_order_one():

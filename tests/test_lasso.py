@@ -3,11 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsepoly import basis
+from sparsepoly import basis, lasso
 from sparsepoly.assembly import LinearSystem, build_system, normalize_columns
 from sparsepoly.experiments import DEFAULT_SEED, ExperimentConfig, target_log_sum
 from sparsepoly.index_sets import hyperbolic_cross
-from sparsepoly.lasso import default_alpha_grid, lasso_path
+from sparsepoly.lasso import LassoResult, default_alpha_grid, lasso_path
 from sparsepoly.verification import LASSO_KKT_TOLERANCE, lasso_kkt_residual
 
 
@@ -35,6 +35,106 @@ def solve_one(system, w, alpha, max_iterations=2000):
     """`lasso_path` at a single alpha: (coefficients, converged, breakpoints)."""
     path = lasso_path(system, w, [alpha], max_iterations)
     return path.coefficients[0], bool(path.converged[0]), int(path.n_iterations[0])
+
+
+def scratch_path(system, w, alphas, max_iterations):
+    """The homotopy path as `lasso_path` walks it, but with the direction
+    solved from scratch at every breakpoint: gather the active columns, form
+    their Gram matrix and call np.linalg.solve.  The reference for the
+    updated inverse."""
+    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
+    scaled = system.matrix / w
+    m, n = scaled.shape
+    correlations = 2.0 * (scaled.T @ system.rhs)
+    u = np.zeros(n)
+    active = []
+    alpha = float(np.max(np.abs(correlations)))
+    alpha_min = float(alphas.min())
+    order = np.argsort(-alphas, kind="stable")
+    result = LassoResult(np.zeros((alphas.size, n)), np.zeros(alphas.size, dtype=bool),
+                         np.zeros(alphas.size, dtype=np.int64), np.zeros(alphas.size))
+    emitted = 0
+
+    def emit(floor, d=0.0, converged=True):
+        nonlocal emitted
+        while emitted < alphas.size and alphas[order[emitted]] >= floor:
+            i = order[emitted]
+            result.coefficients[i, active] = (u[active] + 0.5 * (alpha - alphas[i]) * d) / w[active]
+            result.converged[i] = converged
+            result.n_iterations[i] = breakpoints
+            emitted += 1
+
+    joining, dropped, breakpoints = int(np.argmax(np.abs(correlations))), -1, 0
+    emit(alpha)
+    while emitted < alphas.size:
+        if breakpoints == max_iterations:
+            emit(-np.inf, converged=False)
+            break
+        breakpoints += 1
+        if joining >= 0:
+            active.append(joining)
+        columns = scaled[:, active]
+        d = np.linalg.solve(columns.T @ columns, np.sign(correlations[active]))
+        slopes = scaled.T @ (columns @ d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rising = (alpha - correlations) / (1.0 - slopes)
+            falling = (alpha + correlations) / (1.0 + slopes)
+            vanishing = -2.0 * u[active] / d
+        if dropped >= 0:
+            if correlations[dropped] > 0:
+                rising[dropped] = np.inf
+            else:
+                falling[dropped] = np.inf
+        joins = np.minimum(
+            np.where(rising > 0, rising, np.inf), np.where(falling > 0, falling, np.inf)
+        )
+        joins[active] = np.inf
+        if len(active) == m:
+            joins[:] = np.inf
+        drops = np.where(vanishing > 0, vanishing, np.inf)
+        join, drop = int(np.argmin(joins)), int(np.argmin(drops))
+        gamma = min(joins[join], drops[drop], alpha - alpha_min)
+        emit(alpha - gamma if gamma < alpha - alpha_min else alpha_min, d)
+        u[active] += (0.5 * gamma) * d
+        correlations -= gamma * slopes
+        alpha -= gamma
+        joining, dropped = -1, -1
+        if gamma == drops[drop]:
+            dropped = active.pop(drop)
+            u[dropped] = 0.0
+        elif gamma == joins[join]:
+            joining = join
+    return result
+
+
+def assert_matches_scratch_path(system, w, alphas, max_iterations=1500):
+    """`lasso_path` walks the same breakpoints as `scratch_path`: the same
+    counts and flags, the same support after every breakpoint (so the same
+    joins and drops), coefficients within 1e-10 relative and KKT-exact
+    solutions.
+
+    Two KKT-exact solutions on a support S may differ by about
+    cond(G_S) * eps relative, G_S the Gram matrix of the scaled columns on S,
+    so where that exceeds 1e-10 the bound is 100 cond(G_S) eps instead (on
+    20,000 `study_systems` rows the largest ratio to cond(G_S) eps was 2.6).
+    """
+    path = lasso_path(system, w, alphas, max_iterations)
+    reference = scratch_path(system, w, alphas, max_iterations)
+    np.testing.assert_array_equal(path.n_iterations, reference.n_iterations)
+    np.testing.assert_array_equal(path.converged, reference.converged)
+    scaled = system.matrix / w
+    for z, expected in zip(path.coefficients, reference.coefficients):
+        support = scaled[:, expected != 0]
+        condition = np.linalg.cond(support) ** 2 if support.size else 1.0
+        bound = max(1e-10, 100 * condition * np.finfo(np.float64).eps)
+        assert np.linalg.norm(z - expected) <= bound * np.linalg.norm(expected)
+    kkt = lasso_kkt_residual(system, w, alphas, path.coefficients)
+    assert np.max(kkt[path.converged], initial=0.0) <= LASSO_KKT_TOLERANCE  # a NaN fails
+    floor = [np.min(alphas)]
+    for cap in range(1, int(path.n_iterations.max()) + 1):
+        support = lasso_path(system, w, floor, cap).coefficients[0] != 0
+        np.testing.assert_array_equal(support, scratch_path(system, w, floor, cap).coefficients[0] != 0)
+    return path
 
 
 def soft_threshold(v, threshold):
@@ -167,7 +267,7 @@ def test_non_convergence_flag():
     assert not converged
     assert n_iterations == 3
     # the cap leaves the solution of the third breakpoint, short of alpha
-    assert lasso_kkt_residual(system, np.ones(40), alpha, z) > 1e-3
+    assert lasso_kkt_residual(system, np.ones(40), [alpha], z[None])[0] > 1e-3
 
 
 def test_default_alpha_grid_brackets_threshold():
@@ -268,8 +368,8 @@ def test_path_is_kkt_exact_and_no_worse_than_ista(m, n, seed):
     alphas = alpha_max * np.array([1.5, 0.5, 1e-1, 1e-3, 1e-8])
     path = lasso_path(system, w, alphas, max_iterations=10 * (m + n))
     assert path.converged.all()
+    assert np.max(lasso_kkt_residual(system, w, alphas, path.coefficients)) <= LASSO_KKT_TOLERANCE
     for alpha, z in zip(alphas, path.coefficients):
-        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
         reference = reference_ista(system, alpha, n_iterations=1000, w=w)
         objective = lasso_objective(z, system, w, alpha)
         assert objective <= lasso_objective(reference, system, w, alpha) * (1 + 1e-9)
@@ -277,18 +377,20 @@ def test_path_is_kkt_exact_and_no_worse_than_ista(m, n, seed):
 
 def test_kkt_residual_flags_perturbed_solution():
     system, w, alphas = path_problem()
-    for alpha, z in zip(alphas, lasso_path(system, w, alphas, max_iterations=400).coefficients):
-        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
+    path = lasso_path(system, w, alphas, max_iterations=400)
+    assert np.max(lasso_kkt_residual(system, w, alphas, path.coefficients)) <= LASSO_KKT_TOLERANCE
+    for alpha, z in zip(alphas, path.coefficients):
         for j in (int(np.argmax(np.abs(z))), int(np.argmin(np.abs(z)))):
             # moving one coordinate, on or off the support, breaks optimality
             perturbed = z.copy()
             perturbed[j] += 1e-6
-            assert lasso_kkt_residual(system, w, alpha, perturbed) > 1e-8
+            assert lasso_kkt_residual(system, w, [alpha], perturbed[None])[0] > 1e-8
     # the zero vector is optimal exactly from the threshold up
-    zero = np.zeros(40)
+    zero = np.zeros((2, 40))
     alpha_max = 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs) / w))
-    assert lasso_kkt_residual(system, w, alpha_max, zero) == 0.0
-    assert lasso_kkt_residual(system, w, 0.5 * alpha_max, zero) == pytest.approx(0.5)
+    residuals = lasso_kkt_residual(system, w, [alpha_max, 0.5 * alpha_max], zero)
+    assert residuals[0] == 0.0
+    assert residuals[1] == pytest.approx(0.5)
 
 
 # Objectives of the default grid on the first m=80 trial of the full Legendre
@@ -309,8 +411,8 @@ COLD_START_OBJECTIVES = (
 )
 
 
-def test_study_trial_grid_converges_at_default_cap():
-    config = ExperimentConfig()
+def study_trial(config=ExperimentConfig()):
+    """(system, w, alpha grid) of the first m=80 trial of the full study."""
     index_set = hyperbolic_cross(config.d, config.s)
     w = basis.weights(config.basis, index_set)
     seed = np.random.SeedSequence([DEFAULT_SEED, 1, 80, 0])
@@ -318,9 +420,79 @@ def test_study_trial_grid_converges_at_default_cap():
     system = normalize_columns(
         build_system(points, target_log_sum(config.d), config.basis, index_set)
     )
-    alphas = default_alpha_grid(system, w, config.lasso_grid_size)
+    return system, w, default_alpha_grid(system, w, config.lasso_grid_size)
+
+
+def test_study_trial_grid_converges_at_default_cap():
+    config = ExperimentConfig()
+    system, w, alphas = study_trial(config)
     path = lasso_path(system, w, alphas, config.lasso_max_iterations)
     assert path.converged.tolist() == [True] * len(alphas)
     for alpha, z, cold in zip(alphas, path.coefficients, COLD_START_OBJECTIVES, strict=True):
         assert lasso_objective(z, system, w, alpha) <= cold * (1 + 1e-5)
-        assert lasso_kkt_residual(system, w, alpha, z) <= LASSO_KKT_TOLERANCE
+    assert np.max(lasso_kkt_residual(system, w, alphas, path.coefficients)) <= LASSO_KKT_TOLERANCE
+
+
+# --- the updated inverse against the from-scratch solve ----------------------
+
+
+def count_refactorizations(monkeypatch) -> list:
+    """Record the size of every refactored inverse of the next paths."""
+    sizes = []
+    original = lasso._refactored
+
+    def counting(rows, signs):
+        sizes.append(len(signs))
+        return original(rows, signs)
+
+    monkeypatch.setattr(lasso, "_refactored", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("basis_kind", basis.BASIS_KINDS)
+def test_study_trial_path_matches_scratch_path(basis_kind, monkeypatch):
+    refactorizations = count_refactorizations(monkeypatch)
+    system, w, alphas = study_trial(ExperimentConfig(basis=basis_kind))
+    path = lasso_path(system, w, alphas, 1500)
+    assert_matches_scratch_path(system, w, alphas)
+    # the study's well-conditioned systems never need the reset
+    assert refactorizations == []
+    # the per-alpha times grow as alpha falls
+    by_alpha = path.seconds[np.argsort(-alphas)]
+    assert np.all(by_alpha > 0) and np.all(np.diff(by_alpha) >= 0)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_copy_of_an_active_column_never_joins(sign):
+    # orthogonal columns keep every ratio exact: once column 1 is active, the
+    # join ratio of column 2 (= sign * column 1) at the bound column 1 sits on
+    # is 0/0, a NaN that must not count as a join, and at the other bound it is
+    # alpha itself, reached only at alpha = 0
+    matrix = np.zeros((3, 4))
+    matrix[0, 0] = matrix[1, 1] = matrix[2, 3] = 1.0
+    matrix[1, 2] = sign
+    system = LinearSystem(matrix, np.array([3.0, 2.0, 1.0]), np.ones(4))
+    alphas = np.array([5.0, 3.0, 1.0, 1e-3])
+    path = assert_matches_scratch_path(system, np.ones(4), alphas)
+    assert path.n_iterations.tolist() == [1, 2, 3, 3]
+    assert np.all(path.coefficients[:, 2] == 0.0)
+
+
+@pytest.mark.parametrize("distance", [1e-4, 1e-7])
+def test_near_copy_of_an_active_column_resets_the_inverse(monkeypatch, distance):
+    # a unit column at angle ~distance from the first index to join: once both
+    # are active their Gram matrix has condition ~1/distance^2, the updated
+    # inverse misses its residual check, and the path refactors it
+    base = make_system(20, 40, 0)
+    first = int(np.argmax(np.abs(base.matrix.T @ base.rhs)))
+    offset = np.random.default_rng(1).standard_normal(20)
+    near = base.matrix[:, first] + distance * offset / np.linalg.norm(offset)
+    matrix = np.column_stack([base.matrix, near / np.linalg.norm(near)])
+    system = LinearSystem(matrix, base.rhs, np.ones(41))
+    w = np.ones(41)
+    alpha_max = 2.0 * float(np.max(np.abs(matrix.T @ base.rhs)))
+    alphas = alpha_max * np.array([0.5, 1e-1, 1e-3, 1e-8])
+    refactorizations = count_refactorizations(monkeypatch)
+    path = assert_matches_scratch_path(system, w, alphas)
+    assert len(refactorizations) >= 1
+    assert np.max(lasso_kkt_residual(system, w, alphas, path.coefficients)) <= 1e-12

@@ -102,6 +102,9 @@ def test_deleted_names_stay_deleted():
         # a one-point tensor evaluation no study code called (now a helper in
         # tests/test_basis.py), and the CLI's second list of the output files
         "eval_tensor", "OUTPUT_NAMES",
+        # the scale guard counts N in run_sweep; no CLI helper enumerates the
+        # cross for it
+        "reference_fit_shape",
     )
     modules = (assembly, basis, cli, experiments, index_sets, lasso, verification, womp)
     for module in modules:

@@ -32,7 +32,7 @@ from sparsepoly.womp import (
     womp_solve,
 )
 
-from test_lasso import lasso_objective, reference_ista
+from test_lasso import assert_matches_scratch_path, lasso_objective, reference_ista
 
 
 @st.composite
@@ -77,8 +77,17 @@ def test_lasso_path_reaches_every_grid_alpha_with_a_kkt_certificate(drawn):
     alphas = default_alpha_grid(system, w, 10)
     path = lasso_path(system, w, alphas, 1500)
     assert path.converged.all()
-    residuals = [lasso_kkt_residual(system, w, a, z) for a, z in zip(alphas, path.coefficients)]
+    residuals = lasso_kkt_residual(system, w, alphas, path.coefficients)
     assert np.max(residuals) <= LASSO_KKT_TOLERANCE  # a NaN fails
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.one_of(study_systems(), gaussian_systems()))
+def test_lasso_path_matches_the_from_scratch_solve(drawn):
+    # the updated inverse walks the same joins and drops as a path that
+    # solves the active Gram system afresh at every breakpoint
+    system, w = drawn
+    assert_matches_scratch_path(system, w, default_alpha_grid(system, w, 10))
 
 
 @settings(max_examples=60, deadline=None)
