@@ -33,7 +33,7 @@ from .experiments import (
     write_outputs,
 )
 from .index_sets import hyperbolic_cross_size
-from . import verification
+from . import verification, womp
 
 
 class ConfigError(Exception):
@@ -132,6 +132,10 @@ def _print_summary(report: dict) -> None:
             f"{sweep['mean_sweep_seconds']:>10.4f}"
         )
     trials = config["trials"]
+    for curve in report["womp"]:
+        if womp.STOP_IN_SPAN in curve["stop_reasons"]:
+            print(f"womp m={curve['m']} lambda={curve['lambda']:.6g}: "
+                  f"{curve['stop_reasons'][womp.STOP_IN_SPAN]}/{trials} solves stopped in_span")
     for sweep in report["lasso"]:
         for alpha, converged, kkt in zip(
             sweep["mean_alphas"], sweep["converged_counts"], sweep["max_kkt_residual"]

@@ -15,9 +15,9 @@ Each oracle takes a route independent of the code path it validates:
   from the optimality conditions of the unscaled problem.
 
 The module also holds what the oracles and the tests evaluate or build but no
-solver runs: the greedy objective G_lam (`g_lambda`, with its `weighted_l0`
-term), the random test systems, and targets that are exact finite expansions
-(`expansion_target`).  The solvers themselves live in `womp` and `lasso`.
+solver runs: the greedy objective G_lam (`g_lambda`, with `weighted_l0`), the
+SVD refit `restricted_least_squares`, the random test systems, and exact
+expansion targets (`expansion_target`).  The solvers live in `womp` and `lasso`.
 Each check calls the study's own function through its module (for instance
 `womp.delta_scores`, which `womp_solve` looks up too), so a change to it
 shows in `verify`.
@@ -98,6 +98,21 @@ def grid_sup_norm(kind: str, index) -> float:
     return value
 
 
+def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
+    """Minimize ||A_S z - y|| over z supported on S; zero elsewhere.
+
+    Returns the minimum-norm minimizer when A_S is rank-deficient at the
+    machine-precision cutoff.  An empty support returns the zero vector.
+    """
+    support = sorted(int(j) for j in support)
+    x = np.zeros(system.n_columns)
+    if not support:
+        return x
+    solution, *_ = np.linalg.lstsq(system.matrix[:, support], system.rhs, rcond=None)
+    x[support] = solution
+    return x
+
+
 def textbook_omp(matrix: np.ndarray, y: np.ndarray, n_iterations: int):
     """Classical orthogonal matching pursuit, written from the definition.
 
@@ -105,19 +120,16 @@ def textbook_omp(matrix: np.ndarray, y: np.ndarray, n_iterations: int):
     least squares on the selected columns.  Returns the selection sequence
     and the final coefficient vector.
     """
-    n = matrix.shape[1]
+    system = LinearSystem(matrix, y)
     selected: list[int] = []
-    x = np.zeros(n)
+    x = np.zeros(matrix.shape[1])
     residual = y.copy()
     for _ in range(n_iterations):
         j = int(np.argmax(np.abs(matrix.T @ residual)))
         if j not in selected:
             selected.append(j)
-        columns = sorted(selected)
-        coef, *_ = np.linalg.lstsq(matrix[:, columns], y, rcond=None)
-        x = np.zeros(n)
-        x[columns] = coef
-        residual = y - matrix[:, columns] @ coef
+        x = restricted_least_squares(system, selected)
+        residual = y - matrix @ x
     return selected, x
 
 
@@ -203,7 +215,6 @@ def expansion_target(
     kind: str,
     index_set: MultiIndexSet,
     coefficients: np.ndarray,
-    description: str = "",
 ) -> TargetFunction:
     """A target that is exactly a finite combination of basis polynomials,
     sum_j c_j phi_j, evaluated through `basis.evaluate_design`."""
@@ -214,7 +225,7 @@ def expansion_target(
     def evaluator(points: np.ndarray) -> np.ndarray:
         return basis.evaluate_design(kind, index_set, points) @ coefficients
 
-    label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
+    label = f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
     return TargetFunction(evaluator, description=label)
 
 

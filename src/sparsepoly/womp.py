@@ -18,12 +18,13 @@ squares restricted to the enlarged support.  The refit keeps a thin QR
 factorization A_S = Q R of the selected columns in insertion order: a new
 column is appended by classical Gram-Schmidt with one re-orthogonalization,
 R^{-1} and Q^T y are extended in O(k^2) and O(m), x_S = R^{-1} (Q^T y), and
-the residual is y - Q (Q^T y).
-Once a new column is numerically in the span of the selected ones (k >= m,
-or its orthogonal part is tiny), the rest of the solve refits with
-`restricted_least_squares` instead, which returns the minimum-norm
-minimizer.  With lam = 0 and unit weights the scheme reduces to classical
-OMP.
+the residual is y - Q (Q^T y).  With lam = 0 and unit weights the scheme
+reduces to classical OMP.
+
+A maximizer j whose column is numerically in the span of the selected ones
+(k = m, or an orthogonal part rho <= SPAN_TOLERANCE) stops the solve unselected,
+with ``stop_reason = "in_span"``.  As r is orthogonal to the selected columns,
+j's score is at most (A^T r)_j^2 <= rho^2 ||r||^2: the stop gives up little.
 
 The solver returns its history as a `SolveTrace`, the selection order plus
 one block of iterates, and keeps the iterate in selection order throughout.
@@ -51,16 +52,18 @@ RESIDUAL_FLOOR = 1e-14
 # |x_j| above this counts as support, below as zero.
 SUPPORT_EPSILON = 1e-12
 
-# A unit-norm column whose part orthogonal to the selected columns is
-# shorter than this counts as in their span (with it, cond(A_S) would be at
-# least 1 / SPAN_TOLERANCE); the QR refit then hands over to
-# `restricted_least_squares`, whose SVD cutoff handles rank deficiency.
-SPAN_TOLERANCE = 1e-6
+# A unit-norm column whose part orthogonal to the selected columns is at most
+# this is in their span: with it, cond(A_S) would be at least 1 / SPAN_TOLERANCE.
+SPAN_TOLERANCE = 1e-2
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_ZERO_DELTA = "zero_delta"
 STOP_IN_SUPPORT_RESELECT = "in_support_reselect"
 STOP_RESIDUAL_FLOOR = "residual_floor"
+STOP_IN_SPAN = "in_span"
+STOP_REASONS = (
+    STOP_MAX_ITERATIONS, STOP_ZERO_DELTA, STOP_IN_SUPPORT_RESELECT, STOP_RESIDUAL_FLOOR, STOP_IN_SPAN
+)
 
 
 @dataclass
@@ -140,21 +143,6 @@ def delta_scores(
     return scores
 
 
-def restricted_least_squares(system: LinearSystem, support) -> np.ndarray:
-    """Minimize ||A_S z - y|| over z supported on S; zero elsewhere.
-
-    Returns the minimum-norm minimizer when A_S is rank-deficient at the
-    machine-precision cutoff.  An empty support returns the zero vector.
-    """
-    support = sorted(int(j) for j in support)
-    x = np.zeros(system.n_columns)
-    if not support:
-        return x
-    solution, *_ = np.linalg.lstsq(system.matrix[:, support], system.rhs, rcond=None)
-    x[support] = solution
-    return x
-
-
 class _IncrementalQR:
     """Thin QR factorization A_S = Q R of columns appended one at a time.
 
@@ -208,12 +196,11 @@ def womp_solve(
 
     Starting from the zero iterate and empty support, each iteration selects
     the score-maximizing index (smallest index wins ties), enlarges the
-    support, and refits by least squares on it: through an incremental QR
-    factorization of the selected columns while each new column adds a
-    direction, by `restricted_least_squares` from the first column that is
-    numerically in span (k >= m, or an orthogonal part below
-    SPAN_TOLERANCE) on.  Stops at the iteration budget, when the best score
-    is zero, when the maximizer is already in the support, or when the
+    support, and refits by least squares on it through an incremental QR
+    factorization of the selected columns.  Stops at the iteration budget,
+    when the best score is zero, when the maximizer is already in the
+    support, when its column is numerically in the span of the selected ones
+    (k = m, or an orthogonal part at most SPAN_TOLERANCE), or when the
     residual hits the floor.
 
     Raises:
@@ -244,15 +231,13 @@ def womp_solve(
         if in_support[j]:
             stop_reason = STOP_IN_SUPPORT_RESELECT
             break
+        if not qr.append(matrix[:, j]):
+            stop_reason = STOP_IN_SPAN
+            break
         in_support[j] = True
         selected = np.append(selected, j)
-        if qr is not None and qr.append(matrix[:, j]):
-            values = qr.coefficients()
-            residual = y - qr.qty[: qr.size] @ qr.q[: qr.size]
-        else:
-            qr = None
-            values = restricted_least_squares(system, selected)[selected]
-            residual = y - matrix[:, selected] @ values
+        values = qr.coefficients()
+        residual = y - qr.qty[: qr.size] @ qr.q[: qr.size]
         iterates.append(values)
         if np.linalg.norm(residual) < RESIDUAL_FLOOR * y_norm:
             stop_reason = STOP_RESIDUAL_FLOOR

@@ -260,6 +260,17 @@ def test_lasso_kkt_failure_is_reported(tmp_path, capsys, monkeypatch):
         assert report["lasso"][0]["max_kkt_residual"] == [written] * 4
 
 
+def test_womp_in_span_stops_are_reported(capsys):
+    report = run_sweep(parse_config_text(SMALL_TEXT, ["trials=2"]))
+    cli._print_summary(report)
+    assert "in_span" not in capsys.readouterr().out
+    # one of the two trials of m=10, lambda=1e-4 stopped on an in-span maximizer
+    report["womp"][1]["stop_reasons"] = {womp.STOP_IN_SPAN: 1, womp.STOP_MAX_ITERATIONS: 1}
+    cli._print_summary(report)
+    flags = [line for line in capsys.readouterr().out.splitlines() if "in_span" in line]
+    assert flags == ["womp m=10 lambda=0.0001: 1/2 solves stopped in_span"]
+
+
 def test_report_json_reruns_equal_run_sweep(tmp_path, capsys):
     # reruns of one config and seed write the same report.json apart from
     # its timing values, and that data is what run_sweep returns

@@ -86,6 +86,7 @@ def test_solver_and_library_modules_define_no_objective_or_test_builder():
     # these live beside the oracles in verification.py, or in tests/test_lasso.py
     moved = (
         "g_lambda", "weighted_l0", "lasso_objective", "weighted_l1_norm", "expansion_target",
+        "restricted_least_squares",
     )
     for module in (womp, lasso, experiments, basis):
         assert [name for name in moved if hasattr(module, name)] == [], module.__name__
@@ -132,13 +133,18 @@ def test_readme_output_files_are_the_writer_table():
     assert re.findall(r"`([^`]+)`", sentence) == list(experiments.OUTPUT_WRITERS)
 
 
+def test_readme_stop_reasons_are_the_solver_constants():
+    readme = (ROOT / "README.md").read_text()
+    sentence = readme.split("The stop reasons are", 1)[1]
+    sentence = re.split(r"\.\s", sentence, maxsplit=1)[0]
+    assert tuple(re.findall(r"`([^`]+)`", sentence)) == womp.STOP_REASONS
+
+
 def test_readme_quickstart_runs(capsys):
     readme = (ROOT / "README.md").read_text()
     quickstart = readme.split("## Library quickstart", 1)[1]
     code = quickstart.split("```python\n", 1)[1].split("```", 1)[0]
     exec(compile(code, "README.md quickstart", "exec"), {})
     stop_reason, support_size = capsys.readouterr().out.split()
-    assert stop_reason in (
-        "max_iterations", "zero_delta", "in_support_reselect", "residual_floor"
-    )
+    assert stop_reason in womp.STOP_REASONS
     assert 1 <= int(support_size) <= 25

@@ -6,13 +6,13 @@ from hypothesis import strategies as st
 from sparsepoly.assembly import LinearSystem, normalize_columns
 from sparsepoly.lasso import lasso_path
 from sparsepoly.womp import (
+    STOP_IN_SPAN,
     STOP_IN_SUPPORT_RESELECT,
     STOP_RESIDUAL_FLOOR,
     STOP_ZERO_DELTA,
     SUPPORT_EPSILON,
     WompConfig,
     delta_scores,
-    restricted_least_squares,
     womp_solve,
 )
 from sparsepoly.verification import (
@@ -20,6 +20,7 @@ from sparsepoly.verification import (
     g_lambda,
     grid_min_g_lambda,
     random_test_system,
+    restricted_least_squares,
     textbook_omp,
     weighted_l0,
 )
@@ -393,18 +394,23 @@ def test_trace_stores_support_values_and_expands_them():
     np.testing.assert_array_equal(unbounded.values, trace.values)
 
 
-def test_in_span_column_falls_back_to_least_squares():
-    # column 2 is column 0 tilted by 1e-9 out of the (e1, e2) plane: once
-    # columns 1 and 2 are in, column 0's orthogonal part is about 1e-9
-    matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1e-9]])
-    raw = LinearSystem(matrix, np.array([0.3, 1.0, 1.0]))
-    system = normalize_columns(raw)
+def tilted_system(tilt):
+    """Column 2 is column 0 tilted by `tilt` out of the (e1, e2) plane: once
+    columns 1 and 2 are in, column 0's orthogonal part is about `tilt`."""
+    matrix = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.0, tilt]])
+    return normalize_columns(LinearSystem(matrix, np.array([0.3, 1.0, 1.0])))
+
+
+@pytest.mark.parametrize("tilt", [1e-9, 1e-3])
+def test_in_span_column_stops_the_solve(tilt):
+    # column 0 is the maximizer after [1, 2], but its orthogonal part is below
+    # SPAN_TOLERANCE, so the solve stops without selecting it
+    system = tilted_system(tilt)
     trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
-    assert trace.selected.tolist() == [1, 2, 0]
-    assert trace.stop_reason == STOP_ZERO_DELTA
-    assert np.all(np.isfinite(trace.values))
-    np.testing.assert_array_equal(
-        trace.final_coefficients, restricted_least_squares(system, (0, 1, 2))
+    assert trace.selected.tolist() == [1, 2]
+    assert trace.stop_reason == STOP_IN_SPAN
+    np.testing.assert_allclose(
+        trace.final_coefficients, restricted_least_squares(system, (1, 2)), rtol=1e-12, atol=0
     )
 
 
