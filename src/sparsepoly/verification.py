@@ -215,6 +215,7 @@ def expansion_target(
     kind: str,
     index_set: MultiIndexSet,
     coefficients: np.ndarray,
+    description: str = "",
 ) -> TargetFunction:
     """A target that is exactly a finite combination of basis polynomials,
     sum_j c_j phi_j, evaluated through `basis.evaluate_design`."""
@@ -225,7 +226,7 @@ def expansion_target(
     def evaluator(points: np.ndarray) -> np.ndarray:
         return basis.evaluate_design(kind, index_set, points) @ coefficients
 
-    label = f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
+    label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
     return TargetFunction(evaluator, description=label)
 
 

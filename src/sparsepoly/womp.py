@@ -23,8 +23,8 @@ reduces to classical OMP.
 
 A maximizer j whose column is numerically in the span of the selected ones
 (k = m, or an orthogonal part rho <= SPAN_TOLERANCE) stops the solve unselected,
-with ``stop_reason = "in_span"``.  As r is orthogonal to the selected columns,
-j's score is at most (A^T r)_j^2 <= rho^2 ||r||^2: the stop gives up little.
+with ``stop_reason = "in_span"``.  That can give up the whole residual:
+appending j would lower ||r||^2 by (A^T r)_j^2 / rho^2, which is at most ||r||^2.
 
 The solver returns its history as a `SolveTrace`, the selection order plus
 one block of iterates, and keeps the iterate in selection order throughout.
@@ -53,8 +53,8 @@ RESIDUAL_FLOOR = 1e-14
 SUPPORT_EPSILON = 1e-12
 
 # A unit-norm column whose part orthogonal to the selected columns is at most
-# this is in their span: with it, cond(A_S) would be at least 1 / SPAN_TOLERANCE.
-SPAN_TOLERANCE = 1e-2
+# this is in their span: with it, the QR refit's error (~ cond(A_S) eps) would pass 1e-13.
+SPAN_TOLERANCE = 1e-3
 
 STOP_MAX_ITERATIONS = "max_iterations"
 STOP_ZERO_DELTA = "zero_delta"
@@ -199,9 +199,8 @@ def womp_solve(
     support, and refits by least squares on it through an incremental QR
     factorization of the selected columns.  Stops at the iteration budget,
     when the best score is zero, when the maximizer is already in the
-    support, when its column is numerically in the span of the selected ones
-    (k = m, or an orthogonal part at most SPAN_TOLERANCE), or when the
-    residual hits the floor.
+    support, when its column is in the span of the selected ones (see
+    SPAN_TOLERANCE), or when the residual hits the floor.
 
     Raises:
         ValueError: from `check_solver_inputs`, on an unnormalized system or bad weights.

@@ -4,7 +4,7 @@ weights, rather than the Gaussian test systems of test_womp.py and
 test_lasso.py.  The properties that take `st.one_of` draw from both."""
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly import basis
@@ -21,11 +21,8 @@ from sparsepoly.verification import (
     grid_min_g_lambda,
     lasso_kkt_residual,
     random_test_system,
-    restricted_least_squares,
 )
 from sparsepoly.womp import (
-    SPAN_TOLERANCE,
-    STOP_IN_SPAN,
     STOP_REASONS,
     WompConfig,
     delta_scores,
@@ -33,7 +30,6 @@ from sparsepoly.womp import (
 )
 
 from test_lasso import assert_matches_scratch_path, lasso_objective, reference_ista
-from test_womp import tilted_system
 
 
 @st.composite
@@ -101,40 +97,6 @@ def test_womp_trace_is_bounded_finite_and_names_its_stop(drawn, lam):
     assert len(trace) <= min(m, n)
     assert np.all(np.isfinite(trace.values))
     assert trace.stop_reason in STOP_REASONS
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    drawn=st.one_of(study_systems(), gaussian_systems()),
-    lam=st.sampled_from(DELTA_CHECK_LAMBDAS),
-)
-def test_womp_iterates_match_restricted_least_squares(drawn, lam):
-    # every prefix of the QR refit against the SVD oracle on the sorted support
-    system, w = drawn
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
-    for k in range(1, len(trace) + 1):
-        reference = restricted_least_squares(system, trace.selected[:k])
-        error = np.linalg.norm(trace.coefficients_at(k) - reference)
-        assert error <= 1e-12 * np.linalg.norm(reference)
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    drawn=st.one_of(study_systems(), gaussian_systems()),
-    lam=st.sampled_from(DELTA_CHECK_LAMBDAS),
-)
-@example(drawn=(tilted_system(1e-3), np.ones(3)), lam=0.0)
-def test_an_in_span_stop_gives_up_at_most_the_span_bound(drawn, lam):
-    # the residual is orthogonal to the selected columns, so the refused
-    # column's score is at most rho^2 ||r||^2 < SPAN_TOLERANCE^2 ||r||^2
-    system, w = drawn
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
-    if trace.stop_reason != STOP_IN_SPAN or len(trace) >= system.matrix.shape[0]:
-        return
-    x, support = trace.final_coefficients, trace.selected
-    residual = system.rhs - system.matrix @ x
-    scores = delta_scores(support, x[support], system.matrix.T @ residual, w, lam)
-    assert np.max(scores) <= 1.01 * SPAN_TOLERANCE**2 * float(residual @ residual)
 
 
 @settings(max_examples=60, deadline=None)

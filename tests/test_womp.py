@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsepoly.assembly import LinearSystem, normalize_columns
 from sparsepoly.lasso import lasso_path
 from sparsepoly.womp import (
+    SPAN_TOLERANCE,
     STOP_IN_SPAN,
     STOP_IN_SUPPORT_RESELECT,
     STOP_RESIDUAL_FLOOR,
@@ -16,6 +17,7 @@ from sparsepoly.womp import (
     womp_solve,
 )
 from sparsepoly.verification import (
+    DELTA_CHECK_LAMBDAS,
     collect_womp_states,
     g_lambda,
     grid_min_g_lambda,
@@ -24,6 +26,8 @@ from sparsepoly.verification import (
     textbook_omp,
     weighted_l0,
 )
+
+from test_study_systems import gaussian_systems, study_systems
 
 
 def make_system(m, n, seed, noise=0.05):
@@ -401,7 +405,7 @@ def tilted_system(tilt):
     return normalize_columns(LinearSystem(matrix, np.array([0.3, 1.0, 1.0])))
 
 
-@pytest.mark.parametrize("tilt", [1e-9, 1e-3])
+@pytest.mark.parametrize("tilt", [1e-9, 1e-4])
 def test_in_span_column_stops_the_solve(tilt):
     # column 0 is the maximizer after [1, 2], but its orthogonal part is below
     # SPAN_TOLERANCE, so the solve stops without selecting it
@@ -414,12 +418,63 @@ def test_in_span_column_stops_the_solve(tilt):
     )
 
 
+def test_column_above_the_span_tolerance_is_appended():
+    # at tilt 1e-2 column 0's orthogonal part is ten times SPAN_TOLERANCE: the
+    # QR refit takes it, at cond(A_S) about 1e2, and fits y exactly
+    system = tilted_system(1e-2)
+    trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
+    assert trace.selected.tolist() == [1, 2, 0]
+    x = trace.final_coefficients
+    np.testing.assert_allclose(x, restricted_least_squares(system, (0, 1, 2)), rtol=1e-12, atol=0)
+    residual = system.rhs - system.matrix @ x
+    assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.one_of(study_systems(), gaussian_systems()),
+    lam=st.sampled_from(DELTA_CHECK_LAMBDAS),
+)
+@example(drawn=(tilted_system(1e-4), np.ones(3)), lam=0.0)
+def test_an_in_span_stop_gives_up_the_refit_on_its_column(drawn, lam):
+    # the refused maximizer j is in the span at SPAN_TOLERANCE, and the stop
+    # gives up what appending it would have gained: the oracle's refit on
+    # S + {j} lowers ||r||^2 by (v^T r)^2 / rho^2 <= ||r||^2, where v is the
+    # part of column j orthogonal to A_S and rho = ||v||
+    system, w = drawn
+    matrix, y = system.matrix, system.rhs
+    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
+    if trace.stop_reason != STOP_IN_SPAN or len(trace) >= matrix.shape[0]:
+        return
+    x, support = trace.final_coefficients, trace.selected
+    correlations = matrix.T @ (y - matrix @ x)
+    j = int(np.argmax(delta_scores(support, x[support], correlations, w, lam)))
+    column, selected = matrix[:, j], matrix[:, support]
+    v = column - selected @ np.linalg.lstsq(selected, column, rcond=None)[0]
+    rho = np.linalg.norm(v)
+    assert rho <= SPAN_TOLERANCE
+    residual = y - matrix @ restricted_least_squares(system, support)
+    refit = y - matrix @ restricted_least_squares(system, [*support, j])
+    given_up = residual @ residual - refit @ refit
+    assert abs(given_up - (v @ residual) ** 2 / rho**2) <= 1e-9 * (residual @ residual)
+    assert given_up <= (1 + 1e-9) * (residual @ residual)
+
+
 # --- properties on random systems -------------------------------------------
 
 # (m, n) with 3 <= m < 20 and m < n <= 3m + 1
 random_shapes = st.integers(3, 19).flatmap(
     lambda m: st.tuples(st.just(m), st.integers(m + 1, 3 * m + 1))
 )
+
+
+@st.composite
+def weighted_random_systems(draw):
+    """(system, w): `random_test_system` of a `random_shapes` shape and
+    weights in [1, 2]."""
+    m, n = draw(random_shapes)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_test_system(m, n, rng), rng.uniform(1.0, 2.0, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -449,16 +504,13 @@ def test_unregularized_run_ends_at_residual_floor(shape, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    shape=random_shapes,
-    seed=st.integers(0, 2**32 - 1),
+    drawn=st.one_of(weighted_random_systems(), study_systems()),
     lam=st.sampled_from((0.0, 1e-4, 1e-2)),
 )
-def test_iterates_match_restricted_least_squares(shape, seed, lam):
-    m, n = shape
-    rng = np.random.default_rng(seed)
-    system = random_test_system(m, n, rng)
-    w = rng.uniform(1.0, 2.0, n)
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
+def test_iterates_match_restricted_least_squares(drawn, lam):
+    # every prefix of the QR refit against the SVD oracle on the sorted support
+    system, w = drawn
+    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
     for k in range(1, len(trace) + 1):
         reference = restricted_least_squares(system, trace.selected[:k])
         error = np.linalg.norm(trace.coefficients_at(k) - reference)
