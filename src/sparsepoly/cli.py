@@ -131,6 +131,24 @@ def _print_summary(report: dict) -> None:
             f"{sweep['best_mean_error']:>14.4e}{sweep['mean_supports'][best]:>10.1f}"
             f"{sweep['mean_sweep_seconds']:>10.4f}"
         )
+    # per m, the best-lambda WOMP solve (smallest mean error at K) against
+    # the LASSO path up to its best alpha, each with its support
+    sweeps = {sweep["m"]: sweep for sweep in report["lasso"]}
+    for m in config["m"]:
+        best = min((c for c in report["womp"] if c["m"] == m), key=lambda c: c["mean_errors"][-1])
+        line = (
+            f"m={m}: best womp lambda={best['lambda']:.6g} {best['mean_seconds'] * 1e3:.3f} ms, "
+            f"support {best['mean_supports'][-1]:.1f}"
+        )
+        if m in sweeps:
+            sweep = sweeps[m]
+            b = sweep["best_position"]
+            line += (
+                f"; wlasso path to best alpha={sweep['mean_alphas'][b]:.6g} "
+                f"{sweep['mean_path_seconds'][b] * 1e3:.3f} ms, "
+                f"support {sweep['mean_supports'][b]:.1f}"
+            )
+        print(line)
     trials = config["trials"]
     for curve in report["womp"]:
         if womp.STOP_IN_SPAN in curve["stop_reasons"]:

@@ -2,8 +2,9 @@
 
 The protocol, per sample count m and per trial: draw m fresh points from the
 orthogonality measure, assemble and column-normalize the sensing system, run
-one greedy solve per regularization value (its trace is the selection order
-plus one block of all iterates) and one weighted-LASSO sweep over a
+the greedy solves of all regularization values in lockstep, in one
+`womp_path` call (each lambda's trace is its selection order plus one block
+of all its iterates), and one weighted-LASSO sweep over a
 log-spaced alpha grid, solved exactly by one homotopy path from the
 zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).
 The report aggregates, over trials, each greedy configuration's stop reasons
@@ -30,10 +31,13 @@ config file is rendered from the dict's `config` echo.
 Everything is a pure function of the config (seed included): the reference
 uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
 SeedSequence([seed, 1, m, t]), so earlier trials are stable when the trial
-count grows.  Wall-clock timings cover the solver calls only: a WOMP timing
-is one `womp_solve` call, a LASSO timing the alpha grid plus the
-`lasso_path` call.  Assembly, scoring and the KKT certificate are
-excluded from every decoder timing; normalization is timed separately.
+count grows.  Wall-clock timings cover the solver calls only.  One
+`womp_path` call runs a trial's lambdas in lockstep, and a lambda's WOMP
+timing is its `SolveTrace.seconds`: the time from that call's start until
+the lambda stopped, which includes the other lambdas' work up to then.  A
+LASSO timing is the alpha grid plus the `lasso_path` call.  Assembly,
+scoring and the KKT certificate are excluded from every decoder timing;
+normalization is timed separately.
 """
 
 from __future__ import annotations
@@ -60,7 +64,7 @@ from .assembly import (
 from .index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 from .lasso import default_alpha_grid, lasso_path
 from .verification import lasso_kkt_residual
-from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
+from .womp import SUPPORT_EPSILON, womp_path
 
 DEFAULT_SEED = 1729
 
@@ -210,11 +214,8 @@ def _run_trial(
 
     ks = np.arange(1, config.iterations + 1)
     womp = {"errors": [], "supports": [], "seconds": [], "stop_reasons": [], "iterations": []}
-    for lam in config.lambdas:
-        solver_config = WompConfig(lam=lam, max_iterations=config.iterations)
-        t0 = time.perf_counter()
-        trace = womp_solve(system, w, solver_config)
-        womp["seconds"].append(time.perf_counter() - t0)
+    for trace in womp_path(system, w, config.lambdas, config.iterations):
+        womp["seconds"].append(trace.seconds)
         iterates = denormalize_solution(system, trace.coefficients_at(ks))
         womp["errors"].append(relative_error(iterates, x_ref))
         womp["supports"].append(trace.support_size_at(ks))

@@ -19,8 +19,8 @@ solver runs: the greedy objective G_lam (`g_lambda`, with `weighted_l0`), the
 SVD refit `restricted_least_squares`, the random test systems, and exact
 expansion targets (`expansion_target`).  The solvers live in `womp` and `lasso`.
 Each check calls the study's own function through its module (for instance
-`womp.delta_scores`, which `womp_solve` looks up too), so a change to it
-shows in `verify`.
+`womp.delta_scores`, which the greedy loop of `womp_path` and `womp_solve`
+looks up too), so a change to it shows in `verify`.
 """
 
 from __future__ import annotations

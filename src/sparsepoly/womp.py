@@ -21,6 +21,17 @@ R^{-1} and Q^T y are extended in O(k^2) and O(m), x_S = R^{-1} (Q^T y), and
 the residual is y - Q (Q^T y).  With lam = 0 and unit weights the scheme
 reduces to classical OMP.
 
+`womp_path` runs several lambdas on one system in lockstep, and `womp_solve`
+is its one-lambda call, so there is one greedy loop.  Every running lambda
+adds one column per step, so all of them are at the same k, and a step works
+on stacked arrays: one product of the (L x m) residual block with A, one
+`delta_scores` call on the (L x N) block of correlations, one argmax per row,
+and one stacked Gram-Schmidt append and refit over (L, k, m) and (L, k, k)
+buffers.  The stacked products (np.matvec, np.vecmat, np.vecdot) give each
+row the bits a one-lambda solve computes; only the block's correlations,
+a matrix-matrix product when L > 1, may differ from it in the last bits, and
+they feed only the argmax.  A lambda that stops leaves the block.
+
 A maximizer j whose column is numerically in the span of the selected ones
 (k = m, or an orthogonal part rho <= SPAN_TOLERANCE) stops the solve unselected,
 with ``stop_reason = "in_span"``.  That can give up the whole residual:
@@ -39,6 +50,7 @@ support-enlarging iteration cannot realize); the solver then stops with
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -93,13 +105,15 @@ class SolveTrace:
     Each iteration selects one new column and a reselect stops the solve, so
     the support after k iterations is `selected[:k]`.  Row k of `values` is
     that iterate on `selected`, in selection order; row 0 is the zero start,
-    and entries right of column k are zero.
+    and entries right of column k are zero.  `seconds` is the wall-clock time
+    from the solver call's start until this solve stopped.
     """
 
     n_columns: int
     selected: np.ndarray
     values: np.ndarray = field(repr=False)
     stop_reason: str
+    seconds: float
 
     def __len__(self) -> int:
         return self.selected.size
@@ -125,124 +139,180 @@ class SolveTrace:
 
 
 def delta_scores(
-    support: np.ndarray, values: np.ndarray, correlations: np.ndarray, w: np.ndarray, lam: float
+    support: np.ndarray, values: np.ndarray, correlations: np.ndarray, w: np.ndarray, lam
 ) -> np.ndarray:
     """Vector of greedy scores for all candidate indices at once.
 
     `correlations` is A^T r for the current residual r; `support` is an
     integer array of the support set, in any order, and `values` the iterate
-    on it, in the same order.
+    on it, in the same order.  2-D arguments score a block of states, one per
+    row, with `lam` a scalar or one value per row; each row's scores equal
+    those of the 1-D call on that row, bit for bit.
     Assumes the iterate is least-squares optimal on its support and the
     columns of A have unit norm.
     """
-    lw2 = lam * np.asarray(w, dtype=np.float64) ** 2
-    scores = np.maximum(correlations**2 - lw2, 0.0)
-    scores[support] = np.where(
-        np.abs(values) > SUPPORT_EPSILON, np.maximum(lw2[support] - values**2, 0.0), 0.0
+    support = np.asarray(support)
+    w2 = np.asarray(w, dtype=np.float64) ** 2
+    lam = np.asarray(lam, dtype=np.float64)[..., None]  # one row of lambda per row of scores
+    scores = correlations**2
+    scores -= lam * w2
+    np.maximum(scores, 0.0, out=scores)
+    index = support if support.ndim == 1 else (np.arange(support.shape[0])[:, None], support)
+    scores[index] = np.where(
+        np.abs(values) > SUPPORT_EPSILON, np.maximum(lam * w2[support] - values**2, 0.0), 0.0
     )
     return scores
 
 
-class _IncrementalQR:
-    """Thin QR factorization A_S = Q R of columns appended one at a time.
+class _Block:
+    """The lambdas still running, one row each, every row after the same k steps.
 
-    Stores Q (one row per column of Q), R^{-1} and Q^T y, so that the
-    least-squares coefficients on the selected columns, in insertion order,
-    are R^{-1} (Q^T y), and the least-squares residual is y - Q (Q^T y).
+    Per row: its lambda and its position in the caller's list, the support as
+    a mask and in selection order, the iterates after steps 0..k on
+    `selected` (zero right of column k), and a thin QR factorization
+    A_S = Q R of the selected columns in selection order.  The factorization
+    is stored as Q (one row per column of Q), R^{-1} and Q^T y, so that the
+    iterate is R^{-1} (Q^T y) and the residual y - Q (Q^T y).  The step's
+    maximizer and its Gram-Schmidt parts are rows too, so that `keep` drops a
+    stopped lambda from every array at once.
     """
 
-    def __init__(self, y: np.ndarray, capacity: int):
-        m = y.shape[0]
-        self.y = y
-        self.size = 0
-        self.q = np.empty((capacity, m))
-        self.r_inv = np.zeros((capacity, capacity))
-        self.qty = np.empty(capacity)
+    def __init__(self, lams: np.ndarray, y: np.ndarray, n: int, capacity: int):
+        size, m = lams.size, y.size
+        self.lam = lams
+        self.position = np.arange(size)
+        self.in_support = np.zeros((size, n), dtype=bool)
+        self.selected = np.zeros((size, capacity), dtype=np.intp)
+        self.iterates = np.zeros((size, capacity + 1, capacity))
+        self.q = np.empty((size, capacity, m))
+        self.r_inv = np.zeros((size, capacity, capacity))
+        self.qty = np.empty((size, capacity))
+        self.residual = np.tile(y, (size, 1))
+        # the step's maximizer j, Q a_j, the part v of a_j orthogonal to Q, and ||v||
+        self.candidate = np.zeros(size, dtype=np.intp)
+        self.h = np.zeros((size, 0))
+        self.v = np.zeros((size, m))
+        self.rho = np.zeros(size)
 
-    def append(self, column: np.ndarray) -> bool:
-        """Append a unit-norm column; False (and no change) if it is in span."""
-        k = self.size
-        if k == self.q.shape[0]:  # k = m: the selected columns span R^m
-            return False
-        q = self.q[:k]
-        # classical Gram-Schmidt with one re-orthogonalization
-        h = q @ column
-        v = column - h @ q
-        h2 = q @ v
-        v -= h2 @ q
-        h += h2
-        rho = float(np.linalg.norm(v))
-        if rho <= SPAN_TOLERANCE:
-            return False
+    def keep(self, rows: np.ndarray) -> None:
+        for name, value in vars(self).items():
+            setattr(self, name, value[rows])
+
+    def orthogonalize(self, columns: np.ndarray, k: int) -> None:
+        """Each row's column against its k columns of Q: classical
+        Gram-Schmidt with one re-orthogonalization."""
+        q = self.q[:, :k]
+        h = np.matvec(q, columns)
+        v = columns - np.vecmat(h, q)
+        h2 = np.matvec(q, v)
+        v -= np.vecmat(h2, q)
+        self.h, self.v, self.rho = h + h2, v, np.sqrt(np.vecdot(v, v))
+
+    def append(self, k: int, y: np.ndarray) -> None:
+        """Select each row's candidate, extend its factorization, and refit."""
         # R_new = [[R, h], [0, rho]]  =>  R_new^{-1} = [[R^{-1}, -R^{-1} h / rho], [0, 1 / rho]]
-        self.r_inv[:k, k] = (self.r_inv[:k, :k] @ h) / -rho
-        self.r_inv[k, k] = 1.0 / rho
-        self.q[k] = v / rho
-        self.qty[k] = self.q[k] @ self.y
-        self.size = k + 1
-        return True
+        rho = self.rho[:, None]
+        self.r_inv[:, :k, k] = np.matvec(self.r_inv[:, :k, :k], self.h) / -rho
+        self.r_inv[:, k, k] = 1.0 / self.rho
+        self.q[:, k] = self.v / rho
+        self.qty[:, k] = np.vecdot(self.q[:, k], y)
+        self.in_support[np.arange(self.lam.size), self.candidate] = True
+        self.selected[:, k] = self.candidate
+        k += 1
+        self.iterates[:, k, :k] = np.matvec(self.r_inv[:, :k, :k], self.qty[:, :k])
+        self.residual = y - np.vecmat(self.qty[:, :k], self.q[:, :k])
 
-    def coefficients(self) -> np.ndarray:
-        k = self.size
-        return self.r_inv[:k, :k] @ self.qty[:k]
+
+def _lockstep(system: LinearSystem, w, lams: np.ndarray, max_iterations: int, solver: str):
+    """The greedy loop of `womp_path`, for lambdas and a budget already checked."""
+    start = time.perf_counter()
+    w = check_solver_inputs(system, w, solver)
+    matrix, y = system.matrix, system.rhs
+    m, n = matrix.shape
+    # a row stops in_span by k = m, so Q never needs more than m rows
+    capacity = min(max_iterations, m)
+    floor = RESIDUAL_FLOOR * float(np.linalg.norm(y))
+    block = _Block(lams, y, n, capacity)
+    traces = [None] * lams.size
+
+    def finish(stopped: np.ndarray, reasons: np.ndarray, k: int) -> bool:
+        """Hand each stopped row its trace after k steps, with its entry of
+        `reasons`, and drop it from the block; True once the block is empty."""
+        seconds = time.perf_counter() - start
+        for i in np.flatnonzero(stopped):
+            traces[block.position[i]] = SolveTrace(
+                n_columns=n,
+                selected=block.selected[i, :k].copy(),
+                values=block.iterates[i, : k + 1, :k].copy(),
+                stop_reason=str(reasons[i]),
+                seconds=seconds,
+            )
+        block.keep(np.flatnonzero(~stopped))
+        return block.lam.size == 0
+
+    for k in range(max_iterations):
+        scores = delta_scores(
+            block.selected[:, :k], block.iterates[:, k, :k], block.residual @ matrix, w, block.lam
+        )
+        rows = np.arange(block.lam.size)
+        block.candidate = j = scores.argmax(axis=1)
+        block.orthogonalize(matrix[:, j].T, k)
+        zero = scores[rows, j] <= 0.0
+        reselect = block.in_support[rows, j]
+        # k = m: the selected columns span R^m
+        in_span = (block.rho <= SPAN_TOLERANCE) | (k == capacity)
+        stopped = zero | reselect | in_span
+        if stopped.any():
+            # the first of the three checks that holds names the stop
+            reasons = np.where(
+                zero, STOP_ZERO_DELTA, np.where(reselect, STOP_IN_SUPPORT_RESELECT, STOP_IN_SPAN)
+            )
+            if finish(stopped, reasons, k):
+                break
+        block.append(k, y)
+        stopped = np.sqrt(np.vecdot(block.residual, block.residual)) < floor
+        if stopped.any() and finish(stopped, np.full(stopped.size, STOP_RESIDUAL_FLOOR), k + 1):
+            break
+    else:
+        stopped = np.ones(block.lam.size, dtype=bool)
+        finish(stopped, np.full(stopped.size, STOP_MAX_ITERATIONS), max_iterations)
+    return traces
 
 
-def womp_solve(
-    system: LinearSystem,
-    w: np.ndarray,
-    config: WompConfig,
-) -> SolveTrace:
-    """Run the greedy pursuit on a column-normalized system.
+def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) -> list[SolveTrace]:
+    """Run the greedy pursuit for several lambdas on one column-normalized
+    system, in lockstep; one `SolveTrace` per lambda, in the order given.
 
-    Starting from the zero iterate and empty support, each iteration selects
-    the score-maximizing index (smallest index wins ties), enlarges the
-    support, and refits by least squares on it through an incremental QR
-    factorization of the selected columns.  Stops at the iteration budget,
-    when the best score is zero, when the maximizer is already in the
-    support, when its column is in the span of the selected ones (see
-    SPAN_TOLERANCE), or when the residual hits the floor.
+    Each lambda's solve is the one `womp_solve` runs.  Starting from the zero
+    iterate and empty support, each iteration selects the score-maximizing
+    index (smallest index wins ties), enlarges the support, and refits by
+    least squares on it through an incremental QR factorization of the
+    selected columns.  A lambda stops at the iteration budget, when its best
+    score is zero, when its maximizer is already in its support, when the
+    maximizer's column is in the span of the selected ones (see
+    SPAN_TOLERANCE), or when its residual hits the floor.  The lambdas still
+    running share one step: one residual-block product with A, one
+    `delta_scores` call and one stacked Gram-Schmidt append and refit.  A
+    lambda that stops leaves the block, and its trace's `seconds` is the time
+    from the call's start until then, which includes the other lambdas' work.
+
+    Raises:
+        ValueError: on an empty `lams`, a lambda or budget that `WompConfig`
+            refuses, or (from `check_solver_inputs`) an unnormalized system or
+            bad weights.
+    """
+    if len(lams) == 0:
+        raise ValueError("lams must hold at least one value")
+    configs = [WompConfig(lam=lam, max_iterations=max_iterations) for lam in lams]
+    lams = np.array([config.lam for config in configs], dtype=np.float64)
+    return _lockstep(system, w, lams, configs[0].max_iterations, "womp_path")
+
+
+def womp_solve(system: LinearSystem, w: np.ndarray, config: WompConfig) -> SolveTrace:
+    """`womp_path` for the one lambda of `config`.
 
     Raises:
         ValueError: from `check_solver_inputs`, on an unnormalized system or bad weights.
     """
-    w = check_solver_inputs(system, w, "womp_solve")
-
-    matrix, y = system.matrix, system.rhs
-    m, n = matrix.shape
-    lam = config.lam
-    y_norm = float(np.linalg.norm(y))
-
-    in_support = np.zeros(n, dtype=bool)
-    selected = np.zeros(0, dtype=np.intp)
-    values = np.zeros(0)  # the iterate on `selected`, in selection order
-    iterates = [values]
-    qr = _IncrementalQR(y, min(config.max_iterations, m))
-    residual = y.copy()
-    stop_reason = STOP_MAX_ITERATIONS
-
-    for _ in range(config.max_iterations):
-        correlations = matrix.T @ residual
-        scores = delta_scores(selected, values, correlations, w, lam)
-        j = int(np.argmax(scores))
-        if scores[j] <= 0.0:
-            stop_reason = STOP_ZERO_DELTA
-            break
-        if in_support[j]:
-            stop_reason = STOP_IN_SUPPORT_RESELECT
-            break
-        if not qr.append(matrix[:, j]):
-            stop_reason = STOP_IN_SPAN
-            break
-        in_support[j] = True
-        selected = np.append(selected, j)
-        values = qr.coefficients()
-        residual = y - qr.qty[: qr.size] @ qr.q[: qr.size]
-        iterates.append(values)
-        if np.linalg.norm(residual) < RESIDUAL_FLOOR * y_norm:
-            stop_reason = STOP_RESIDUAL_FLOOR
-            break
-
-    block = np.zeros((len(iterates), selected.size))
-    for k, row in enumerate(iterates):
-        block[k, :k] = row
-    return SolveTrace(n_columns=n, selected=selected, values=block, stop_reason=stop_reason)
+    lams = np.array([config.lam], dtype=np.float64)
+    return _lockstep(system, w, lams, config.max_iterations, "womp_solve")[0]

@@ -271,6 +271,34 @@ def test_womp_in_span_stops_are_reported(capsys):
     assert flags == ["womp m=10 lambda=0.0001: 1/2 solves stopped in_span"]
 
 
+@pytest.mark.parametrize("include_lasso", [False, True])
+def test_summary_compares_the_best_decoders_once_per_m(capsys, include_lasso):
+    # one line per m: the best-lambda WOMP solve (smallest mean error at K)
+    # and the LASSO path up to its best alpha, each with seconds and support
+    overrides = ["m=10,12", "lasso_grid_size=3", f"include_lasso={str(include_lasso).lower()}"]
+    report = run_sweep(parse_config_text(SMALL_TEXT, overrides))
+    # rows (m=10, 0), (m=10, 1e-4), (m=12, 0), (m=12, 1e-4); m=12 ties, and the first wins
+    for curve, error, seconds in zip(report["womp"], (0.5, 0.25, 0.25, 0.25), (1, 2, 3, 4)):
+        curve["mean_errors"][-1] = error
+        curve["mean_supports"][-1] = seconds + 0.5
+        curve["mean_seconds"] = seconds * 1e-3
+    for sweep in report["lasso"]:
+        sweep["best_position"] = 1
+        sweep["mean_alphas"] = np.array([1e-2, 1e-3, 1e-4])
+        sweep["mean_path_seconds"] = np.array([1e-3, 5e-3, 9e-3]) * sweep["m"]
+        sweep["mean_supports"] = np.array([1.0, 6.5, 9.0])
+    cli._print_summary(report)
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("m=")]
+    expected = [
+        "m=10: best womp lambda=0.0001 2.000 ms, support 2.5",
+        "m=12: best womp lambda=0 3.000 ms, support 3.5",
+    ]
+    if include_lasso:
+        expected[0] += "; wlasso path to best alpha=0.001 50.000 ms, support 6.5"
+        expected[1] += "; wlasso path to best alpha=0.001 60.000 ms, support 6.5"
+    assert lines == expected
+
+
 def test_report_json_reruns_equal_run_sweep(tmp_path, capsys):
     # reruns of one config and seed write the same report.json apart from
     # its timing values, and that data is what run_sweep returns

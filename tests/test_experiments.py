@@ -322,6 +322,26 @@ def test_decoder_timings_exclude_scoring(monkeypatch):
     assert max(seconds) < 0.05
 
 
+def test_womp_timings_are_the_trace_seconds_of_one_path_call_per_trial(monkeypatch):
+    # each lambda's mean_seconds averages its SolveTrace.seconds over the trials
+    path = experiments.womp_path
+    calls = []
+
+    def stamped_path(system, w, lams, max_iterations):
+        traces = path(system, w, lams, max_iterations)
+        calls.append(len(lams))
+        for i, trace in enumerate(traces):
+            trace.seconds = 0.25 * (i + 1) * len(calls)
+        return traces
+
+    monkeypatch.setattr(experiments, "womp_path", stamped_path)
+    config = ExperimentConfig(**SMALL)
+    report = run_sweep(config)
+    assert calls == [len(config.lambdas)] * config.trials
+    # trials 1 and 2 stamp 0.25 (i + 1) and 0.5 (i + 1)
+    assert [c["mean_seconds"] for c in report["womp"]] == [0.375 * (i + 1) for i in range(2)]
+
+
 def test_errors_decrease_from_one():
     config = ExperimentConfig(**SMALL)
     report = run_sweep(config)

@@ -32,7 +32,9 @@ BENCHMARK_NAMES = (
 )
 
 # Everything the package exports: the benchmark's names plus the study's entry points.
-PUBLIC_NAMES = {*BENCHMARK_NAMES, "ExperimentConfig", "run_sweep", "target_log_sum"}
+PUBLIC_NAMES = {
+    *BENCHMARK_NAMES, "ExperimentConfig", "run_sweep", "target_log_sum", "womp_path",
+}
 
 
 def test_python_m_runs_the_cli_from_source():

@@ -21,11 +21,13 @@ from sparsepoly.verification import (
     grid_min_g_lambda,
     lasso_kkt_residual,
     random_test_system,
+    restricted_least_squares,
 )
 from sparsepoly.womp import (
     STOP_REASONS,
     WompConfig,
     delta_scores,
+    womp_path,
     womp_solve,
 )
 
@@ -65,6 +67,72 @@ def gaussian_systems(draw):
     n = draw(st.integers(2, 40))
     system = random_test_system(draw(st.integers(2, 20)), n, rng)
     return system, rng.uniform(1.0, 2.0, n)
+
+
+# lambda grids whose rows stop at different steps: the study's, and the
+# oracle's with a lambda large enough to stop after a step or two
+LAMBDA_GRIDS = (DEFAULT_LAMBDAS, (*DELTA_CHECK_LAMBDAS, 1.0))
+
+
+def assert_path_rows_are_solves(system, w, lams, max_iterations):
+    """Check each row of one `womp_path` call against the one-lambda
+    `womp_solve`: the same selections and stop reason, and every iterate
+    within 1e-13 relative.  A row that ran fewer steps stopped no later.
+    Returns the path's traces."""
+    traces = womp_path(system, w, lams, max_iterations)
+    assert len(traces) == len(lams)
+    for lam, trace in zip(lams, traces):
+        alone = womp_solve(system, w, WompConfig(lam=lam, max_iterations=max_iterations))
+        assert trace.selected.tolist() == alone.selected.tolist()
+        assert trace.stop_reason == alone.stop_reason
+        assert trace.values.shape == alone.values.shape
+        gap = np.linalg.norm(trace.values - alone.values, axis=1)
+        assert np.all(gap <= 1e-13 * np.linalg.norm(alone.values, axis=1))
+    for earlier in traces:
+        assert all(earlier.seconds <= t.seconds for t in traces if len(earlier) < len(t))
+    return traces
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    drawn=st.one_of(study_systems(), gaussian_systems()),
+    lams=st.sampled_from(LAMBDA_GRIDS),
+    short=st.booleans(),
+)
+def test_womp_path_rows_are_the_one_lambda_solves(drawn, lams, short):
+    system, w = drawn
+    # a budget of 3 stops long rows at max_iterations; one past N leaves the
+    # other four reasons to the solver
+    budget = 3 if short else system.n_columns + 3
+    for trace in assert_path_rows_are_solves(system, w, lams, budget):
+        # every prefix of each row's QR refit against the SVD oracle
+        for k in range(1, len(trace) + 1):
+            reference = restricted_least_squares(system, trace.selected[:k])
+            error = np.linalg.norm(trace.coefficients_at(k) - reference)
+            assert error <= 1e-12 * np.linalg.norm(reference)
+
+
+@settings(max_examples=40, deadline=None)
+@given(drawn=st.one_of(study_systems(), gaussian_systems()), lams=st.sampled_from(LAMBDA_GRIDS))
+def test_block_delta_scores_are_the_row_scores_bit_for_bit(drawn, lams):
+    system, w = drawn
+    matrix, y = system.matrix, system.rhs
+    traces = womp_path(system, w, lams, system.n_columns + 3)
+    for k in range(max(map(len, traces)) + 1):
+        # the states after k steps of the rows that ran k steps, as one block
+        rows = [i for i, trace in enumerate(traces) if len(trace) >= k]
+        support = np.stack([traces[i].selected[:k] for i in rows])
+        values = np.stack([traces[i].values[k, :k] for i in rows])
+        correlations = np.stack(
+            [matrix.T @ (y - matrix @ traces[i].coefficients_at(k)) for i in rows]
+        )
+        lam = np.array(lams)[rows]
+        block = delta_scores(support, values, correlations, w, lam)
+        shared = delta_scores(support, values, correlations, w, lam[0])
+        for r in range(len(rows)):
+            row = (support[r], values[r], correlations[r], w)
+            np.testing.assert_array_equal(block[r], delta_scores(*row, lam[r]))
+            np.testing.assert_array_equal(shared[r], delta_scores(*row, lam[0]))
 
 
 @settings(max_examples=60, deadline=None)

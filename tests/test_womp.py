@@ -9,11 +9,14 @@ from sparsepoly.womp import (
     SPAN_TOLERANCE,
     STOP_IN_SPAN,
     STOP_IN_SUPPORT_RESELECT,
+    STOP_MAX_ITERATIONS,
+    STOP_REASONS,
     STOP_RESIDUAL_FLOOR,
     STOP_ZERO_DELTA,
     SUPPORT_EPSILON,
     WompConfig,
     delta_scores,
+    womp_path,
     womp_solve,
 )
 from sparsepoly.verification import (
@@ -27,7 +30,7 @@ from sparsepoly.verification import (
     weighted_l0,
 )
 
-from test_study_systems import gaussian_systems, study_systems
+from test_study_systems import assert_path_rows_are_solves, gaussian_systems, study_systems
 
 
 def make_system(m, n, seed, noise=0.05):
@@ -206,6 +209,9 @@ def test_refuses_unnormalized_system():
     system = LinearSystem(matrix=rng.standard_normal((10, 15)), rhs=rng.standard_normal(10))
     with pytest.raises(ValueError, match="^womp_solve requires unit-norm columns; apply normalize_columns first$"):
         womp_solve(system, np.ones(15), WompConfig())
+    message = "^womp_path requires unit-norm columns; apply normalize_columns first$"
+    with pytest.raises(ValueError, match=message):
+        womp_path(system, np.ones(15), [0.0], 25)
 
 
 def test_rejects_nonpositive_weights():
@@ -236,7 +242,26 @@ def test_both_solvers_refuse_an_iteration_cap_that_is_not_an_integer_ge_1(cap):
     with pytest.raises(ValueError, match=message):
         WompConfig(max_iterations=cap)
     with pytest.raises(ValueError, match=message):
+        womp_path(system, np.ones(20), [0.0, 1e-4], cap)
+    with pytest.raises(ValueError, match=message):
         lasso_path(system, np.ones(20), [1e-3, 1e-6], max_iterations=cap)
+
+
+def test_womp_path_refuses_an_empty_lambda_list():
+    system = make_system(10, 15, 17)
+    with pytest.raises(ValueError, match="^lams must hold at least one value$"):
+        womp_path(system, np.ones(15), [], 5)
+
+
+@pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan])
+def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
+    # the message names the bad lambda, wherever it is in the list
+    system = make_system(10, 15, 17)
+    message = f"^lam must be finite and >= 0, got {bad}$"
+    with pytest.raises(ValueError, match=message):
+        WompConfig(lam=bad)
+    with pytest.raises(ValueError, match=message):
+        womp_path(system, np.ones(15), [0.0, bad, 1e-4], 5)
 
 
 def test_matches_textbook_omp():
@@ -272,9 +297,10 @@ def test_huge_lambda_stops_immediately():
     np.testing.assert_array_equal(trace.final_coefficients, np.zeros(15))
 
 
-def test_in_support_reselect_stop():
-    # correlated dictionary where a supported coefficient shrinks below the
-    # regularization threshold, so the greedy maximizer re-enters the support
+def reselect_system():
+    """(system, w): a correlated dictionary where, at lam = 1e-3, a supported
+    coefficient shrinks below the regularization threshold, so the greedy
+    maximizer re-enters the support."""
     rng = np.random.default_rng(10)
     matrix = rng.standard_normal((12, 40))
     mix = rng.standard_normal((12, 3))
@@ -283,8 +309,11 @@ def test_in_support_reselect_stop():
     idx = rng.choice(40, 5, replace=False)
     x0[idx] = rng.uniform(1, 2, 5) * rng.choice([-1, 1], 5)
     y = matrix @ x0 + 0.05 * rng.standard_normal(12)
-    system = normalize_columns(LinearSystem(matrix, y))
-    w = rng.uniform(1, 3, 40)
+    return normalize_columns(LinearSystem(matrix, y)), rng.uniform(1, 3, 40)
+
+
+def test_in_support_reselect_stop():
+    system, w = reselect_system()
     trace = womp_solve(system, w, WompConfig(lam=1e-3, max_iterations=12))
     assert trace.stop_reason == STOP_IN_SUPPORT_RESELECT
 
@@ -428,6 +457,29 @@ def test_column_above_the_span_tolerance_is_appended():
     np.testing.assert_allclose(x, restricted_least_squares(system, (0, 1, 2)), rtol=1e-12, atol=0)
     residual = system.rhs - system.matrix @ x
     assert np.linalg.norm(residual) <= 1e-12 * np.linalg.norm(system.rhs)
+
+
+def test_womp_path_rows_stop_at_different_steps_for_every_reason():
+    # each call's rows stop at distinct steps; together they meet all five
+    # stop reasons, and each row is its one-lambda solve
+    reselect, w = reselect_system()
+    lams = (0.0, 1e-3, 1e-1, 10.0)
+    cases = {
+        # residual_floor at 12, in_support_reselect at 9, zero_delta at 8 and at 1;
+        # a budget of 10**6 sizes the buffers by m, not by the budget
+        (STOP_RESIDUAL_FLOOR, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
+            (reselect, w, lams, 10**6),
+        (STOP_MAX_ITERATIONS, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
+            (reselect, w, lams, 10),
+        # in_span after [1, 2], zero_delta after one step and at the start
+        (STOP_IN_SPAN, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
+            (tilted_system(1e-4), np.ones(3), (0.0, 0.5, 10.0), 6),
+    }
+    for reasons, (system, w, lams, budget) in cases.items():
+        traces = assert_path_rows_are_solves(system, w, lams, budget)
+        assert tuple(trace.stop_reason for trace in traces) == reasons
+        assert len({len(trace) for trace in traces}) == len(traces)
+    assert {reason for reasons in cases for reason in reasons} == set(STOP_REASONS)
 
 
 @settings(max_examples=60, deadline=None)
