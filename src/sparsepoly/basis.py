@@ -65,7 +65,8 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
             out[..., n + 1] = 2.0 * t * out[..., n] - out[..., n - 1]
         scale = np.full(max_degree + 1, np.sqrt(2.0))
         scale[0] = 1.0
-    return out * scale
+    out *= scale
+    return out
 
 
 def weights(kind: str, index_set) -> np.ndarray:
@@ -115,11 +116,13 @@ _BLOCK_ELEMENTS = 1 << 16
 def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     """Matrix [phi_j(t_i)]_{i,j} for all points and all indices in the set.
 
-    Shares one univariate recurrence table per coordinate and multiplies in
-    only the factors of nonzero degree, so the cost is O(m d s + m nnz(Lambda))
-    rather than N independent tensor evaluations.  phi_0 is exactly 1.0 and
-    the nonzero factors are multiplied in coordinate order, so the result is
-    bit-identical to the plain product over all d factors.
+    One `eval_1d_table` call per block of points gives a factor table whose
+    row k * n_degrees + j holds phi_j at coordinate k.  Index i keys the rows
+    of its nonzero factors in coordinate order, padded with row 0 (phi_0 =
+    1.0) to R, the most nonzero entries of any index (at most log2 s on a
+    hyperbolic cross).  The cost is O(m d s) for the tables plus O(m N R)
+    products.  Multiplying by 1.0 changes no bit, so the result is
+    bit-identical to the plain product over all d factors in coordinate order.
 
     Returns:
         C-contiguous (m, N) array.
@@ -133,37 +136,29 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     m, n = points.shape[0], len(index_set)
     d = index_set.dimension
     n_degrees = int(idx.max()) + 1
-    # nonzero entries of each index in coordinate order as keys into a
-    # factor table whose row k * n_degrees + j holds phi_j at coordinate k;
-    # row 0 (phi_0 = 1.0) stands in for the first factor of the zero index.
-    # `later[p - 1]` holds the (p+1)-th nonzero factor of every index that
-    # has one, rows ascending.
-    rows, coords = np.nonzero(idx)
-    keys = coords * n_degrees + idx[rows, coords]
-    counts = np.bincount(rows, minlength=n)
-    starts = np.cumsum(counts) - counts
-    rank = np.arange(rows.size) - np.repeat(starts, counts)
-    first = np.zeros(n, dtype=np.intp)
-    first[counts > 0] = keys[starts[counts > 0]]
-    later = [(rows[rank == p], keys[rank == p]) for p in range(1, int(counts.max()))]
+    # (N, R) keys, zero-padded; rank[i] counts index i's nonzero factors so far
+    keys = np.zeros((n, max(1, int(np.count_nonzero(idx, axis=1).max()))), dtype=np.intp)
+    rank = np.zeros(n, dtype=np.intp)
+    for k in range(d):
+        (hit,) = np.nonzero(idx[:, k])
+        keys[hit, rank[hit]] = k * n_degrees + idx[hit, k]
+        rank[hit] += 1
     # Blocks of points and of columns keep every temporary near
     # _BLOCK_ELEMENTS doubles; a design block is built transposed, so that
-    # every gather and scatter moves whole table rows.
+    # every gather moves whole table rows.
     design = np.empty((m, n))
     height = max(1, _BLOCK_ELEMENTS // (d * n_degrees))
     for top in range(0, m, height):
         chunk = points[top : top + height]
-        table = np.empty((d * n_degrees, chunk.shape[0]))
-        for k in range(d):
-            table[k * n_degrees : (k + 1) * n_degrees] = eval_1d_table(
-                kind, n_degrees - 1, chunk[:, k]
-            ).T
+        # (d * n_degrees, rows) in C order; a strided view gathers slowly
+        table = np.ascontiguousarray(
+            eval_1d_table(kind, n_degrees - 1, chunk.T).transpose(0, 2, 1)
+        ).reshape(d * n_degrees, chunk.shape[0])
         width = max(1, _BLOCK_ELEMENTS // chunk.shape[0])
         for lo in range(0, n, width):
-            hi = min(lo + width, n)
-            block = table[first[lo:hi]]
-            for p_rows, p_keys in later:
-                a, b = np.searchsorted(p_rows, (lo, hi))
-                block[p_rows[a:b] - lo] *= table[p_keys[a:b]]
-            design[top : top + chunk.shape[0], lo:hi] = block.T
+            block_keys = keys[lo : lo + width]
+            block = table[block_keys[:, 0]]
+            for p in range(1, keys.shape[1]):
+                block *= table[block_keys[:, p]]
+            design[top : top + chunk.shape[0], lo : lo + width] = block.T
     return design

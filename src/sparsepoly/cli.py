@@ -28,6 +28,7 @@ from .experiments import (
     OUTPUT_WRITERS,
     ExperimentConfig,
     ScaleError,
+    reference_fit_size,
     render_config,
     run_sweep,
     write_outputs,
@@ -211,10 +212,8 @@ def cmd_verify(args) -> int:
 def cmd_info(args) -> int:
     config = parse_config(args.config, args.overrides)
     print(render_config(asdict(config)), end="")
-    n = hyperbolic_cross_size(config.d, config.s)
-    rows = config.reference_oversampling * n
-    print(f"derived: d={config.d} s={config.s} N={n}")
-    print(f"reference fit: {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB")
+    print(f"derived: d={config.d} s={config.s} N={hyperbolic_cross_size(config.d, config.s)}")
+    print(f"reference fit: {reference_fit_size(config)[1]}")
     return 0
 
 

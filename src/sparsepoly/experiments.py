@@ -251,16 +251,22 @@ def physical_memory_bytes() -> int | None:
         return None
 
 
-def check_scale(config: ExperimentConfig) -> None:
-    """Raise ScaleError when the dense matrix of the oversampled reference
-    fit (reference_oversampling * N rows, N columns) exceeds physical memory.
+def reference_fit_size(config: ExperimentConfig) -> tuple[int, str]:
+    """Bytes of the dense matrix of the oversampled reference fit
+    (reference_oversampling * N rows, N columns), and that size as text.
     N is counted, not enumerated, so an oversized config allocates nothing."""
     n = hyperbolic_cross_size(config.d, config.s)
     rows = config.reference_oversampling * n
+    return rows * n * 8, f"{rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB"
+
+
+def check_scale(config: ExperimentConfig) -> None:
+    """Raise ScaleError when the reference fit's matrix exceeds physical memory."""
+    nbytes, size = reference_fit_size(config)
     memory = physical_memory_bytes()
-    if memory is not None and rows * n * 8 > memory:
+    if memory is not None and nbytes > memory:
         raise ScaleError(
-            f"the reference fit needs {rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB, "
+            f"the reference fit needs {size}, "
             f"more than the {memory / 1e6:.1f} MB of physical memory"
         )
 

@@ -212,10 +212,7 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
 
 
 def expansion_target(
-    kind: str,
-    index_set: MultiIndexSet,
-    coefficients: np.ndarray,
-    description: str = "",
+    kind: str, index_set: MultiIndexSet, coefficients: np.ndarray
 ) -> TargetFunction:
     """A target that is exactly a finite combination of basis polynomials,
     sum_j c_j phi_j, evaluated through `basis.evaluate_design`."""
@@ -226,7 +223,7 @@ def expansion_target(
     def evaluator(points: np.ndarray) -> np.ndarray:
         return basis.evaluate_design(kind, index_set, points) @ coefficients
 
-    label = description or f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
+    label = f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
     return TargetFunction(evaluator, description=label)
 
 

@@ -198,17 +198,41 @@ def plain_design(kind, index_set, points):
     return design
 
 
-@pytest.mark.parametrize(
-    "d, s, m, block_elements",
-    [(16, 20, 40, None), (3, 6, 50, 7), (2, 9, 300, 64)],
+# indices with 0, 1 and 3 nonzero entries, some only in later coordinates
+MIXED_SUPPORT = MultiIndexSet(
+    5, [[0, 2, 0, 1, 3], [0, 0, 0, 0, 0], [0, 0, 0, 0, 4], [1, 0, 2, 0, 0], [0, 0, 5, 0, 0]]
 )
-def test_design_is_byte_equal_to_plain_product(monkeypatch, d, s, m, block_elements):
+
+
+@pytest.mark.parametrize(
+    "index_set, m, block_elements",
+    [
+        pytest.param(hyperbolic_cross(16, 20), 40, None, id="16-20-40-None"),
+        pytest.param(hyperbolic_cross(3, 6), 50, 7, id="3-6-50-7"),
+        pytest.param(hyperbolic_cross(2, 9), 300, 64, id="2-9-300-64"),
+        # only the zero index: every key is padding
+        pytest.param(hyperbolic_cross(3, 1), 20, None, id="zero-index-only"),
+        pytest.param(MIXED_SUPPORT, 30, 16, id="mixed-support"),
+    ],
+)
+def test_design_is_byte_equal_to_plain_product(monkeypatch, index_set, m, block_elements):
     if block_elements is not None:  # many small blocks of points and columns
         monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", block_elements)
-    ms = hyperbolic_cross(d, s)
     for kind in basis.BASIS_KINDS:
-        pts = basis.sample_measure(kind, d, m, 17)
-        design = basis.evaluate_design(kind, ms, pts)
+        pts = basis.sample_measure(kind, index_set.dimension, m, 17)
+        design = basis.evaluate_design(kind, index_set, pts)
         assert design.flags.c_contiguous
-        assert design.shape == (m, len(ms))
-        assert design.tobytes() == plain_design(kind, ms, pts).tobytes()
+        assert design.shape == (m, len(index_set))
+        assert design.tobytes() == plain_design(kind, index_set, pts).tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.5, np.nan])
+def test_design_refuses_points_outside_the_cube(monkeypatch, bad):
+    # three points per block; the bad value sits in a later block, coordinate 2
+    monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", 64)
+    index_set = hyperbolic_cross(3, 6)
+    for kind in basis.BASIS_KINDS:
+        pts = basis.sample_measure(kind, 3, 12, 5)
+        pts[7, 2] = bad
+        with pytest.raises(ValueError, match=r"evaluation points must lie in \[-1, 1\]"):
+            basis.evaluate_design(kind, index_set, pts)

@@ -33,16 +33,6 @@ from sparsepoly.verification import (
 from test_study_systems import assert_path_rows_are_solves, gaussian_systems, study_systems
 
 
-def make_system(m, n, seed, noise=0.05):
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((m, n))
-    x0 = np.zeros(n)
-    support = rng.choice(n, size=max(2, n // 8), replace=False)
-    x0[support] = rng.uniform(1.0, 2.0, support.size) * rng.choice([-1, 1], support.size)
-    y = matrix @ x0 + noise * rng.standard_normal(m)
-    return normalize_columns(LinearSystem(matrix=matrix, rhs=y))
-
-
 # --- weighted l0 ------------------------------------------------------------
 
 
@@ -78,13 +68,13 @@ def test_weighted_l0_unit_weights_counts_support(entries):
 
 
 def test_g_lambda_zero_vector_is_rhs_energy():
-    system = make_system(10, 20, 0)
+    system = random_test_system(10, 20, np.random.default_rng(0))
     value = g_lambda(np.zeros(20), system, np.ones(20), lam=0.5)
     assert value == pytest.approx(float(system.rhs @ system.rhs), rel=1e-14)
 
 
 def test_g_lambda_lam_zero_is_squared_residual():
-    system = make_system(10, 20, 1)
+    system = random_test_system(10, 20, np.random.default_rng(1))
     rng = np.random.default_rng(2)
     z = rng.standard_normal(20)
     residual = system.rhs - system.matrix @ z
@@ -94,7 +84,7 @@ def test_g_lambda_lam_zero_is_squared_residual():
 
 
 def test_g_lambda_matches_independent_recomputation():
-    system = make_system(12, 18, 3)
+    system = random_test_system(12, 18, np.random.default_rng(3))
     rng = np.random.default_rng(4)
     w = rng.uniform(1, 2, 18)
     z = rng.standard_normal(18)
@@ -113,14 +103,14 @@ NO_SUPPORT = np.zeros(0, dtype=np.intp)
 
 
 def test_delta_out_of_support_lam_zero():
-    system = make_system(10, 15, 5)
+    system = random_test_system(10, 15, np.random.default_rng(5))
     correlations = system.matrix.T @ system.rhs
     scores = delta_scores(NO_SUPPORT, np.zeros(0), correlations, np.ones(15), 0.0)
     np.testing.assert_allclose(scores, correlations**2, rtol=1e-12)
 
 
 def test_delta_in_support_zero_coefficient():
-    system = make_system(10, 15, 6)
+    system = random_test_system(10, 15, np.random.default_rng(6))
     x = restricted_least_squares(system, [3])
     x_mod = x.copy()
     x_mod[7] = 0.0
@@ -130,7 +120,7 @@ def test_delta_in_support_zero_coefficient():
 
 
 def test_delta_in_support_small_coefficient():
-    system = make_system(10, 15, 6)
+    system = random_test_system(10, 15, np.random.default_rng(6))
     x = restricted_least_squares(system, [3])
     lam = 1.0
     expected = max(lam * 1.0 - x[3] ** 2, 0.0)
@@ -168,7 +158,7 @@ def test_grid_oracle_finds_a_decrease_smaller_than_its_coarse_cell():
 
 
 def test_restricted_ls_single_column_projection():
-    system = make_system(10, 15, 8)
+    system = random_test_system(10, 15, np.random.default_rng(8))
     x = restricted_least_squares(system, [4])
     expected = float(system.matrix[:, 4] @ system.rhs)
     assert x[4] == pytest.approx(expected, rel=1e-12)
@@ -177,7 +167,7 @@ def test_restricted_ls_single_column_projection():
 
 def test_restricted_ls_recovers_spanned_rhs():
     rng = np.random.default_rng(9)
-    system = make_system(12, 20, 9)
+    system = random_test_system(12, 20, np.random.default_rng(9))
     support = [2, 5, 11]
     c = rng.standard_normal(3)
     system.rhs = system.matrix[:, support] @ c
@@ -188,7 +178,7 @@ def test_restricted_ls_recovers_spanned_rhs():
 
 
 def test_restricted_ls_normal_equations():
-    system = make_system(14, 25, 10)
+    system = random_test_system(14, 25, np.random.default_rng(10))
     support = [0, 3, 9, 17]
     x = restricted_least_squares(system, support)
     residual = system.rhs - system.matrix @ x
@@ -197,7 +187,7 @@ def test_restricted_ls_normal_equations():
 
 
 def test_restricted_ls_empty_support():
-    system = make_system(10, 15, 11)
+    system = random_test_system(10, 15, np.random.default_rng(11))
     np.testing.assert_array_equal(restricted_least_squares(system, []), np.zeros(15))
 
 
@@ -215,7 +205,7 @@ def test_refuses_unnormalized_system():
 
 
 def test_rejects_nonpositive_weights():
-    system = make_system(10, 15, 13)
+    system = random_test_system(10, 15, np.random.default_rng(13))
     for bad_value in (0.0, np.nan, np.inf):
         w = np.ones(15)
         w[4] = bad_value
@@ -248,7 +238,7 @@ def test_both_solvers_refuse_an_iteration_cap_that_is_not_an_integer_ge_1(cap):
 
 
 def test_womp_path_refuses_an_empty_lambda_list():
-    system = make_system(10, 15, 17)
+    system = random_test_system(10, 15, np.random.default_rng(17))
     with pytest.raises(ValueError, match="^lams must hold at least one value$"):
         womp_path(system, np.ones(15), [], 5)
 
@@ -256,7 +246,7 @@ def test_womp_path_refuses_an_empty_lambda_list():
 @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan])
 def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
     # the message names the bad lambda, wherever it is in the list
-    system = make_system(10, 15, 17)
+    system = random_test_system(10, 15, np.random.default_rng(17))
     message = f"^lam must be finite and >= 0, got {bad}$"
     with pytest.raises(ValueError, match=message):
         WompConfig(lam=bad)
@@ -266,7 +256,7 @@ def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
 
 def test_matches_textbook_omp():
     for seed in range(10):
-        system = make_system(20, 40, 100 + seed)
+        system = random_test_system(20, 40, np.random.default_rng(100 + seed))
         trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
         assert trace.selected.tolist() == ref_sequence
@@ -286,7 +276,7 @@ def test_single_active_column_recovered_immediately():
 
 
 def test_huge_lambda_stops_immediately():
-    system = make_system(10, 15, 15)
+    system = random_test_system(10, 15, np.random.default_rng(15))
     rng = np.random.default_rng(16)
     w = rng.uniform(1, 3, 15)
     correlations = system.matrix.T @ system.rhs
@@ -320,7 +310,7 @@ def test_in_support_reselect_stop():
 
 def test_supports_nested_and_growing():
     for seed in range(5):
-        system = make_system(15, 30, 200 + seed)
+        system = random_test_system(15, 30, np.random.default_rng(200 + seed))
         rng = np.random.default_rng(seed)
         w = rng.uniform(1, 2, 30)
         trace = womp_solve(system, w, WompConfig(lam=1e-4, max_iterations=8))
@@ -335,7 +325,7 @@ def test_supports_nested_and_growing():
 
 def test_residual_monotonicity():
     for seed in range(5):
-        system = make_system(15, 30, 300 + seed)
+        system = random_test_system(15, 30, np.random.default_rng(300 + seed))
         trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=10))
         norms = [
             float(np.linalg.norm(system.rhs - system.matrix @ trace.coefficients_at(k)))
@@ -347,7 +337,7 @@ def test_residual_monotonicity():
 def test_descent_by_at_least_delta():
     rng = np.random.default_rng(31)
     for seed in range(5):
-        system = make_system(15, 30, 400 + seed)
+        system = random_test_system(15, 30, np.random.default_rng(400 + seed))
         w = rng.uniform(1, 2, 30)
         for lam in (0.0, 1e-4, 1e-2):
             trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=8))
@@ -362,7 +352,7 @@ def test_descent_by_at_least_delta():
 
 
 def test_selection_is_correlation_argmax_when_unweighted():
-    system = make_system(15, 30, 500)
+    system = random_test_system(15, 30, np.random.default_rng(500))
     trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=8))
     for k, j in enumerate(trace.selected.tolist()):
         residual = system.rhs - system.matrix @ trace.coefficients_at(k)
@@ -370,7 +360,7 @@ def test_selection_is_correlation_argmax_when_unweighted():
 
 
 def test_first_iteration_scale_covariance():
-    system = make_system(15, 30, 600)
+    system = random_test_system(15, 30, np.random.default_rng(600))
     c = 3.5
     scaled = LinearSystem(
         matrix=system.matrix,
@@ -385,7 +375,7 @@ def test_first_iteration_scale_covariance():
 
 
 def test_coefficients_at_holds_last_value():
-    system = make_system(15, 30, 800)
+    system = random_test_system(15, 30, np.random.default_rng(800))
     trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=4))
     np.testing.assert_array_equal(trace.coefficients_at(0), np.zeros(30))
     # a negative k is the zero start too, not an index from the end
@@ -398,7 +388,7 @@ def test_coefficients_at_holds_last_value():
 
 
 def test_trace_stores_support_values_and_expands_them():
-    system = make_system(15, 30, 801)
+    system = random_test_system(15, 30, np.random.default_rng(801))
     trace = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=40))
     n = len(trace)
     assert 0 < n < 40  # stalls before the budget
