@@ -82,12 +82,22 @@ def build_system(
     scale = 1.0 / np.sqrt(m)
     matrix = evaluate_design(kind, index_set, points)
     matrix *= scale
+    return LinearSystem(matrix=matrix, rhs=target_values(target, points) * scale)
+
+
+def target_values(target: TargetFunction, points: np.ndarray) -> np.ndarray:
+    """The target's value at each of the (m, d) points, as an (m,) array.
+
+    Raises:
+        ValueError: if the target returns another shape or a non-finite value.
+    """
     values = target(points)
+    m = points.shape[0]
     if values.shape != (m,):
         raise ValueError(f"target returned shape {values.shape}, expected ({m},)")
     if not np.all(np.isfinite(values)):
         raise ValueError("target function is not finite at a sample point")
-    return LinearSystem(matrix=matrix, rhs=values * scale)
+    return values
 
 
 def normalize_columns(system: LinearSystem) -> LinearSystem:

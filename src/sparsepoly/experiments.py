@@ -12,21 +12,23 @@ and iterations run, and for each alpha how often the path reached it within
 the breakpoint cap, the breakpoints walked, the largest KKT residual (one
 `verification.lasso_kkt_residual` call certifies a trial's whole block) and
 the mean seconds into the path at which it reached the alpha.  Relative
-errors are measured
-coefficient-wise against a single shared reference fit obtained by least
-squares (through the normal equations) on an oversampled draw; since the
-basis is orthonormal for the sampling measure, the coefficient-space l2
-distance equals the function-space L2 error of the truncated expansions.
+errors are measured coefficient-wise against a single shared reference fit
+obtained by least squares on an oversampled draw, through normal equations
+accumulated over row blocks of the draw, so the oversampled design is never
+held whole; since the basis is orthonormal for the sampling measure, the
+coefficient-space l2 distance equals the function-space L2 error of the
+truncated expansions.
 One `coefficients_at` call expands the K iterates of a trace into a K x N
 block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
 `run_sweep` first refuses (`check_scale`, on the counted basis size) a
-config whose reference fit would not fit in physical memory, and otherwise
-returns the data report.json holds, as one dict.  One table,
-`OUTPUT_WRITERS`, names a run's five files and the writer of each, and
-every writer reads that same dict, as does the CLI summary; the resolved
-config file is rendered from the dict's `config` echo.
+config whose reference fit (its Gram, one row block and its points) would
+not fit in physical memory, and otherwise returns the data report.json
+holds, as one dict.  One table, `OUTPUT_WRITERS`, names a run's five files
+and the writer of each, and every writer reads that same dict, as does the
+CLI summary; the resolved config file is rendered from the dict's `config`
+echo.
 
 Everything is a pure function of the config (seed included): the reference
 uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
@@ -60,6 +62,7 @@ from .assembly import (
     build_system,
     denormalize_solution,
     normalize_columns,
+    target_values,
 )
 from .index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 from .lasso import default_alpha_grid, lasso_path
@@ -137,6 +140,10 @@ def target_log_sum(d: int) -> TargetFunction:
     return TargetFunction(evaluator, description=f"ln({d + 1} + sum of {d} coordinates)")
 
 
+# Rows of the oversampled draw that the reference fit assembles at a time.
+_FIT_BLOCK_ROWS = 1024
+
+
 def reference_coefficients(
     target: TargetFunction,
     kind: str,
@@ -144,22 +151,37 @@ def reference_coefficients(
     oversampling: int,
     seed,
 ) -> np.ndarray:
-    """Oversampled least-squares fit standing in for the true coefficients."""
+    """Oversampled least-squares fit standing in for the true coefficients.
+
+    One draw of oversampling * N points; the normal equations A^T A x = A^T y
+    of its 1/sqrt(rows)-scaled system are accumulated over blocks of
+    _FIT_BLOCK_ROWS rows, so the full design is never held.
+    """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
-    n_samples = oversampling * len(index_set)
+    n = len(index_set)
+    n_samples = oversampling * n
     points = basis.sample_measure(kind, index_set.dimension, n_samples, seed)
-    system = build_system(points, target, kind, index_set)
-    # Normal equations A^T A x = A^T y by Cholesky.  The oversampled system is
-    # well conditioned (cond(A) is about 1.6 at the study's size), so squaring
-    # the condition number is harmless: the fit agrees with an SVD
-    # least-squares solve to about 1e-14 relative.  A pivot below sqrt(eps)
-    # times the largest would leave fewer than half the digits: treat it as
-    # rank deficiency, as an exactly dependent column makes Cholesky fail or
-    # leave a pivot at rounding level.  (numpy has no triangular solver, so
-    # the two solves with the factor go through np.linalg.solve.)
+    scale = 1.0 / np.sqrt(n_samples)
+    gram = np.zeros((n, n))
+    moment = np.zeros(n)
+    for top in range(0, n_samples, _FIT_BLOCK_ROWS):
+        chunk = points[top : top + _FIT_BLOCK_ROWS]
+        block = basis.evaluate_design(kind, index_set, chunk)
+        block *= scale
+        # numpy runs block.T @ block as a symmetric product
+        gram += block.T @ block
+        moment += block.T @ (target_values(target, chunk) * scale)
+    # The oversampled system is well conditioned (cond(A) is about 1.6 at
+    # the study's size), so squaring the condition number is harmless: the
+    # fit agrees with an SVD least-squares solve to about 1e-14 relative.  A
+    # Cholesky pivot below sqrt(eps) times the largest would leave fewer than
+    # half the digits: treat it as rank deficiency, as an exactly dependent
+    # column makes Cholesky fail or leave a pivot at rounding level.  (numpy
+    # has no triangular solver, so the two solves with the factor go through
+    # np.linalg.solve.)
     try:
-        factor = np.linalg.cholesky(system.matrix.T @ system.matrix)
+        factor = np.linalg.cholesky(gram)
         pivots = np.diag(factor) ** 2
         if pivots.min() <= np.sqrt(np.finfo(np.float64).eps) * pivots.max():
             raise np.linalg.LinAlgError(
@@ -168,7 +190,7 @@ def reference_coefficients(
             )
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"oversampled reference system is rank-deficient: {exc}") from exc
-    return np.linalg.solve(factor.T, np.linalg.solve(factor, system.matrix.T @ system.rhs))
+    return np.linalg.solve(factor.T, np.linalg.solve(factor, moment))
 
 
 def relative_error(x_hat: np.ndarray, x_ref: np.ndarray):
@@ -252,16 +274,22 @@ def physical_memory_bytes() -> int | None:
 
 
 def reference_fit_size(config: ExperimentConfig) -> tuple[int, str]:
-    """Bytes of the dense matrix of the oversampled reference fit
-    (reference_oversampling * N rows, N columns), and that size as text.
-    N is counted, not enumerated, so an oversized config allocates nothing."""
+    """Bytes the oversampled reference fit holds (the N x N Gram, one row
+    block of the design and the reference_oversampling * N points), and that
+    size as text.  N is counted, not enumerated, so an oversized config
+    allocates nothing."""
     n = hyperbolic_cross_size(config.d, config.s)
     rows = config.reference_oversampling * n
-    return rows * n * 8, f"{rows} x {n} doubles = {rows * n * 8 / 1e6:.1f} MB"
+    block = min(rows, _FIT_BLOCK_ROWS)
+    nbytes = (n * n + block * n + rows * config.d) * 8
+    return nbytes, (
+        f"{nbytes / 1e6:.1f} MB ({n} x {n} Gram, {block} x {n} row block, "
+        f"{rows} x {config.d} points)"
+    )
 
 
 def check_scale(config: ExperimentConfig) -> None:
-    """Raise ScaleError when the reference fit's matrix exceeds physical memory."""
+    """Raise ScaleError when the reference fit's size exceeds physical memory."""
     nbytes, size = reference_fit_size(config)
     memory = physical_memory_bytes()
     if memory is not None and nbytes > memory:

@@ -155,22 +155,27 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
     path = tmp_path / "study.cfg"
     path.write_text(FULL_STUDY_TEXT)
     assert main(["info", "--config", str(path)]) == 0
-    assert "reference fit: 11420 x 571 doubles = 52.2 MB\n" in capsys.readouterr().out
+    assert (
+        "reference fit: 8.2 MB (571 x 571 Gram, 1024 x 571 row block, 11420 x 10 points)\n"
+    ) in capsys.readouterr().out
     assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
-    assert "reference fit: 252900 x 12645 doubles = 25583.4 MB\n" in capsys.readouterr().out
+    assert (
+        "reference fit: 1415.1 MB (12645 x 12645 Gram, 1024 x 12645 row block, "
+        "252900 x 16 points)\n"
+    ) in capsys.readouterr().out
 
 
 def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    # quick.cfg's reference fit is 115 x 23 doubles = 21,160 bytes
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 21_159)
+    # quick.cfg's reference fit holds (23 * 23 + 115 * 23 + 115 * 4) doubles = 29,072 bytes
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 29_071)
     out_dir = tmp_path / "refused"
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert "reference fit needs 115 x 23 doubles" in err
+    assert "reference fit needs 0.0 MB (23 x 23 Gram, 115 x 23 row block, 115 x 4 points)" in err
     assert "physical memory" in err
     assert not out_dir.exists()
 
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 21_160)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 29_072)
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly import basis, experiments
+from sparsepoly.assembly import TargetFunction, build_system
 from sparsepoly.cli import main, parse_config
 from sparsepoly.experiments import (
     ExperimentConfig,
@@ -121,6 +123,67 @@ def test_reference_rejects_bad_oversampling():
     ms = hyperbolic_cross(2, 2)
     with pytest.raises(ValueError):
         reference_coefficients(target_log_sum(2), "legendre", ms, 0, seed=1)
+
+
+@pytest.mark.parametrize("kind", basis.BASIS_KINDS)
+@pytest.mark.parametrize("block_rows", [1, 7, "beyond"])
+def test_chunked_reference_agrees_with_full_design_lstsq(monkeypatch, kind, block_rows):
+    # Blocks of one row, of 7 rows (the last one partial) and one block of
+    # more rows than the draw all give the SVD least-squares solution of the
+    # whole design of the same draw, to rounding.
+    ms = hyperbolic_cross(3, 4)
+    rows = 6 * len(ms)
+    assert rows % 7 != 0
+    target = target_log_sum(3)
+    monkeypatch.setattr(
+        experiments, "_FIT_BLOCK_ROWS", rows + 1 if block_rows == "beyond" else block_rows
+    )
+    fit = reference_coefficients(target, kind, ms, oversampling=6, seed=4)
+    system = build_system(basis.sample_measure(kind, 3, rows, 4), target, kind, ms)
+    oracle = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)[0]
+    assert np.max(np.abs(fit - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+def test_reference_rejects_a_target_not_finite_in_a_later_block(monkeypatch):
+    # point 20 of the draw lies in the third 7-row block
+    ms = hyperbolic_cross(3, 4)
+    monkeypatch.setattr(experiments, "_FIT_BLOCK_ROWS", 7)
+    bad = basis.sample_measure("legendre", 3, 6 * len(ms), 2)[20]
+    log_sum = target_log_sum(3)
+    target = TargetFunction(lambda p: np.where((p == bad).all(axis=1), np.nan, log_sum(p)))
+    message = "target function is not finite at a sample point"
+    with pytest.raises(ValueError, match=message):
+        reference_coefficients(target, "legendre", ms, oversampling=6, seed=2)
+    with pytest.raises(ValueError, match=message):
+        build_system(bad[None, :], target, "legendre", ms)
+
+
+def test_reference_draws_all_its_points_at_once(monkeypatch):
+    ms = hyperbolic_cross(3, 4)
+    draw = basis.sample_measure
+    sizes = []
+
+    def recording_draw(basis_kind, d, n, seed):
+        sizes.append(n)
+        return draw(basis_kind, d, n, seed)
+
+    monkeypatch.setattr(basis, "sample_measure", recording_draw)
+    monkeypatch.setattr(experiments, "_FIT_BLOCK_ROWS", 7)
+    reference_coefficients(target_log_sum(3), "legendre", ms, oversampling=6, seed=0)
+    assert sizes == [6 * len(ms)]
+
+
+def test_reference_fit_never_holds_the_full_design():
+    # At the full study's size the 11,420 x 571 design alone is 52.2 MB; the
+    # fit holds the 2.6 MB Gram, one row block and the points.
+    ms = hyperbolic_cross(10, 10)
+    tracemalloc.start()
+    try:
+        reference_coefficients(target_log_sum(10), "legendre", ms, oversampling=20, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 # --- error metric -----------------------------------------------------------
@@ -290,8 +353,8 @@ def test_sweep_report_lookup_and_json():
 
 
 def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
-    # d=1, s=10^9: a 10^9-entry index set and a 2e10 x 1e9 reference fit; the
-    # guard counts N and refuses before anything of that size exists
+    # d=1, s=10^9: a 10^9-entry index set and a 1e9 x 1e9 reference Gram;
+    # the guard counts N and refuses before anything of that size exists
     def allocation(*args):
         raise AssertionError("allocated before the scale guard refused")
 
@@ -299,7 +362,8 @@ def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
         monkeypatch.setattr(experiments, name, allocation)
     monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 8_000_000_000)
     message = (
-        r"^the reference fit needs 20000000000 x 1000000000 doubles = 160000000000000\.0 MB, "
+        r"^the reference fit needs 8000008352000\.0 MB \(1000000000 x 1000000000 Gram, "
+        r"1024 x 1000000000 row block, 20000000000 x 1 points\), "
         r"more than the 8000\.0 MB of physical memory$"
     )
     with pytest.raises(experiments.ScaleError, match=message):

@@ -21,13 +21,13 @@ def lasso_objective(z: np.ndarray, system: LinearSystem, w: np.ndarray, alpha: f
     return float(residual @ residual) + alpha * weighted_l1_norm(z, w)
 
 
-def make_system(m, n, seed, noise=0.05):
+def make_system(m, n, seed):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((m, n))
     x0 = np.zeros(n)
     support = rng.choice(n, size=max(2, n // 6), replace=False)
     x0[support] = rng.uniform(1.0, 2.0, support.size) * rng.choice([-1, 1], support.size)
-    y = matrix @ x0 + noise * rng.standard_normal(m)
+    y = matrix @ x0 + 0.05 * rng.standard_normal(m)
     return normalize_columns(LinearSystem(matrix, y))
 
 
