@@ -27,19 +27,21 @@ from .basis import evaluate_design
 from .index_sets import MultiIndexSet
 
 
+# A target maps an (n, d) array of points on the open cube (-1, 1)^d to an
+# (n,) array of finite values.
+Target = Callable[[np.ndarray], np.ndarray]
+
+
 @dataclass(frozen=True)
 class TargetFunction:
-    """A real-valued function on the open cube, evaluated on point batches.
+    """A target with a label, for the benchmark harness; any plain callable
+    serves wherever a target is taken."""
 
-    evaluator maps an (n, d) array of points to an (n,) array of values and
-    must be finite everywhere on (-1, 1)^d.
-    """
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
+    evaluator: Target
     description: str = ""
 
     def __call__(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.evaluator(np.asarray(points, dtype=np.float64)))
+        return self.evaluator(points)
 
 
 @dataclass
@@ -61,7 +63,7 @@ class LinearSystem:
 
 def build_system(
     points: np.ndarray,
-    target: TargetFunction,
+    target: Target,
     kind: str,
     index_set: MultiIndexSet,
 ) -> LinearSystem:
@@ -85,13 +87,13 @@ def build_system(
     return LinearSystem(matrix=matrix, rhs=target_values(target, points) * scale)
 
 
-def target_values(target: TargetFunction, points: np.ndarray) -> np.ndarray:
+def target_values(target: Target, points: np.ndarray) -> np.ndarray:
     """The target's value at each of the (m, d) points, as an (m,) array.
 
     Raises:
         ValueError: if the target returns another shape or a non-finite value.
     """
-    values = target(points)
+    values = np.asarray(target(points))
     m = points.shape[0]
     if values.shape != (m,):
         raise ValueError(f"target returned shape {values.shape}, expected ({m},)")
@@ -101,11 +103,15 @@ def target_values(target: TargetFunction, points: np.ndarray) -> np.ndarray:
 
 
 def normalize_columns(system: LinearSystem) -> LinearSystem:
-    """Rescale every column to unit l2 norm, recording the norms.
+    """Rescale every column of a raw-frame system to unit l2 norm, recording
+    the norms.
 
     Raises:
-        ValueError: if some column norm is zero or not finite.
+        ValueError: if the system is already normalized (its recorded norms
+            would be lost), or if some column norm is zero or not finite.
     """
+    if system.column_norms is not None:
+        raise ValueError("system is already normalized; normalize_columns takes the raw frame")
     matrix = np.asarray(system.matrix, dtype=np.float64)
     # the same operations as np.linalg.norm(matrix, axis=0), without its
     # second matrix-sized temporary; the squares' buffer then takes the

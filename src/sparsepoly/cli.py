@@ -171,6 +171,9 @@ def cmd_run(args) -> int:
     overrides = args.overrides + ([f"seed={args.seed}"] if args.seed is not None else [])
     config = parse_config(args.config, overrides)
     out_dir = Path(args.out)
+    ancestor = next(path for path in (out_dir, *out_dir.parents) if path.exists())
+    if not ancestor.is_dir():
+        raise ConfigError(f"--out {out_dir}: {ancestor} is not a directory")
     existing = [name for name in OUTPUT_WRITERS if (out_dir / name).exists()]
     if existing and not args.force:
         print(

@@ -23,12 +23,12 @@ block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
 `run_sweep` first refuses (`check_scale`, on the counted basis size) a
-config whose reference fit (its Gram, one row block and its points) would
-not fit in physical memory, and otherwise returns the data report.json
-holds, as one dict.  One table, `OUTPUT_WRITERS`, names a run's five files
-and the writer of each, and every writer reads that same dict, as does the
-CLI summary; the resolved config file is rendered from the dict's `config`
-echo.
+config whose reference fit (its Gram, the Gram's Cholesky work copy and
+factor, one row block and its points) would not fit in physical memory, and
+otherwise returns the data report.json holds, as one dict.  One table,
+`OUTPUT_WRITERS`, names a run's five files and the writer of each, and every
+writer reads that same dict, as does the CLI summary; the resolved config
+file is rendered from the dict's `config` echo.
 
 Everything is a pure function of the config (seed included): the reference
 uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import basis
 from .assembly import (
-    TargetFunction,
+    Target,
     at_least,
     build_system,
     denormalize_solution,
@@ -125,7 +125,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer >= {bound}, got {value}")
 
 
-def target_log_sum(d: int) -> TargetFunction:
+def target_log_sum(d: int) -> Target:
     """The log-of-shifted-sum target ln(d + 1 + sum_k t_k) on (-1, 1)^d.
 
     The argument stays above 1 on the open cube, so the function is finite
@@ -134,10 +134,10 @@ def target_log_sum(d: int) -> TargetFunction:
     if d < 1:
         raise ValueError("d must be >= 1")
 
-    def evaluator(points: np.ndarray) -> np.ndarray:
+    def log_sum(points: np.ndarray) -> np.ndarray:
         return np.log(d + 1.0 + points.sum(axis=-1))
 
-    return TargetFunction(evaluator, description=f"ln({d + 1} + sum of {d} coordinates)")
+    return log_sum
 
 
 # Rows of the oversampled draw that the reference fit assembles at a time.
@@ -145,7 +145,7 @@ _FIT_BLOCK_ROWS = 1024
 
 
 def reference_coefficients(
-    target: TargetFunction,
+    target: Target,
     kind: str,
     index_set: MultiIndexSet,
     oversampling: int,
@@ -218,7 +218,7 @@ def _json_value(value):
 
 def _run_trial(
     config: ExperimentConfig,
-    target: TargetFunction,
+    target: Target,
     index_set: MultiIndexSet,
     w: np.ndarray,
     x_ref: np.ndarray,
@@ -274,17 +274,18 @@ def physical_memory_bytes() -> int | None:
 
 
 def reference_fit_size(config: ExperimentConfig) -> tuple[int, str]:
-    """Bytes the oversampled reference fit holds (the N x N Gram, one row
-    block of the design and the reference_oversampling * N points), and that
-    size as text.  N is counted, not enumerated, so an oversized config
-    allocates nothing."""
+    """Bytes the oversampled reference fit holds at its peak, and that size
+    as text.  The peak is the Cholesky step: the N x N Gram, LAPACK's work
+    copy of it and the factor, beside the last row block of the design and
+    the reference_oversampling * N points.  N is counted, not enumerated, so
+    an oversized config allocates nothing."""
     n = hyperbolic_cross_size(config.d, config.s)
     rows = config.reference_oversampling * n
     block = min(rows, _FIT_BLOCK_ROWS)
-    nbytes = (n * n + block * n + rows * config.d) * 8
+    nbytes = (3 * n * n + block * n + rows * config.d) * 8
     return nbytes, (
-        f"{nbytes / 1e6:.1f} MB ({n} x {n} Gram, {block} x {n} row block, "
-        f"{rows} x {config.d} points)"
+        f"{nbytes / 1e6:.1f} MB ({n} x {n} Gram, Cholesky work copy and factor, "
+        f"{block} x {n} row block, {rows} x {config.d} points)"
     )
 
 

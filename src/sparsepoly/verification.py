@@ -19,8 +19,8 @@ solver runs: the greedy objective G_lam (`g_lambda`, with `weighted_l0`), the
 SVD refit `restricted_least_squares`, the random test systems, and exact
 expansion targets (`expansion_target`).  The solvers live in `womp` and `lasso`.
 Each check calls the study's own function through its module (for instance
-`womp.delta_scores`, which the greedy loop of `womp_path` and `womp_solve`
-looks up too), so a change to it shows in `verify`.
+`womp.delta_scores`, which the greedy loop of `womp_path` looks up too), so a
+change to it shows in `verify`.
 """
 
 from __future__ import annotations
@@ -31,10 +31,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import basis, womp
-from .assembly import LinearSystem, TargetFunction, normalize_columns
+from .assembly import LinearSystem, Target, normalize_columns
 from .index_sets import MultiIndexSet, hyperbolic_cross, hyperbolic_cross_size
 from .lasso import lasso_path
-from .womp import SUPPORT_EPSILON, WompConfig, womp_solve
+from .womp import SUPPORT_EPSILON, womp_path
 
 DELTA_CHECK_LAMBDAS = (0.0, 1e-4, 1e-2)
 
@@ -211,20 +211,17 @@ def random_test_system(m: int, n: int, rng: np.random.Generator) -> LinearSystem
     return normalize_columns(LinearSystem(matrix=matrix, rhs=y))
 
 
-def expansion_target(
-    kind: str, index_set: MultiIndexSet, coefficients: np.ndarray
-) -> TargetFunction:
+def expansion_target(kind: str, index_set: MultiIndexSet, coefficients: np.ndarray) -> Target:
     """A target that is exactly a finite combination of basis polynomials,
     sum_j c_j phi_j, evaluated through `basis.evaluate_design`."""
     coefficients = np.asarray(coefficients, dtype=np.float64).copy()
     if coefficients.shape != (len(index_set),):
         raise ValueError("coefficient length must match the index set")
 
-    def evaluator(points: np.ndarray) -> np.ndarray:
+    def expansion(points: np.ndarray) -> np.ndarray:
         return basis.evaluate_design(kind, index_set, points) @ coefficients
 
-    label = f"{kind} expansion, {np.count_nonzero(coefficients)} active terms"
-    return TargetFunction(evaluator, description=label)
+    return expansion
 
 
 def lasso_kkt_residual(
@@ -261,7 +258,7 @@ def collect_womp_states(system: LinearSystem, w: np.ndarray, lam: float, iterati
     Every state satisfies the restricted least-squares optimality the greedy
     score formula assumes.
     """
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=iterations))
+    trace = womp_path(system, w, [lam], iterations)[0]
     return [(trace.coefficients_at(k), trace.selected[:k]) for k in range(len(trace) + 1)]
 
 
@@ -285,7 +282,7 @@ def _omp_cases(seed: int):
     rng = np.random.default_rng(seed)
     for instance in range(10):
         system = random_test_system(20, 40, rng)
-        trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
+        trace = womp_path(system, np.ones(40), [0.0], 6)[0]
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
         if trace.selected.tolist() != ref_sequence:
             yield np.inf, f"instance {instance} (seed {seed}): index sequences differ"

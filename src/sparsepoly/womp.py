@@ -21,8 +21,8 @@ R^{-1} and Q^T y are extended in O(k^2) and O(m), x_S = R^{-1} (Q^T y), and
 the residual is y - Q (Q^T y).  With lam = 0 and unit weights the scheme
 reduces to classical OMP.
 
-`womp_path` runs several lambdas on one system in lockstep, and `womp_solve`
-is its one-lambda call, so there is one greedy loop.  Every running lambda
+`womp_path` runs several lambdas on one system in lockstep, in the one greedy
+loop; a one-lambda solve is its call with a list of one.  Every running lambda
 adds one column per step, so all of them are at the same k, and a step works
 on stacked arrays: one product of the (L x m) residual block with A, one
 `delta_scores` call on the (L x N) block of correlations, one argmax per row,
@@ -80,21 +80,11 @@ STOP_REASONS = (
 
 @dataclass
 class WompConfig:
-    """Solver knobs.
-
-    lam: regularization strength (0 gives classical OMP behaviour).
-    max_iterations: iteration budget K.
-    """
+    """One lambda and an iteration budget K, unchecked: `womp_path` checks
+    both.  The benchmark harness passes one to the one-lambda adapter below."""
 
     lam: float = 0.0
     max_iterations: int = 25
-
-    def __post_init__(self):
-        if not at_least(self.lam, 0, whole=False):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not at_least(self.max_iterations, 1):
-            raise ValueError(f"max_iterations must be an integer >= 1, got {self.max_iterations}")
-        self.max_iterations = int(self.max_iterations)
 
 
 @dataclass
@@ -223,10 +213,37 @@ class _Block:
         self.residual = y - np.vecmat(self.qty[:, :k], self.q[:, :k])
 
 
-def _lockstep(system: LinearSystem, w, lams: np.ndarray, max_iterations: int, solver: str):
-    """The greedy loop of `womp_path`, for lambdas and a budget already checked."""
+def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) -> list[SolveTrace]:
+    """Run the greedy pursuit for several lambdas on one column-normalized
+    system, in lockstep; one `SolveTrace` per lambda, in the order given.
+
+    Starting from the zero iterate and empty support, each iteration selects
+    the score-maximizing index (smallest index wins ties), enlarges the
+    support, and refits by least squares on it through an incremental QR
+    factorization of the selected columns.  A lambda stops at the iteration
+    budget, when its best score is zero, when its maximizer is already in its
+    support, when the maximizer's column is in the span of the selected ones
+    (see SPAN_TOLERANCE), or when its residual hits the floor.  The lambdas
+    still running share one step: one residual-block product with A, one
+    `delta_scores` call and one stacked Gram-Schmidt append and refit.  A
+    lambda that stops leaves the block, and its trace's `seconds` is the time
+    from the call's start until then, which includes the other lambdas' work.
+
+    Raises:
+        ValueError: on an empty `lams`, a lambda that is not finite and >= 0,
+            a budget that is not an integer >= 1, or (from
+            `check_solver_inputs`) an unnormalized system or bad weights.
+    """
+    if len(lams) == 0:
+        raise ValueError("lams must hold at least one value")
+    for lam in lams:
+        if not at_least(lam, 0, whole=False):
+            raise ValueError(f"lam must be finite and >= 0, got {lam}")
+    if not at_least(max_iterations, 1):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
     start = time.perf_counter()
-    w = check_solver_inputs(system, w, solver)
+    lams, max_iterations = np.array(lams, dtype=np.float64), int(max_iterations)
+    w = check_solver_inputs(system, w, "womp_path")
     matrix, y = system.matrix, system.rhs
     m, n = matrix.shape
     # a row stops in_span by k = m, so Q never needs more than m rows
@@ -279,40 +296,6 @@ def _lockstep(system: LinearSystem, w, lams: np.ndarray, max_iterations: int, so
     return traces
 
 
-def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) -> list[SolveTrace]:
-    """Run the greedy pursuit for several lambdas on one column-normalized
-    system, in lockstep; one `SolveTrace` per lambda, in the order given.
-
-    Each lambda's solve is the one `womp_solve` runs.  Starting from the zero
-    iterate and empty support, each iteration selects the score-maximizing
-    index (smallest index wins ties), enlarges the support, and refits by
-    least squares on it through an incremental QR factorization of the
-    selected columns.  A lambda stops at the iteration budget, when its best
-    score is zero, when its maximizer is already in its support, when the
-    maximizer's column is in the span of the selected ones (see
-    SPAN_TOLERANCE), or when its residual hits the floor.  The lambdas still
-    running share one step: one residual-block product with A, one
-    `delta_scores` call and one stacked Gram-Schmidt append and refit.  A
-    lambda that stops leaves the block, and its trace's `seconds` is the time
-    from the call's start until then, which includes the other lambdas' work.
-
-    Raises:
-        ValueError: on an empty `lams`, a lambda or budget that `WompConfig`
-            refuses, or (from `check_solver_inputs`) an unnormalized system or
-            bad weights.
-    """
-    if len(lams) == 0:
-        raise ValueError("lams must hold at least one value")
-    configs = [WompConfig(lam=lam, max_iterations=max_iterations) for lam in lams]
-    lams = np.array([config.lam for config in configs], dtype=np.float64)
-    return _lockstep(system, w, lams, configs[0].max_iterations, "womp_path")
-
-
 def womp_solve(system: LinearSystem, w: np.ndarray, config: WompConfig) -> SolveTrace:
-    """`womp_path` for the one lambda of `config`.
-
-    Raises:
-        ValueError: from `check_solver_inputs`, on an unnormalized system or bad weights.
-    """
-    lams = np.array([config.lam], dtype=np.float64)
-    return _lockstep(system, w, lams, config.max_iterations, "womp_solve")[0]
+    """`womp_path` for the one lambda of `config`; its errors name `womp_path`."""
+    return womp_path(system, w, [config.lam], config.max_iterations)[0]

@@ -26,7 +26,7 @@ from sparsepoly.verification import (
     random_test_system,
     textbook_omp,
 )
-from sparsepoly.womp import WompConfig, delta_scores, womp_solve
+from sparsepoly.womp import delta_scores, womp_path
 
 BASE_SEED = 515
 TUNED_LAMBDAS = (10.0**-4.5, 1e-4, 10.0**-3.5)
@@ -108,7 +108,7 @@ def test_criterion_2_omp_reduction():
     for instance in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([BASE_SEED, 2, instance]))
         system = random_test_system(20, 40, rng)
-        trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=8))
+        trace = womp_path(system, np.ones(40), [0.0], 8)[0]
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 8)
         if trace.selected.tolist() != ref_sequence:
             mismatches += 1
@@ -167,7 +167,7 @@ def test_criterion_5_exact_sparse_recovery():
             "legendre", 10, 80, np.random.SeedSequence([BASE_SEED, 5, trial, 1])
         )
         system = normalize_columns(build_system(points, target, "legendre", index_set))
-        trace = womp_solve(system, np.ones(n), WompConfig(lam=0.0, max_iterations=5))
+        trace = womp_path(system, np.ones(n), [0.0], 5)[0]
         recovered = denormalize_solution(system, trace.final_coefficients)
         if set(trace.selected.tolist()) == set(support.tolist()):
             if np.max(np.abs(recovered - coefficients)) <= 1e-8:

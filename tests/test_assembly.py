@@ -4,7 +4,6 @@ import pytest
 from sparsepoly import basis
 from sparsepoly.assembly import (
     LinearSystem,
-    TargetFunction,
     build_system,
     denormalize_solution,
     normalize_columns,
@@ -53,7 +52,9 @@ def test_full_scale_shape():
 
 def test_build_rejects_non_finite_target():
     ms = hyperbolic_cross(2, 2)
-    bad = TargetFunction(lambda pts: np.full(pts.shape[0], np.inf), "blows up")
+    def bad(pts):
+        return np.full(pts.shape[0], np.inf)
+
     pts = basis.sample_measure("legendre", 2, 5, 2)
     with pytest.raises(ValueError):
         build_system(pts, bad, "legendre", ms)
@@ -93,6 +94,16 @@ def test_normalize_rejects_zero_column():
         system.matrix[:, 1] = bad_value
         with pytest.raises(ValueError):
             normalize_columns(system)
+
+
+def test_normalize_refuses_a_normalized_system():
+    # a second call would record unit norms, and denormalize_solution would
+    # then return normalized-frame coefficients, [1, 1] here
+    system = normalize_columns(LinearSystem(matrix=np.diag([3.0, 2.0]), rhs=np.ones(2)))
+    message = "^system is already normalized; normalize_columns takes the raw frame$"
+    with pytest.raises(ValueError, match=message):
+        normalize_columns(system)
+    np.testing.assert_array_equal(denormalize_solution(system, np.ones(2)), [1 / 3, 1 / 2])
 
 
 def test_denormalize_identity_when_norms_one():

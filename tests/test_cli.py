@@ -156,26 +156,30 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
     path.write_text(FULL_STUDY_TEXT)
     assert main(["info", "--config", str(path)]) == 0
     assert (
-        "reference fit: 8.2 MB (571 x 571 Gram, 1024 x 571 row block, 11420 x 10 points)\n"
+        "reference fit: 13.4 MB (571 x 571 Gram, Cholesky work copy and factor, "
+        "1024 x 571 row block, 11420 x 10 points)\n"
     ) in capsys.readouterr().out
     assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
     assert (
-        "reference fit: 1415.1 MB (12645 x 12645 Gram, 1024 x 12645 row block, "
-        "252900 x 16 points)\n"
+        "reference fit: 3973.5 MB (12645 x 12645 Gram, Cholesky work copy and factor, "
+        "1024 x 12645 row block, 252900 x 16 points)\n"
     ) in capsys.readouterr().out
 
 
 def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    # quick.cfg's reference fit holds (23 * 23 + 115 * 23 + 115 * 4) doubles = 29,072 bytes
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 29_071)
+    # quick.cfg's reference fit holds (3 * 23 * 23 + 115 * 23 + 115 * 4) doubles = 37,536 bytes
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 37_535)
     out_dir = tmp_path / "refused"
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
-    assert "reference fit needs 0.0 MB (23 x 23 Gram, 115 x 23 row block, 115 x 4 points)" in err
+    assert (
+        "reference fit needs 0.0 MB (23 x 23 Gram, Cholesky work copy and factor, "
+        "115 x 23 row block, 115 x 4 points)"
+    ) in err
     assert "physical memory" in err
     assert not out_dir.exists()
 
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 29_072)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 37_536)
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 
@@ -197,6 +201,24 @@ def test_cmd_run_and_overwrite_guard(tmp_path, capsys):
     assert "force" in err
 
     assert main(["run", "--config", str(config_path), "--out", str(out_dir), "--force"]) == 0
+
+
+@pytest.mark.parametrize(
+    "below", [(), ("results",), ("results", "deeper")], ids=["file", "below", "two-below"]
+)
+def test_run_refuses_an_out_path_at_or_below_a_file(tmp_path, capsys, monkeypatch, below):
+    def sweep(config):
+        raise AssertionError("run_sweep called")
+
+    monkeypatch.setattr(cli, "run_sweep", sweep)
+    blocker = tmp_path / "a_file"
+    blocker.write_text("kept\n")
+    out = blocker.joinpath(*below)
+    assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --out {out}: {blocker} is not a directory\n"
+    assert blocker.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [blocker]
 
 
 def test_cmd_run_seed_flag_overrides(tmp_path):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsepoly import basis, experiments
-from sparsepoly.assembly import TargetFunction, build_system
+from sparsepoly.assembly import build_system
 from sparsepoly.cli import main, parse_config
 from sparsepoly.experiments import (
     ExperimentConfig,
@@ -150,7 +150,10 @@ def test_reference_rejects_a_target_not_finite_in_a_later_block(monkeypatch):
     monkeypatch.setattr(experiments, "_FIT_BLOCK_ROWS", 7)
     bad = basis.sample_measure("legendre", 3, 6 * len(ms), 2)[20]
     log_sum = target_log_sum(3)
-    target = TargetFunction(lambda p: np.where((p == bad).all(axis=1), np.nan, log_sum(p)))
+
+    def target(p):
+        return np.where((p == bad).all(axis=1), np.nan, log_sum(p))
+
     message = "target function is not finite at a sample point"
     with pytest.raises(ValueError, match=message):
         reference_coefficients(target, "legendre", ms, oversampling=6, seed=2)
@@ -362,8 +365,8 @@ def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
         monkeypatch.setattr(experiments, name, allocation)
     monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 8_000_000_000)
     message = (
-        r"^the reference fit needs 8000008352000\.0 MB \(1000000000 x 1000000000 Gram, "
-        r"1024 x 1000000000 row block, 20000000000 x 1 points\), "
+        r"^the reference fit needs 24000008352000\.0 MB \(1000000000 x 1000000000 Gram, "
+        r"Cholesky work copy and factor, 1024 x 1000000000 row block, 20000000000 x 1 points\), "
         r"more than the 8000\.0 MB of physical memory$"
     )
     with pytest.raises(experiments.ScaleError, match=message):

@@ -186,7 +186,7 @@ def test_config_validation():
         lasso_path(system, np.ones(20), [], max_iterations=10)
     with pytest.raises(ValueError, match="alphas must be .*nan"):
         lasso_path(system, np.ones(20), [1.0, np.nan], max_iterations=10)
-    # the weights are checked as womp_solve checks them
+    # the weights are checked as womp_path checks them
     for bad_shape in (np.ones(19), np.ones((20, 1))):
         with pytest.raises(ValueError, match=r"weights must have shape \(20,\)"):
             solve_one(system, bad_shape, 1.0)

@@ -23,13 +23,7 @@ from sparsepoly.verification import (
     random_test_system,
     restricted_least_squares,
 )
-from sparsepoly.womp import (
-    STOP_REASONS,
-    WompConfig,
-    delta_scores,
-    womp_path,
-    womp_solve,
-)
+from sparsepoly.womp import STOP_REASONS, delta_scores, womp_path
 
 from test_lasso import assert_matches_scratch_path, lasso_objective, reference_ista
 
@@ -75,14 +69,14 @@ LAMBDA_GRIDS = (DEFAULT_LAMBDAS, (*DELTA_CHECK_LAMBDAS, 1.0))
 
 
 def assert_path_rows_are_solves(system, w, lams, max_iterations):
-    """Check each row of one `womp_path` call against the one-lambda
-    `womp_solve`: the same selections and stop reason, and every iterate
+    """Check each row of one `womp_path` call against a one-lambda
+    `womp_path` call: the same selections and stop reason, and every iterate
     within 1e-13 relative.  A row that ran fewer steps stopped no later.
     Returns the path's traces."""
     traces = womp_path(system, w, lams, max_iterations)
     assert len(traces) == len(lams)
     for lam, trace in zip(lams, traces):
-        alone = womp_solve(system, w, WompConfig(lam=lam, max_iterations=max_iterations))
+        alone = womp_path(system, w, [lam], max_iterations)[0]
         assert trace.selected.tolist() == alone.selected.tolist()
         assert trace.stop_reason == alone.stop_reason
         assert trace.values.shape == alone.values.shape
@@ -161,7 +155,7 @@ def test_womp_trace_is_bounded_finite_and_names_its_stop(drawn, lam):
     system, w = drawn
     m, n = system.matrix.shape
     # a budget past N, so the bound below is the solver's and not the cap's
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=n + 3))
+    trace = womp_path(system, w, [lam], n + 3)[0]
     assert len(trace) <= min(m, n)
     assert np.all(np.isfinite(trace.values))
     assert trace.stop_reason in STOP_REASONS
@@ -174,7 +168,7 @@ def test_womp_trace_is_bounded_finite_and_names_its_stop(drawn, lam):
 )
 def test_womp_selects_the_argmax_of_the_delta_scores(drawn, lam):
     system, w = drawn
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
+    trace = womp_path(system, w, [lam], system.n_columns + 3)[0]
     for k, j in enumerate(trace.selected.tolist()):
         x, support = trace.coefficients_at(k), trace.selected[:k]
         correlations = system.matrix.T @ (system.rhs - system.matrix @ x)

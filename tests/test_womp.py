@@ -197,9 +197,10 @@ def test_restricted_ls_empty_support():
 def test_refuses_unnormalized_system():
     rng = np.random.default_rng(12)
     system = LinearSystem(matrix=rng.standard_normal((10, 15)), rhs=rng.standard_normal(10))
-    with pytest.raises(ValueError, match="^womp_solve requires unit-norm columns; apply normalize_columns first$"):
-        womp_solve(system, np.ones(15), WompConfig())
+    # the benchmark's one-lambda adapter is a womp_path call, and its error says so
     message = "^womp_path requires unit-norm columns; apply normalize_columns first$"
+    with pytest.raises(ValueError, match=message):
+        womp_solve(system, np.ones(15), WompConfig())
     with pytest.raises(ValueError, match=message):
         womp_path(system, np.ones(15), [0.0], 25)
 
@@ -210,18 +211,19 @@ def test_rejects_nonpositive_weights():
         w = np.ones(15)
         w[4] = bad_value
         with pytest.raises(ValueError, match=r"weights must be strictly positive.*w\[4\]"):
-            womp_solve(system, w, WompConfig())
+            womp_path(system, w, [0.0], 25)
 
 
 def test_config_validation():
+    system = random_test_system(10, 15, np.random.default_rng(17))
     with pytest.raises(ValueError):
-        WompConfig(lam=-1.0)
+        womp_path(system, np.ones(15), [-1.0], 25)
     # NaN and infinity fail the finite-and->=-0 rule that every lambda meets
     for bad in ("inf", "nan"):
         with pytest.raises(ValueError, match=f"^lam must be finite and >= 0, got {bad}$"):
-            WompConfig(lam=float(bad))
+            womp_path(system, np.ones(15), [float(bad)], 25)
     with pytest.raises(ValueError):
-        WompConfig(max_iterations=0)
+        womp_path(system, np.ones(15), [0.0], 0)
 
 
 @pytest.mark.parametrize("cap", [2.5, np.nan, 0])
@@ -230,7 +232,7 @@ def test_both_solvers_refuse_an_iteration_cap_that_is_not_an_integer_ge_1(cap):
     system = random_test_system(10, 20, np.random.default_rng(0))
     message = f"max_iterations must be an integer >= 1, got {cap}"
     with pytest.raises(ValueError, match=message):
-        WompConfig(max_iterations=cap)
+        womp_path(system, np.ones(20), [0.0], cap)
     with pytest.raises(ValueError, match=message):
         womp_path(system, np.ones(20), [0.0, 1e-4], cap)
     with pytest.raises(ValueError, match=message):
@@ -249,7 +251,7 @@ def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
     system = random_test_system(10, 15, np.random.default_rng(17))
     message = f"^lam must be finite and >= 0, got {bad}$"
     with pytest.raises(ValueError, match=message):
-        WompConfig(lam=bad)
+        womp_path(system, np.ones(15), [bad], 5)
     with pytest.raises(ValueError, match=message):
         womp_path(system, np.ones(15), [0.0, bad, 1e-4], 5)
 
@@ -257,7 +259,7 @@ def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
 def test_matches_textbook_omp():
     for seed in range(10):
         system = random_test_system(20, 40, np.random.default_rng(100 + seed))
-        trace = womp_solve(system, np.ones(40), WompConfig(lam=0.0, max_iterations=6))
+        trace = womp_path(system, np.ones(40), [0.0], 6)[0]
         ref_sequence, ref_x = textbook_omp(system.matrix, system.rhs, 6)
         assert trace.selected.tolist() == ref_sequence
         np.testing.assert_allclose(trace.final_coefficients, ref_x, atol=1e-10)
@@ -269,7 +271,7 @@ def test_single_active_column_recovered_immediately():
     raw = LinearSystem(matrix, np.zeros(12))
     system = normalize_columns(raw)
     system.rhs = system.matrix[:, 7] * 2.5
-    trace = womp_solve(system, np.ones(20), WompConfig(lam=0.0, max_iterations=5))
+    trace = womp_path(system, np.ones(20), [0.0], 5)[0]
     assert trace.selected.tolist() == [7]
     assert np.linalg.norm(system.rhs - system.matrix @ trace.coefficients_at(1)) <= 1e-10
     assert trace.stop_reason == STOP_RESIDUAL_FLOOR
@@ -281,7 +283,7 @@ def test_huge_lambda_stops_immediately():
     w = rng.uniform(1, 3, 15)
     correlations = system.matrix.T @ system.rhs
     lam = float(np.max(correlations**2 / w**2)) * 1.01
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=5))
+    trace = womp_path(system, w, [lam], 5)[0]
     assert len(trace) == 0
     assert trace.stop_reason == STOP_ZERO_DELTA
     np.testing.assert_array_equal(trace.final_coefficients, np.zeros(15))
@@ -304,7 +306,7 @@ def reselect_system():
 
 def test_in_support_reselect_stop():
     system, w = reselect_system()
-    trace = womp_solve(system, w, WompConfig(lam=1e-3, max_iterations=12))
+    trace = womp_path(system, w, [1e-3], 12)[0]
     assert trace.stop_reason == STOP_IN_SUPPORT_RESELECT
 
 
@@ -313,7 +315,7 @@ def test_supports_nested_and_growing():
         system = random_test_system(15, 30, np.random.default_rng(200 + seed))
         rng = np.random.default_rng(seed)
         w = rng.uniform(1, 2, 30)
-        trace = womp_solve(system, w, WompConfig(lam=1e-4, max_iterations=8))
+        trace = womp_path(system, w, [1e-4], 8)[0]
         # one new index per iteration: the support after k iterations is selected[:k]
         assert len(set(trace.selected.tolist())) == len(trace) <= 8
         for k in range(len(trace) + 1):
@@ -326,7 +328,7 @@ def test_supports_nested_and_growing():
 def test_residual_monotonicity():
     for seed in range(5):
         system = random_test_system(15, 30, np.random.default_rng(300 + seed))
-        trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=10))
+        trace = womp_path(system, np.ones(30), [0.0], 10)[0]
         norms = [
             float(np.linalg.norm(system.rhs - system.matrix @ trace.coefficients_at(k)))
             for k in range(len(trace) + 1)
@@ -340,7 +342,7 @@ def test_descent_by_at_least_delta():
         system = random_test_system(15, 30, np.random.default_rng(400 + seed))
         w = rng.uniform(1, 2, 30)
         for lam in (0.0, 1e-4, 1e-2):
-            trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=8))
+            trace = womp_path(system, w, [lam], 8)[0]
             for k, j in enumerate(trace.selected.tolist(), start=1):
                 x_previous = trace.coefficients_at(k - 1)
                 support = trace.selected[: k - 1]
@@ -353,7 +355,7 @@ def test_descent_by_at_least_delta():
 
 def test_selection_is_correlation_argmax_when_unweighted():
     system = random_test_system(15, 30, np.random.default_rng(500))
-    trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=8))
+    trace = womp_path(system, np.ones(30), [0.0], 8)[0]
     for k, j in enumerate(trace.selected.tolist()):
         residual = system.rhs - system.matrix @ trace.coefficients_at(k)
         assert j == int(np.argmax(np.abs(system.matrix.T @ residual)))
@@ -376,7 +378,7 @@ def test_first_iteration_scale_covariance():
 
 def test_coefficients_at_holds_last_value():
     system = random_test_system(15, 30, np.random.default_rng(800))
-    trace = womp_solve(system, np.ones(30), WompConfig(lam=0.0, max_iterations=4))
+    trace = womp_path(system, np.ones(30), [0.0], 4)[0]
     np.testing.assert_array_equal(trace.coefficients_at(0), np.zeros(30))
     # a negative k is the zero start too, not an index from the end
     np.testing.assert_array_equal(trace.coefficients_at(-1), np.zeros(30))
@@ -389,7 +391,7 @@ def test_coefficients_at_holds_last_value():
 
 def test_trace_stores_support_values_and_expands_them():
     system = random_test_system(15, 30, np.random.default_rng(801))
-    trace = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=40))
+    trace = womp_path(system, np.ones(30), [1e-2], 40)[0]
     n = len(trace)
     assert 0 < n < 40  # stalls before the budget
     assert trace.selected.shape == (n,)
@@ -411,7 +413,7 @@ def test_trace_stores_support_values_and_expands_them():
     np.testing.assert_array_equal(trace.final_coefficients, trace.coefficients_at(n))
     # a budget far above the iterations run gives the same trace, sized by
     # the iterations run
-    unbounded = womp_solve(system, np.ones(30), WompConfig(lam=1e-2, max_iterations=10**6))
+    unbounded = womp_path(system, np.ones(30), [1e-2], 10**6)[0]
     assert unbounded.stop_reason == trace.stop_reason
     np.testing.assert_array_equal(unbounded.selected, trace.selected)
     np.testing.assert_array_equal(unbounded.values, trace.values)
@@ -429,7 +431,7 @@ def test_in_span_column_stops_the_solve(tilt):
     # column 0 is the maximizer after [1, 2], but its orthogonal part is below
     # SPAN_TOLERANCE, so the solve stops without selecting it
     system = tilted_system(tilt)
-    trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
+    trace = womp_path(system, np.ones(3), [0.0], 6)[0]
     assert trace.selected.tolist() == [1, 2]
     assert trace.stop_reason == STOP_IN_SPAN
     np.testing.assert_allclose(
@@ -441,7 +443,7 @@ def test_column_above_the_span_tolerance_is_appended():
     # at tilt 1e-2 column 0's orthogonal part is ten times SPAN_TOLERANCE: the
     # QR refit takes it, at cond(A_S) about 1e2, and fits y exactly
     system = tilted_system(1e-2)
-    trace = womp_solve(system, np.ones(3), WompConfig(lam=0.0, max_iterations=6))
+    trace = womp_path(system, np.ones(3), [0.0], 6)[0]
     assert trace.selected.tolist() == [1, 2, 0]
     x = trace.final_coefficients
     np.testing.assert_allclose(x, restricted_least_squares(system, (0, 1, 2)), rtol=1e-12, atol=0)
@@ -485,7 +487,7 @@ def test_an_in_span_stop_gives_up_the_refit_on_its_column(drawn, lam):
     # part of column j orthogonal to A_S and rho = ||v||
     system, w = drawn
     matrix, y = system.matrix, system.rhs
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
+    trace = womp_path(system, w, [lam], system.n_columns + 3)[0]
     if trace.stop_reason != STOP_IN_SPAN or len(trace) >= matrix.shape[0]:
         return
     x, support = trace.final_coefficients, trace.selected
@@ -530,7 +532,7 @@ def test_support_bounded_by_rows_and_iterates_finite(shape, seed, lam):
     rng = np.random.default_rng(seed)
     system = random_test_system(m, n, rng)
     w = rng.uniform(1.0, 2.0, n)
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=2 * n))
+    trace = womp_path(system, w, [lam], 2 * n)[0]
     assert len(trace) <= m
     assert np.all(np.isfinite(trace.values))
 
@@ -540,7 +542,7 @@ def test_support_bounded_by_rows_and_iterates_finite(shape, seed, lam):
 def test_unregularized_run_ends_at_residual_floor(shape, seed):
     m, n = shape
     system = random_test_system(m, n, np.random.default_rng(seed))
-    trace = womp_solve(system, np.ones(n), WompConfig(lam=0.0, max_iterations=2 * n))
+    trace = womp_path(system, np.ones(n), [0.0], 2 * n)[0]
     assert trace.stop_reason == STOP_RESIDUAL_FLOOR
 
 
@@ -552,7 +554,7 @@ def test_unregularized_run_ends_at_residual_floor(shape, seed):
 def test_iterates_match_restricted_least_squares(drawn, lam):
     # every prefix of the QR refit against the SVD oracle on the sorted support
     system, w = drawn
-    trace = womp_solve(system, w, WompConfig(lam=lam, max_iterations=system.n_columns + 3))
+    trace = womp_path(system, w, [lam], system.n_columns + 3)[0]
     for k in range(1, len(trace) + 1):
         reference = restricted_least_squares(system, trace.selected[:k])
         error = np.linalg.norm(trace.coefficients_at(k) - reference)
