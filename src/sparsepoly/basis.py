@@ -37,7 +37,8 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
         t: points in [-1, 1], any shape.
 
     Returns:
-        Array of shape t.shape + (max_degree + 1,).
+        Degree-major array of shape (max_degree + 1,) + t.shape; row j holds
+        phi_j at t.
 
     Raises:
         ValueError: for unknown kind, max_degree < 0 or points outside [-1, 1].
@@ -48,24 +49,22 @@ def eval_1d_table(kind: str, max_degree: int, t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if not np.all(np.abs(t) <= 1.0):
         raise ValueError("evaluation points must lie in [-1, 1]")
-    out = np.empty(t.shape + (max_degree + 1,))
-    out[..., 0] = 1.0
+    out = np.empty((max_degree + 1,) + t.shape)
+    out[0] = 1.0
     if max_degree >= 1:
-        out[..., 1] = t
+        out[1] = t
     if kind == LEGENDRE:
         # (n+1) P_{n+1} = (2n+1) t P_n - n P_{n-1}; orthonormal factor sqrt(2n+1)
         for n in range(1, max_degree):
-            out[..., n + 1] = (
-                (2 * n + 1) * t * out[..., n] - n * out[..., n - 1]
-            ) / (n + 1)
+            out[n + 1] = ((2 * n + 1) * t * out[n] - n * out[n - 1]) / (n + 1)
         scale = np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)
     else:
         # T_{n+1} = 2 t T_n - T_{n-1}; orthonormal factor sqrt(2) for n >= 1
         for n in range(1, max_degree):
-            out[..., n + 1] = 2.0 * t * out[..., n] - out[..., n - 1]
+            out[n + 1] = 2.0 * t * out[n] - out[n - 1]
         scale = np.full(max_degree + 1, np.sqrt(2.0))
         scale[0] = 1.0
-    out *= scale
+    out *= scale.reshape((max_degree + 1,) + (1,) * t.ndim)
     return out
 
 
@@ -109,20 +108,25 @@ def sample_measure(kind: str, d: int, m: int, rng_seed) -> np.ndarray:
     return np.cos(np.pi * u)
 
 
-# Size in doubles of the blocks `evaluate_design` assembles at a time.
+# Size in doubles of the column blocks `evaluate_design` assembles at a time.
 _BLOCK_ELEMENTS = 1 << 16
 
 
 def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     """Matrix [phi_j(t_i)]_{i,j} for all points and all indices in the set.
 
-    One `eval_1d_table` call per block of points gives a factor table whose
-    row k * n_degrees + j holds phi_j at coordinate k.  Index i keys the rows
-    of its nonzero factors in coordinate order, padded with row 0 (phi_0 =
-    1.0) to R, the most nonzero entries of any index (at most log2 s on a
-    hyperbolic cross).  The cost is O(m d s) for the tables plus O(m N R)
-    products.  Multiplying by 1.0 changes no bit, so the result is
-    bit-identical to the plain product over all d factors in coordinate order.
+    One `eval_1d_table` call on points.T gives the factor table for the whole
+    call; reshaped to (n_degrees * d, m), its row j * d + k holds phi_j at
+    coordinate k.  Index i keys the rows of its nonzero factors in coordinate
+    order, padded with row 0 (phi_0 = 1.0) to R, the most nonzero entries of
+    any index (at most log2 s on a hyperbolic cross).  Blocks of columns,
+    about _BLOCK_ELEMENTS doubles each, hold one column per row of length m,
+    so that every gather moves whole table rows.  The cost is O(m d s) for
+    the table plus O(m N R) products.  The table holds n_degrees * d * m
+    doubles: on a hyperbolic cross of order s >= 2, which has N >= 1 +
+    d (s - 1) columns, at most twice the design.  Multiplying by 1.0 changes
+    no bit, so the result is bit-identical to the plain product over all d
+    factors in coordinate order.
 
     Returns:
         C-contiguous (m, N) array.
@@ -141,24 +145,15 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     rank = np.zeros(n, dtype=np.intp)
     for k in range(d):
         (hit,) = np.nonzero(idx[:, k])
-        keys[hit, rank[hit]] = k * n_degrees + idx[hit, k]
+        keys[hit, rank[hit]] = idx[hit, k] * d + k
         rank[hit] += 1
-    # Blocks of points and of columns keep every temporary near
-    # _BLOCK_ELEMENTS doubles; a design block is built transposed, so that
-    # every gather moves whole table rows.
+    table = eval_1d_table(kind, n_degrees - 1, points.T).reshape(n_degrees * d, m)
     design = np.empty((m, n))
-    height = max(1, _BLOCK_ELEMENTS // (d * n_degrees))
-    for top in range(0, m, height):
-        chunk = points[top : top + height]
-        # (d * n_degrees, rows) in C order; a strided view gathers slowly
-        table = np.ascontiguousarray(
-            eval_1d_table(kind, n_degrees - 1, chunk.T).transpose(0, 2, 1)
-        ).reshape(d * n_degrees, chunk.shape[0])
-        width = max(1, _BLOCK_ELEMENTS // chunk.shape[0])
-        for lo in range(0, n, width):
-            block_keys = keys[lo : lo + width]
-            block = table[block_keys[:, 0]]
-            for p in range(1, keys.shape[1]):
-                block *= table[block_keys[:, p]]
-            design[top : top + chunk.shape[0], lo : lo + width] = block.T
+    width = max(1, _BLOCK_ELEMENTS // max(m, 1))
+    for lo in range(0, n, width):
+        block_keys = keys[lo : lo + width]
+        block = table[block_keys[:, 0]]
+        for p in range(1, keys.shape[1]):
+            block *= table[block_keys[:, p]]
+        design[:, lo : lo + width] = block.T
     return design

@@ -20,6 +20,7 @@ total and reproducible.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,8 +84,9 @@ def hyperbolic_cross_size(d: int, s: int) -> int:
     sum_r C(d, r) P(r, s) members, and P(r, q) = sum_{b >= 2} P(r - 1, q // b)
     sums over the runs of b that share one quotient q // b.  (d, s) =
     (1, 10^9), (2, 10^9), (10, 1000) and (30, 100) each take well under a
-    second.
+    second.  d and s may be of any integer type, numpy's included.
     """
+    d, s = operator.index(d), operator.index(s)
     _check_order(d, s)
     memo: dict[tuple[int, int], int] = {}
 

@@ -70,7 +70,7 @@ class LassoResult:
     seconds: np.ndarray
 
 
-def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int = 10) -> np.ndarray:
+def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int) -> np.ndarray:
     """Log-spaced alpha grid bracketing the zero-solution threshold.
 
     The zero vector is optimal once alpha >= 2 max_j |(A^T y)_j| / w_j; the

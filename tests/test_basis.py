@@ -40,7 +40,7 @@ def test_chebyshev_closed_form():
     ts = np.linspace(-1, 1, 101)
     for k in (1, 2, 5, 9):
         np.testing.assert_allclose(
-            basis.eval_1d_table("chebyshev", k, ts)[:, k],
+            basis.eval_1d_table("chebyshev", k, ts)[k],
             np.sqrt(2) * np.cos(k * np.arccos(ts)),
             atol=1e-12,
         )
@@ -194,7 +194,7 @@ def plain_design(kind, index_set, points):
     design = np.ones((points.shape[0], len(index_set)))
     for k in range(index_set.dimension):
         column = index_set.indices[:, k]
-        design *= basis.eval_1d_table(kind, int(column.max()), points[:, k])[:, column]
+        design *= basis.eval_1d_table(kind, int(column.max()), points[:, k])[column].T
     return design
 
 
@@ -213,13 +213,16 @@ MIXED_SUPPORT = MultiIndexSet(
         # only the zero index: every key is padding
         pytest.param(hyperbolic_cross(3, 1), 20, None, id="zero-index-only"),
         pytest.param(MIXED_SUPPORT, 30, 16, id="mixed-support"),
+        # no points: an empty (0, N) design
+        pytest.param(hyperbolic_cross(10, 10), 0, None, id="no-points"),
     ],
 )
 def test_design_is_byte_equal_to_plain_product(monkeypatch, index_set, m, block_elements):
-    if block_elements is not None:  # many small blocks of points and columns
+    if block_elements is not None:  # many small column blocks
         monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", block_elements)
     for kind in basis.BASIS_KINDS:
-        pts = basis.sample_measure(kind, index_set.dimension, m, 17)
+        # sample_measure refuses m = 0, so the empty case slices one point away
+        pts = basis.sample_measure(kind, index_set.dimension, max(m, 1), 17)[:m]
         design = basis.evaluate_design(kind, index_set, pts)
         assert design.flags.c_contiguous
         assert design.shape == (m, len(index_set))
@@ -228,7 +231,8 @@ def test_design_is_byte_equal_to_plain_product(monkeypatch, index_set, m, block_
 
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.5, np.nan])
 def test_design_refuses_points_outside_the_cube(monkeypatch, bad):
-    # three points per block; the bad value sits in a later block, coordinate 2
+    # the bad value sits in coordinate 2 of a middle point, among many
+    # small column blocks
     monkeypatch.setattr(basis, "_BLOCK_ELEMENTS", 64)
     index_set = hyperbolic_cross(3, 6)
     for kind in basis.BASIS_KINDS:
@@ -236,3 +240,20 @@ def test_design_refuses_points_outside_the_cube(monkeypatch, bad):
         pts[7, 2] = bad
         with pytest.raises(ValueError, match=r"evaluation points must lie in \[-1, 1\]"):
             basis.evaluate_design(kind, index_set, pts)
+
+
+def test_design_builds_one_factor_table_per_call(monkeypatch):
+    # d = s = 10 at the reference fit's 1,024 rows per block
+    calls = []
+    real_table = basis.eval_1d_table
+
+    def counting_table(*args):
+        calls.append(args)
+        return real_table(*args)
+
+    monkeypatch.setattr(basis, "eval_1d_table", counting_table)
+    index_set = hyperbolic_cross(10, 10)
+    for kind in basis.BASIS_KINDS:
+        calls.clear()
+        basis.evaluate_design(kind, index_set, basis.sample_measure(kind, 10, 1024, 3))
+        assert len(calls) == 1

@@ -20,6 +20,10 @@ def test_counted_size_matches_the_enumeration():
     # the axis, the degree-2 terms, and one nonzero entry per coordinate
     assert hyperbolic_cross_size(1, 10**9) == 10**9
     assert hyperbolic_cross_size(10**6, 2) == 10**6 + 1
+    # numpy integers are counted like Python ints; a float is still refused
+    assert hyperbolic_cross_size(np.int32(4), np.int64(6)) == len(hyperbolic_cross(4, 6))
+    with pytest.raises(TypeError):
+        hyperbolic_cross_size(4, 6.0)
     with pytest.raises(ValueError, match="dimension must be >= 1"):
         hyperbolic_cross_size(0, 5)
     with pytest.raises(ValueError, match="cross order must be >= 1"):
