@@ -118,8 +118,9 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     One `eval_1d_table` call on points.T gives the factor table for the whole
     call; reshaped to (n_degrees * d, m), its row j * d + k holds phi_j at
     coordinate k.  Index i keys the rows of its nonzero factors in coordinate
-    order, padded with row 0 (phi_0 = 1.0) to R, the most nonzero entries of
-    any index (at most log2 s on a hyperbolic cross).  Blocks of columns,
+    order, all read in one np.flatnonzero pass over the (N, d) indices, padded
+    with row 0 (phi_0 = 1.0) to R, the most nonzero entries of any index (at
+    most log2 s on a hyperbolic cross).  Blocks of columns,
     about _BLOCK_ELEMENTS doubles each, hold one column per row of length m,
     so that every gather moves whole table rows.  The cost is O(m d s) for
     the table plus O(m N R) products.  The table holds n_degrees * d * m
@@ -140,13 +141,16 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     m, n = points.shape[0], len(index_set)
     d = index_set.dimension
     n_degrees = int(idx.max()) + 1
-    # (N, R) keys, zero-padded; rank[i] counts index i's nonzero factors so far
-    keys = np.zeros((n, max(1, int(np.count_nonzero(idx, axis=1).max()))), dtype=np.intp)
-    rank = np.zeros(n, dtype=np.intp)
-    for k in range(d):
-        (hit,) = np.nonzero(idx[:, k])
-        keys[hit, rank[hit]] = idx[hit, k] * d + k
-        rank[hit] += 1
+    # (N, R) keys, zero-padded; the flat positions of the nonzero entries run
+    # row by row, each row in coordinate order, so a factor's rank is its
+    # offset from its row's first
+    at = np.flatnonzero(idx)
+    rows, cols = np.divmod(at, d)
+    counts = np.bincount(rows, minlength=n)
+    ends = np.cumsum(counts)
+    rank = np.arange(len(at)) - (ends - counts)[rows]
+    keys = np.zeros((n, max(1, int(counts.max()))), dtype=np.intp)
+    keys[rows, rank] = idx.ravel()[at] * d + cols
     table = eval_1d_table(kind, n_degrees - 1, points.T).reshape(n_degrees * d, m)
     design = np.empty((m, n))
     width = max(1, _BLOCK_ELEMENTS // max(m, 1))

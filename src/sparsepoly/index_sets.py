@@ -11,10 +11,12 @@ $$
 whose cardinality grows only moderately with the dimension $d$, which is what
 makes sparse recovery in high dimension tractable at all.
 
-Indices are stored in a deterministic graded order: ascending total degree,
-ties broken lexicographically on the entries.  Downstream code (sensing-matrix
-columns, weight vectors, greedy tie-breaking) relies on this ordering being
-total and reproducible.
+`MultiIndexSet` keeps its rows in the caller's order; it only checks that
+they are distinct nonnegative integers.  `hyperbolic_cross` returns its
+members in a deterministic graded order: ascending total degree, ties broken
+lexicographically on the entries.  Downstream code (sensing-matrix columns,
+weight vectors, greedy tie-breaking) relies on that order being total and
+reproducible.
 """
 
 from __future__ import annotations
@@ -31,26 +33,36 @@ class MultiIndexSet:
     """An ordered set of d-dimensional nonnegative multi-indices.
 
     Attributes:
-        dimension: ambient dimension d (>= 1).
-        indices: (N, d) integer array, one multi-index per row, in graded
-            lexicographic order.
+        dimension: ambient dimension d (>= 1), of any integer type.
+        indices: (N, d) integer array, one multi-index per row, distinct rows
+            in the order the caller gave them.
+
+    Raises:
+        TypeError: if the dimension is not an integer.
+        ValueError: for a wrong shape, a fractional or negative entry, or a
+            repeated row.
     """
 
     dimension: int
     indices: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        if self.dimension < 1 or idx.ndim != 2 or idx.shape[1] != self.dimension:
-            raise ValueError(
-                f"indices must be (N, {self.dimension}), got shape {idx.shape}"
-            )
+        dimension = operator.index(self.dimension)
+        given = np.asarray(self.indices)
+        with np.errstate(invalid="ignore"):  # a NaN or inf fails the check below
+            idx = given.astype(np.int64, copy=False)
+        if dimension < 1 or idx.ndim != 2 or idx.shape[1] != dimension:
+            raise ValueError(f"indices must be (N, {dimension}), got shape {idx.shape}")
+        if not np.array_equal(idx, given):
+            raise ValueError("multi-index entries must be integers")
         if np.any(idx < 0):
             raise ValueError("multi-index entries must be nonnegative")
-        # duplicates are adjacent once the rows are sorted lexicographically
-        ordered = idx[np.lexsort(idx.T[::-1])]
-        if np.any(np.all(ordered[1:] == ordered[:-1], axis=1)):
+        # each row's bytes, in the narrowest type that holds every entry
+        narrow = np.ascontiguousarray(idx, dtype=np.min_scalar_type(idx.max(initial=0)))
+        rows = narrow.view(np.dtype((np.void, dimension * narrow.itemsize))).ravel()
+        if len(set(rows.tolist())) < len(rows):
             raise ValueError("duplicate multi-indices")
+        object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
@@ -58,14 +70,6 @@ class MultiIndexSet:
 
     def as_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(v) for v in row) for row in self.indices]
-
-
-def graded_lex_order(indices: np.ndarray) -> np.ndarray:
-    """Permutation sorting rows by total degree, then lexicographically."""
-    indices = np.asarray(indices)
-    d = indices.shape[1]
-    keys = tuple(indices[:, k] for k in reversed(range(d)))
-    return np.lexsort(keys + (indices.sum(axis=1),))
 
 
 def _check_order(d: int, s: int) -> None:
@@ -114,7 +118,12 @@ def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
     Enumerates exactly the indices j with prod(j_k + 1) <= s one coordinate
     at a time: a prefix whose product so far is p extends by j_k < s // p,
     so every prefix built is a member of a lower-dimensional cross and the
-    full degree box (s^d points) is never materialized.
+    full degree box (s^d points) is never materialized.  A stage keeps only
+    each new prefix's parent, its last entry, its product and its degree; the
+    d columns are read back once at the end by walking the parents.  Parents
+    extend in order and each by ascending j_k, so the members come out in
+    lexicographic order, and one stable sort on degree makes it graded.  d
+    and s may be of any integer type, numpy's included.
 
     Args:
         d: ambient dimension, >= 1.
@@ -124,17 +133,27 @@ def hyperbolic_cross(d: int, s: int) -> MultiIndexSet:
         MultiIndexSet in graded lexicographic order.
 
     Raises:
+        TypeError: if d or s is not an integer.
         ValueError: if d < 1 or s < 1.
     """
+    d, s = operator.index(d), operator.index(s)
     _check_order(d, s)
-    arr = np.zeros((1, 0), dtype=np.int64)
+    parents, entries = [], []
     prods = np.ones(1, dtype=np.int64)
+    degrees = np.zeros(1, dtype=np.int64)
     for _ in range(d):
         # (j+1) * prod <= s  <=>  j < s // prod
         counts = s // prods
-        starts = np.repeat(np.cumsum(counts) - counts, counts)
-        j = np.arange(counts.sum()) - starts
-        arr = np.column_stack([np.repeat(arr, counts, axis=0), j])
-        prods = np.repeat(prods, counts) * (j + 1)
-    arr = arr[graded_lex_order(arr)]
+        ends = np.cumsum(counts)
+        parent = np.repeat(np.arange(len(counts)), counts)
+        j = np.arange(ends[-1]) - (ends - counts)[parent]
+        prods = prods[parent] * (j + 1)
+        degrees = degrees[parent] + j
+        parents.append(parent)
+        entries.append(j)
+    row = np.argsort(degrees, kind="stable")
+    arr = np.empty((len(row), d), dtype=np.int64)
+    for k in reversed(range(d)):
+        arr[:, k] = entries[k][row]
+        row = parents[k][row]
     return MultiIndexSet(dimension=d, indices=arr)
