@@ -75,11 +75,13 @@ def weights(kind: str, index_set) -> np.ndarray:
     families, with exactly 1 at the zero index.
     """
     _check_kind(kind)
-    idx = np.asarray(index_set.indices, dtype=np.float64)
+    idx = index_set.indices
     if kind == LEGENDRE:
-        # product of per-factor norms, in coordinate order, so the value is
+        # product of per-factor norms sqrt(2 j + 1), read from a per-degree
+        # table and multiplied in coordinate order, so the value is
         # bit-identical to |phi_j| evaluated at the corner (1, ..., 1)
-        return np.multiply.reduce(np.sqrt(2.0 * idx + 1.0), axis=1)
+        norms = np.sqrt(2.0 * np.arange(idx.max(initial=0) + 1) + 1.0)
+        return np.multiply.reduce(norms[idx], axis=1)
     return np.sqrt(2.0) ** np.count_nonzero(idx, axis=1)
 
 

@@ -14,8 +14,8 @@ the breakpoint cap, the breakpoints walked, the largest KKT residual (one
 the mean seconds into the path at which it reached the alpha.  Relative
 errors are measured coefficient-wise against a single shared reference fit
 obtained by least squares on an oversampled draw, through normal equations
-accumulated over row blocks of the draw, so the oversampled design is never
-held whole; since the basis is orthonormal for the sampling measure, the
+accumulated over N-row blocks of the draw, so the oversampled design is never
+held whole, and solved with their Cholesky factor in O(N^2); since the basis is orthonormal for the sampling measure, the
 coefficient-space l2 distance equals the function-space L2 error of the
 truncated expansions.
 One `coefficients_at` call expands the K iterates of a trace into a K x N
@@ -23,8 +23,8 @@ block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
 `run_sweep` first refuses (`check_scale`, on the counted basis size) a
-config whose reference fit (its Gram, the Gram's Cholesky work copy and
-factor, one row block and its points) would not fit in physical memory, and
+config whose reference fit (three N x N arrays, its points and one block's
+design call) would not fit in physical memory, and
 otherwise returns the data report.json holds, as one dict.  One table,
 `OUTPUT_WRITERS`, names a run's five files and the writer of each, and every
 writer reads that same dict, as does the CLI summary; the resolved config
@@ -140,8 +140,31 @@ def target_log_sum(d: int) -> Target:
     return log_sum
 
 
-# Rows of the oversampled draw that the reference fit assembles at a time.
-_FIT_BLOCK_ROWS = 1024
+# Rows of the diagonal blocks that `_cholesky_solve` substitutes at a time.
+_SUBSTITUTION_ROWS = 64
+
+
+def _cholesky_solve(factor: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with factor @ factor.T @ x = rhs, for a lower-triangular factor.
+
+    One blocked forward substitution for z = factor^-1 rhs, then one blocked
+    back substitution for x = factor^-T z: each diagonal block of
+    _SUBSTITUTION_ROWS rows takes one small np.linalg.solve on what is left
+    of its right-hand side once the part already solved is subtracted.  The
+    cost is O(N^2 + N * _SUBSTITUTION_ROWS^2), where two solves with the
+    whole factor cost O(N^3).
+    """
+    n = len(rhs)
+    blocks = [slice(top, top + _SUBSTITUTION_ROWS) for top in range(0, n, _SUBSTITUTION_ROWS)]
+    z = np.empty(n)
+    for rows in blocks:
+        done = slice(0, rows.start)
+        z[rows] = np.linalg.solve(factor[rows, rows], rhs[rows] - factor[rows, done] @ z[done])
+    x = np.empty(n)
+    for rows in reversed(blocks):
+        done = slice(rows.stop, n)
+        x[rows] = np.linalg.solve(factor[rows, rows].T, z[rows] - x[done] @ factor[done, rows])
+    return x
 
 
 def reference_coefficients(
@@ -153,33 +176,32 @@ def reference_coefficients(
 ) -> np.ndarray:
     """Oversampled least-squares fit standing in for the true coefficients.
 
-    One draw of oversampling * N points; the normal equations A^T A x = A^T y
-    of its 1/sqrt(rows)-scaled system are accumulated over blocks of
-    _FIT_BLOCK_ROWS rows, so the full design is never held.
+    One draw of oversampling * N points, walked in oversampling blocks of N
+    rows: the normal equations A^T A x = A^T y of its design A are summed
+    block by block, so the full design is never held, and solved with the
+    Cholesky factor of A^T A by `_cholesky_solve`.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     n = len(index_set)
-    n_samples = oversampling * n
-    points = basis.sample_measure(kind, index_set.dimension, n_samples, seed)
-    scale = 1.0 / np.sqrt(n_samples)
+    points = basis.sample_measure(kind, index_set.dimension, oversampling * n, seed)
     gram = np.zeros((n, n))
     moment = np.zeros(n)
-    for top in range(0, n_samples, _FIT_BLOCK_ROWS):
-        chunk = points[top : top + _FIT_BLOCK_ROWS]
+    for chunk in np.split(points, oversampling):
         block = basis.evaluate_design(kind, index_set, chunk)
-        block *= scale
         # numpy runs block.T @ block as a symmetric product
         gram += block.T @ block
-        moment += block.T @ (target_values(target, chunk) * scale)
+        moment += block.T @ target_values(target, chunk)
+    # the Cholesky step holds the Gram, LAPACK's work copy and the factor;
+    # the last block would be a fourth N x N array beside them
+    del points, chunk, block
     # The oversampled system is well conditioned (cond(A) is about 1.6 at
     # the study's size), so squaring the condition number is harmless: the
     # fit agrees with an SVD least-squares solve to about 1e-14 relative.  A
     # Cholesky pivot below sqrt(eps) times the largest would leave fewer than
     # half the digits: treat it as rank deficiency, as an exactly dependent
-    # column makes Cholesky fail or leave a pivot at rounding level.  (numpy
-    # has no triangular solver, so the two solves with the factor go through
-    # np.linalg.solve.)
+    # column makes Cholesky fail or leave a pivot at rounding level.  The
+    # test is relative, so A needs no 1/sqrt(rows) scaling.
     try:
         factor = np.linalg.cholesky(gram)
         pivots = np.diag(factor) ** 2
@@ -190,7 +212,7 @@ def reference_coefficients(
             )
     except np.linalg.LinAlgError as exc:
         raise ValueError(f"oversampled reference system is rank-deficient: {exc}") from exc
-    return np.linalg.solve(factor.T, np.linalg.solve(factor, moment))
+    return _cholesky_solve(factor, moment)
 
 
 def relative_error(x_hat: np.ndarray, x_ref: np.ndarray):
@@ -275,17 +297,23 @@ def physical_memory_bytes() -> int | None:
 
 def reference_fit_size(config: ExperimentConfig) -> tuple[int, str]:
     """Bytes the oversampled reference fit holds at its peak, and that size
-    as text.  The peak is the Cholesky step: the N x N Gram, LAPACK's work
-    copy of it and the factor, beside the last row block of the design and
-    the reference_oversampling * N points.  N is counted, not enumerated, so
-    an oversized config allocates nothing."""
+    as text.  Three N x N arrays are live at each step that holds the most:
+    the Gram, the last N-row block and the next one while a block is built,
+    the Gram, the block and their product while it is added, and the Gram,
+    LAPACK's work copy of it and the factor in the Cholesky step.  Beside
+    them are the reference_oversampling * N points and, while a block is
+    built, the work of its `basis.evaluate_design` call: the factor table
+    (s degrees in d coordinates at N points), at most 7 * d * N index
+    entries and two column blocks of at most max(basis._BLOCK_ELEMENTS, N)
+    doubles.  N is counted, not enumerated, so an oversized config
+    allocates nothing."""
     n = hyperbolic_cross_size(config.d, config.s)
     rows = config.reference_oversampling * n
-    block = min(rows, _FIT_BLOCK_ROWS)
-    nbytes = (3 * n * n + block * n + rows * config.d) * 8
+    design_call = (config.s + 7) * config.d * n + 2 * max(basis._BLOCK_ELEMENTS, n)
+    nbytes = (3 * n * n + rows * config.d + design_call) * 8
     return nbytes, (
-        f"{nbytes / 1e6:.1f} MB ({n} x {n} Gram, Cholesky work copy and factor, "
-        f"{block} x {n} row block, {rows} x {config.d} points)"
+        f"{nbytes / 1e6:.1f} MB (three {n} x {n} arrays, {rows} x {config.d} points, "
+        f"{design_call * 8 / 1e6:.1f} MB for one block's design call)"
     )
 
 

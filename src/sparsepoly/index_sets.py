@@ -28,9 +28,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiIndexSet:
     """An ordered set of d-dimensional nonnegative multi-indices.
+
+    Equality and hashing go by identity: two sets are equal only when they
+    are the same object.
 
     Attributes:
         dimension: ambient dimension d (>= 1), of any integer type.

@@ -135,6 +135,13 @@ def test_weights_vector_alignment():
         assert w[i] == basis.weights("legendre", MultiIndexSet(3, [j]))[0]
 
 
+@pytest.mark.parametrize("d, s", [(16, 20), (10, 10)])
+def test_legendre_weights_are_the_coordinate_order_product(d, s):
+    ms = hyperbolic_cross(d, s)
+    expected = np.multiply.reduce(np.sqrt(2.0 * ms.indices + 1.0), axis=1)
+    assert basis.weights("legendre", ms).tobytes() == expected.tobytes()
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     entries=st.lists(st.integers(0, 6), min_size=1, max_size=4),

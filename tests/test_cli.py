@@ -156,30 +156,31 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
     path.write_text(FULL_STUDY_TEXT)
     assert main(["info", "--config", str(path)]) == 0
     assert (
-        "reference fit: 13.4 MB (571 x 571 Gram, Cholesky work copy and factor, "
-        "1024 x 571 row block, 11420 x 10 points)\n"
+        "reference fit: 10.6 MB (three 571 x 571 arrays, 11420 x 10 points, "
+        "1.8 MB for one block's design call)\n"
     ) in capsys.readouterr().out
     assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
     assert (
-        "reference fit: 3973.5 MB (12645 x 12645 Gram, Cholesky work copy and factor, "
-        "1024 x 12645 row block, 252900 x 16 points)\n"
+        "reference fit: 3914.6 MB (three 12645 x 12645 arrays, 252900 x 16 points, "
+        "44.7 MB for one block's design call)\n"
     ) in capsys.readouterr().out
 
 
 def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    # quick.cfg's reference fit holds (3 * 23 * 23 + 115 * 23 + 115 * 4) doubles = 37,536 bytes
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 37_535)
+    # quick.cfg's reference fit holds (3 * 23 * 23 + 115 * 4 + (5 + 7) * 4 * 23 + 2 * 65536)
+    # doubles = 1,073,784 bytes
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_073_783)
     out_dir = tmp_path / "refused"
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert (
-        "reference fit needs 0.0 MB (23 x 23 Gram, Cholesky work copy and factor, "
-        "115 x 23 row block, 115 x 4 points)"
+        "reference fit needs 1.1 MB (three 23 x 23 arrays, 115 x 4 points, "
+        "1.1 MB for one block's design call)"
     ) in err
     assert "physical memory" in err
     assert not out_dir.exists()
 
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 37_536)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_073_784)
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 

@@ -126,29 +126,24 @@ def test_reference_rejects_bad_oversampling():
 
 
 @pytest.mark.parametrize("kind", basis.BASIS_KINDS)
-@pytest.mark.parametrize("block_rows", [1, 7, "beyond"])
-def test_chunked_reference_agrees_with_full_design_lstsq(monkeypatch, kind, block_rows):
-    # Blocks of one row, of 7 rows (the last one partial) and one block of
-    # more rows than the draw all give the SVD least-squares solution of the
-    # whole design of the same draw, to rounding.
+@pytest.mark.parametrize("oversampling", [1, 2, 6])
+def test_chunked_reference_agrees_with_full_design_lstsq(kind, oversampling):
+    # the normal equations of one N-row block, or summed over two or six,
+    # give the SVD least-squares solution of the whole design of the same
+    # draw, to rounding
     ms = hyperbolic_cross(3, 4)
-    rows = 6 * len(ms)
-    assert rows % 7 != 0
     target = target_log_sum(3)
-    monkeypatch.setattr(
-        experiments, "_FIT_BLOCK_ROWS", rows + 1 if block_rows == "beyond" else block_rows
-    )
-    fit = reference_coefficients(target, kind, ms, oversampling=6, seed=4)
-    system = build_system(basis.sample_measure(kind, 3, rows, 4), target, kind, ms)
+    fit = reference_coefficients(target, kind, ms, oversampling, seed=4)
+    points = basis.sample_measure(kind, 3, oversampling * len(ms), 4)
+    system = build_system(points, target, kind, ms)
     oracle = np.linalg.lstsq(system.matrix, system.rhs, rcond=None)[0]
     assert np.max(np.abs(fit - oracle)) <= 1e-12 * np.max(np.abs(oracle))
 
 
-def test_reference_rejects_a_target_not_finite_in_a_later_block(monkeypatch):
-    # point 20 of the draw lies in the third 7-row block
+def test_reference_rejects_a_target_not_finite_in_a_later_block():
+    # the NaN point lies in the third N-row block of the draw
     ms = hyperbolic_cross(3, 4)
-    monkeypatch.setattr(experiments, "_FIT_BLOCK_ROWS", 7)
-    bad = basis.sample_measure("legendre", 3, 6 * len(ms), 2)[20]
+    bad = basis.sample_measure("legendre", 3, 6 * len(ms), 2)[2 * len(ms) + 5]
     log_sum = target_log_sum(3)
 
     def target(p):
@@ -171,14 +166,44 @@ def test_reference_draws_all_its_points_at_once(monkeypatch):
         return draw(basis_kind, d, n, seed)
 
     monkeypatch.setattr(basis, "sample_measure", recording_draw)
-    monkeypatch.setattr(experiments, "_FIT_BLOCK_ROWS", 7)
     reference_coefficients(target_log_sum(3), "legendre", ms, oversampling=6, seed=0)
     assert sizes == [6 * len(ms)]
 
 
+@pytest.mark.parametrize("n", [1, 37, 128, 571])
+def test_blocked_substitution_matches_two_solves_with_the_factor(n):
+    # N = 128 ends on a block boundary; 37 and 571 end inside a block
+    sample = np.random.default_rng(n).standard_normal((2 * n, n))
+    factor = np.linalg.cholesky(sample.T @ sample)
+    rhs = sample.T @ np.ones(2 * n)
+    expected = np.linalg.solve(factor.T, np.linalg.solve(factor, rhs))
+    x = experiments._cholesky_solve(factor, rhs)
+    assert np.linalg.norm(x - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize(
+    "d, s, oversampling", [(3, 4, 6), (10, 10, 20), (5, 40, 2)], ids=["N13", "N571", "N1672"]
+)
+def test_reference_fit_size_bounds_the_traced_peak(d, s, oversampling):
+    config = ExperimentConfig(d=d, s=s, reference_oversampling=oversampling)
+    ms = hyperbolic_cross(d, s)
+    target = target_log_sum(d)
+    # one untraced call first, so that the modules numpy imports on its
+    # first draw are not counted
+    reference_coefficients(target_log_sum(2), "legendre", hyperbolic_cross(2, 2), 2, seed=0)
+    tracemalloc.start()
+    try:
+        reference_coefficients(target, "legendre", ms, oversampling, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert experiments.reference_fit_size(config)[0] >= peak
+
+
 def test_reference_fit_never_holds_the_full_design():
     # At the full study's size the 11,420 x 571 design alone is 52.2 MB; the
-    # fit holds the 2.6 MB Gram, one row block and the points.
+    # fit holds three 2.6 MB N x N arrays, the points and one block's
+    # design-call work.
     ms = hyperbolic_cross(10, 10)
     tracemalloc.start()
     try:
@@ -365,8 +390,8 @@ def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
         monkeypatch.setattr(experiments, name, allocation)
     monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 8_000_000_000)
     message = (
-        r"^the reference fit needs 24000008352000\.0 MB \(1000000000 x 1000000000 Gram, "
-        r"Cholesky work copy and factor, 1024 x 1000000000 row block, 20000000000 x 1 points\), "
+        r"^the reference fit needs 32000000232000\.0 MB \(three 1000000000 x 1000000000 arrays, "
+        r"20000000000 x 1 points, 8000000072000\.0 MB for one block's design call\), "
         r"more than the 8000\.0 MB of physical memory$"
     )
     with pytest.raises(experiments.ScaleError, match=message):

@@ -181,3 +181,20 @@ def test_duplicate_check_matches_a_set_of_tuples(d, data):
             MultiIndexSet(d, indices)
     else:
         assert np.array_equal(MultiIndexSet(d, indices).indices, indices)
+
+
+def test_index_sets_are_equal_only_to_themselves():
+    a, b = hyperbolic_cross(2, 3), hyperbolic_cross(2, 3)
+    assert a == a
+    assert a != b
+
+
+def test_index_sets_hash_by_identity():
+    a = hyperbolic_cross(2, 3)
+    assert hash(a) == object.__hash__(a)
+
+
+def test_two_index_sets_fit_in_a_set():
+    a, b = hyperbolic_cross(2, 3), hyperbolic_cross(2, 3)
+    assert len({a, b, a}) == 2
+    assert a in {a} and b not in {a}
