@@ -128,12 +128,13 @@ def at_least(value, bound, whole=True) -> bool:
     return bound <= value < math.inf and (not whole or float(value).is_integer())
 
 
-def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
+def check_solver_inputs(system: LinearSystem, w, max_iterations, solver: str) -> np.ndarray:
     """Check a solver's inputs and return the weights as floats.
 
     Raises:
-        ValueError: naming `solver` if the system is not normalized, or the
-            first weight that is not finite and > 0 (NaN included).
+        ValueError: naming `solver` if the system is not normalized, the
+            first weight that is not finite and > 0 (NaN included), or an
+            iteration cap that is not an integer >= 1.
     """
     if system.column_norms is None:
         raise ValueError(f"{solver} requires unit-norm columns; apply normalize_columns first")
@@ -143,6 +144,8 @@ def check_solver_inputs(system: LinearSystem, w, solver: str) -> np.ndarray:
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
         raise ValueError(f"weights must be strictly positive and finite: w[{bad[0]}] = {w[bad[0]]}")
+    if not at_least(max_iterations, 1):
+        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
     return w
 
 

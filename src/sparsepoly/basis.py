@@ -163,3 +163,9 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
             block *= table[block_keys[:, p]]
         design[:, lo : lo + width] = block.T
     return design
+
+
+def _design_call_doubles(n_degrees: int, d: int, m: int, n: int) -> int:
+    """Most 8-byte entries an `evaluate_design` call on m points holds beside
+    its result: the factor table, at most 7 d N keys and two column blocks."""
+    return n_degrees * d * m + 7 * d * n + 2 * max(_BLOCK_ELEMENTS, m)

@@ -115,9 +115,8 @@ def parse_config(path, overrides=()) -> ExperimentConfig:
 
 def _print_summary(report: dict) -> None:
     config = report["config"]
-    K = config["iterations"]
     print(f"N = {report['n_basis_functions']} basis functions, "
-          f"{config['trials']} trials, K = {K}")
+          f"{config['trials']} trials, K = {config['iterations']}")
     print(f"{'decoder':<14}{'lambda':>14}{'m':>6}{'mean err @K':>14}{'support':>10}{'seconds':>10}")
     for curve in report["womp"]:
         print(
@@ -176,12 +175,9 @@ def cmd_run(args) -> int:
         raise ConfigError(f"--out {out_dir}: {ancestor} is not a directory")
     existing = [name for name in OUTPUT_WRITERS if (out_dir / name).exists()]
     if existing and not args.force:
-        print(
-            f"error: refusing to overwrite {', '.join(existing)} in {out_dir} "
-            "(pass --force to allow)",
-            file=sys.stderr,
+        raise ConfigError(
+            f"refusing to overwrite {', '.join(existing)} in {out_dir} (pass --force to allow)"
         )
-        return 2
 
     try:
         report = run_sweep(config)
@@ -204,12 +200,9 @@ def cmd_verify(args) -> int:
     if not seed >= 0:
         raise ConfigError(f"verify --seed must be >= 0, got {seed}")
     results = verification.run_checks(seed=seed)
-    all_passed = True
     for result in results:
-        status = "PASS" if result.passed else "FAIL"
-        print(f"[{status}] {result.name}: {result.detail}")
-        all_passed &= result.passed
-    return 0 if all_passed else 1
+        print(f"[{'PASS' if result.passed else 'FAIL'}] {result.name}: {result.detail}")
+    return 0 if all(result.passed for result in results) else 1
 
 
 def cmd_info(args) -> int:

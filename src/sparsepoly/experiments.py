@@ -4,42 +4,42 @@ The protocol, per sample count m and per trial: draw m fresh points from the
 orthogonality measure, assemble and column-normalize the sensing system, run
 the greedy solves of all regularization values in lockstep, in one
 `womp_path` call (each lambda's trace is its selection order plus one block
-of all its iterates), and one weighted-LASSO sweep over a
-log-spaced alpha grid, solved exactly by one homotopy path from the
-zero-solution threshold down to the smallest alpha (`lasso.lasso_path`).
+of all its iterates), and one weighted-LASSO sweep over a log-spaced alpha
+grid, solved exactly by one homotopy path from the zero-solution threshold
+down to the smallest alpha (`lasso.lasso_path`).
 The report aggregates, over trials, each greedy configuration's stop reasons
 and iterations run, and for each alpha how often the path reached it within
 the breakpoint cap, the breakpoints walked, the largest KKT residual (one
 `verification.lasso_kkt_residual` call certifies a trial's whole block) and
 the mean seconds into the path at which it reached the alpha.  Relative
 errors are measured coefficient-wise against a single shared reference fit
-obtained by least squares on an oversampled draw, through normal equations
-accumulated over N-row blocks of the draw, so the oversampled design is never
-held whole, and solved with their Cholesky factor in O(N^2); since the basis is orthonormal for the sampling measure, the
-coefficient-space l2 distance equals the function-space L2 error of the
-truncated expansions.
+obtained by least squares on an oversampled draw.  The draw comes one N-row
+block at a time from one random stream, and each block's normal equations are
+added to a running sum, so neither the oversampled design nor its points are
+held whole; the sum is solved with its Cholesky factor in O(N^2).  Since the
+basis is orthonormal for the sampling measure, the coefficient-space l2
+distance equals the function-space L2 error of the truncated expansions.
 One `coefficients_at` call expands the K iterates of a trace into a K x N
 block, the LASSO path returns one G x N block for the alpha grid, and one
 `relative_error` call scores each block.
 
 `run_sweep` first refuses (`check_scale`, on the counted basis size) a
-config whose reference fit (three N x N arrays, its points and one block's
-design call) would not fit in physical memory, and
-otherwise returns the data report.json holds, as one dict.  One table,
-`OUTPUT_WRITERS`, names a run's five files and the writer of each, and every
-writer reads that same dict, as does the CLI summary; the resolved config
-file is rendered from the dict's `config` echo.
+config whose reference fit (three N x N arrays, one block's points and its
+design call) would not fit in physical memory, and otherwise returns the
+data report.json holds, as one dict.  One table, `OUTPUT_WRITERS`, names a
+run's five files and the writer of each, and every writer reads that same
+dict, as does the CLI summary; the resolved config file is rendered from the
+dict's `config` echo.
 
 Everything is a pure function of the config (seed included): the reference
 uses the stream SeedSequence([seed, 0]) and trial t at sample count m uses
 SeedSequence([seed, 1, m, t]), so earlier trials are stable when the trial
-count grows.  Wall-clock timings cover the solver calls only.  One
-`womp_path` call runs a trial's lambdas in lockstep, and a lambda's WOMP
-timing is its `SolveTrace.seconds`: the time from that call's start until
-the lambda stopped, which includes the other lambdas' work up to then.  A
-LASSO timing is the alpha grid plus the `lasso_path` call.  Assembly,
-scoring and the KKT certificate are excluded from every decoder timing;
-normalization is timed separately.
+count grows.  Wall-clock timings cover the solver calls only.  A lambda's
+WOMP timing is its `SolveTrace.seconds`: the time from the `womp_path`
+call's start until the lambda stopped, which includes the other lambdas'
+work up to then.  A LASSO timing is the alpha grid plus the `lasso_path`
+call.  Assembly, scoring and the KKT certificate are excluded from every
+decoder timing; normalization is timed separately.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from pathlib import Path
 import numpy as np
 
 from . import basis
+from .basis import _design_call_doubles
 from .assembly import (
     Target,
     at_least,
@@ -176,25 +177,27 @@ def reference_coefficients(
 ) -> np.ndarray:
     """Oversampled least-squares fit standing in for the true coefficients.
 
-    One draw of oversampling * N points, walked in oversampling blocks of N
-    rows: the normal equations A^T A x = A^T y of its design A are summed
-    block by block, so the full design is never held, and solved with the
-    Cholesky factor of A^T A by `_cholesky_solve`.
+    The points come in oversampling blocks of N, drawn one after another
+    from the one stream of `seed` (the rows of one oversampling * N draw);
+    the normal equations A^T A x = A^T y of the design A are summed block by
+    block, so neither the design nor its points are held whole, and solved
+    with the Cholesky factor of A^T A by `_cholesky_solve`.
     """
     if oversampling < 1:
         raise ValueError("oversampling must be >= 1")
     n = len(index_set)
-    points = basis.sample_measure(kind, index_set.dimension, oversampling * n, seed)
+    rng = np.random.default_rng(seed)
     gram = np.zeros((n, n))
     moment = np.zeros(n)
-    for chunk in np.split(points, oversampling):
-        block = basis.evaluate_design(kind, index_set, chunk)
+    for _ in range(oversampling):
+        points = basis.sample_measure(kind, index_set.dimension, n, rng)
+        block = basis.evaluate_design(kind, index_set, points)
         # numpy runs block.T @ block as a symmetric product
         gram += block.T @ block
-        moment += block.T @ target_values(target, chunk)
+        moment += block.T @ target_values(target, points)
     # the Cholesky step holds the Gram, LAPACK's work copy and the factor;
     # the last block would be a fourth N x N array beside them
-    del points, chunk, block
+    del points, block
     # The oversampled system is well conditioned (cond(A) is about 1.6 at
     # the study's size), so squaring the condition number is harmless: the
     # fit agrees with an SVD least-squares solve to about 1e-14 relative.  A
@@ -251,9 +254,9 @@ def _run_trial(
     lasso_* entries one value per grid alpha."""
     seed = np.random.SeedSequence([config.seed, 1, m, trial])
     points = basis.sample_measure(config.basis, config.d, m, seed)
-    raw = build_system(points, target, config.basis, index_set)
+    system = build_system(points, target, config.basis, index_set)
     t0 = time.perf_counter()
-    system = normalize_columns(raw)
+    system = normalize_columns(system)  # frees the raw-frame matrix
     result = {"normalize_seconds": time.perf_counter() - t0}
 
     ks = np.arange(1, config.iterations + 1)
@@ -301,19 +304,15 @@ def reference_fit_size(config: ExperimentConfig) -> tuple[int, str]:
     the Gram, the last N-row block and the next one while a block is built,
     the Gram, the block and their product while it is added, and the Gram,
     LAPACK's work copy of it and the factor in the Cholesky step.  Beside
-    them are the reference_oversampling * N points and, while a block is
-    built, the work of its `basis.evaluate_design` call: the factor table
-    (s degrees in d coordinates at N points), at most 7 * d * N index
-    entries and two column blocks of at most max(basis._BLOCK_ELEMENTS, N)
-    doubles.  N is counted, not enumerated, so an oversized config
-    allocates nothing."""
+    them are one block's N x d points and the work of its design call, over
+    the s degrees of the cross; no term grows with reference_oversampling.
+    N is counted, not enumerated, so an oversized config allocates nothing."""
     n = hyperbolic_cross_size(config.d, config.s)
-    rows = config.reference_oversampling * n
-    design_call = (config.s + 7) * config.d * n + 2 * max(basis._BLOCK_ELEMENTS, n)
-    nbytes = (3 * n * n + rows * config.d + design_call) * 8
+    design_call = _design_call_doubles(config.s, config.d, n, n)
+    nbytes = (3 * n * n + n * config.d + design_call) * 8
     return nbytes, (
-        f"{nbytes / 1e6:.1f} MB (three {n} x {n} arrays, {rows} x {config.d} points, "
-        f"{design_call * 8 / 1e6:.1f} MB for one block's design call)"
+        f"{nbytes / 1e6:.1f} MB (three {n} x {n} arrays, one block's {n} x {config.d} points "
+        f"and {design_call * 8 / 1e6:.1f} MB design call)"
     )
 
 

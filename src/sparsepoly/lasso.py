@@ -49,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem, at_least, check_solver_inputs
+from .assembly import LinearSystem, check_solver_inputs
 
 # Largest entry of |s_A - G_AA d| accepted from the updated inverse; past it
 # the inverse is refactored from the active Gram matrix at that breakpoint.
@@ -94,12 +94,10 @@ def lasso_path(
     in the order given.  An alpha below the point where the cap stopped the walk
     gets that point's solution and converged=False.
     """
-    w = check_solver_inputs(system, w, "lasso_path")
+    w = check_solver_inputs(system, w, max_iterations, "lasso_path")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
     if not (alphas.size and np.all(alphas > 0)):
         raise ValueError(f"alphas must be one or more values > 0, got {alphas.tolist()}")
-    if not at_least(max_iterations, 1):
-        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
 
     start = time.perf_counter()
     scaled = system.matrix / w

@@ -157,8 +157,8 @@ def delta_scores(
 class _Block:
     """The lambdas still running, one row each, every row after the same k steps.
 
-    Per row: its lambda and its position in the caller's list, the support as
-    a mask and in selection order, the iterates after steps 0..k on
+    Per row: its lambda and its position in the caller's list, the support in
+    selection order (`selected`), the iterates after steps 0..k on
     `selected` (zero right of column k), and a thin QR factorization
     A_S = Q R of the selected columns in selection order.  The factorization
     is stored as Q (one row per column of Q), R^{-1} and Q^T y, so that the
@@ -167,11 +167,10 @@ class _Block:
     stopped lambda from every array at once.
     """
 
-    def __init__(self, lams: np.ndarray, y: np.ndarray, n: int, capacity: int):
+    def __init__(self, lams: np.ndarray, y: np.ndarray, capacity: int):
         size, m = lams.size, y.size
         self.lam = lams
         self.position = np.arange(size)
-        self.in_support = np.zeros((size, n), dtype=bool)
         self.selected = np.zeros((size, capacity), dtype=np.intp)
         self.iterates = np.zeros((size, capacity + 1, capacity))
         self.q = np.empty((size, capacity, m))
@@ -206,7 +205,6 @@ class _Block:
         self.r_inv[:, k, k] = 1.0 / self.rho
         self.q[:, k] = self.v / rho
         self.qty[:, k] = np.vecdot(self.q[:, k], y)
-        self.in_support[np.arange(self.lam.size), self.candidate] = True
         self.selected[:, k] = self.candidate
         k += 1
         self.iterates[:, k, :k] = np.matvec(self.r_inv[:, :k, :k], self.qty[:, :k])
@@ -223,33 +221,29 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
     factorization of the selected columns.  A lambda stops at the iteration
     budget, when its best score is zero, when its maximizer is already in its
     support, when the maximizer's column is in the span of the selected ones
-    (see SPAN_TOLERANCE), or when its residual hits the floor.  The lambdas
-    still running share one step: one residual-block product with A, one
-    `delta_scores` call and one stacked Gram-Schmidt append and refit.  A
-    lambda that stops leaves the block, and its trace's `seconds` is the time
-    from the call's start until then, which includes the other lambdas' work.
+    (see SPAN_TOLERANCE), or when its residual hits the floor.  A lambda that
+    stops leaves the block, and its trace's `seconds` is the time from the
+    call's start until then, which includes the other lambdas' work.
 
     Raises:
         ValueError: on an empty `lams`, a lambda that is not finite and >= 0,
-            a budget that is not an integer >= 1, or (from
-            `check_solver_inputs`) an unnormalized system or bad weights.
+            or (from `check_solver_inputs`) an unnormalized system, bad
+            weights or a budget that is not an integer >= 1.
     """
     if len(lams) == 0:
         raise ValueError("lams must hold at least one value")
     for lam in lams:
         if not at_least(lam, 0, whole=False):
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if not at_least(max_iterations, 1):
-        raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
     start = time.perf_counter()
+    w = check_solver_inputs(system, w, max_iterations, "womp_path")
     lams, max_iterations = np.array(lams, dtype=np.float64), int(max_iterations)
-    w = check_solver_inputs(system, w, "womp_path")
     matrix, y = system.matrix, system.rhs
     m, n = matrix.shape
     # a row stops in_span by k = m, so Q never needs more than m rows
     capacity = min(max_iterations, m)
     floor = RESIDUAL_FLOOR * float(np.linalg.norm(y))
-    block = _Block(lams, y, n, capacity)
+    block = _Block(lams, y, capacity)
     traces = [None] * lams.size
 
     def finish(stopped: np.ndarray, reasons: np.ndarray, k: int) -> bool:
@@ -271,11 +265,10 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
         scores = delta_scores(
             block.selected[:, :k], block.iterates[:, k, :k], block.residual @ matrix, w, block.lam
         )
-        rows = np.arange(block.lam.size)
         block.candidate = j = scores.argmax(axis=1)
         block.orthogonalize(matrix[:, j].T, k)
-        zero = scores[rows, j] <= 0.0
-        reselect = block.in_support[rows, j]
+        zero = scores[np.arange(j.size), j] <= 0.0
+        reselect = (block.selected[:, :k] == j[:, None]).any(axis=1)
         # k = m: the selected columns span R^m
         in_span = (block.rho <= SPAN_TOLERANCE) | (k == capacity)
         stopped = zero | reselect | in_span

@@ -156,31 +156,31 @@ def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
     path.write_text(FULL_STUDY_TEXT)
     assert main(["info", "--config", str(path)]) == 0
     assert (
-        "reference fit: 10.6 MB (three 571 x 571 arrays, 11420 x 10 points, "
-        "1.8 MB for one block's design call)\n"
+        "reference fit: 9.7 MB (three 571 x 571 arrays, one block's 571 x 10 points "
+        "and 1.8 MB design call)\n"
     ) in capsys.readouterr().out
     assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
     assert (
-        "reference fit: 3914.6 MB (three 12645 x 12645 arrays, 252900 x 16 points, "
-        "44.7 MB for one block's design call)\n"
+        "reference fit: 3883.9 MB (three 12645 x 12645 arrays, one block's 12645 x 16 points "
+        "and 44.7 MB design call)\n"
     ) in capsys.readouterr().out
 
 
 def test_run_refuses_reference_fit_beyond_physical_memory(tmp_path, capsys, monkeypatch):
-    # quick.cfg's reference fit holds (3 * 23 * 23 + 115 * 4 + (5 + 7) * 4 * 23 + 2 * 65536)
-    # doubles = 1,073,784 bytes
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_073_783)
+    # quick.cfg's reference fit holds (3 * 23 * 23 + 23 * 4 + (5 + 7) * 4 * 23 + 2 * 65536)
+    # doubles = 1,070,840 bytes
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_070_839)
     out_dir = tmp_path / "refused"
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 2
     err = capsys.readouterr().err
     assert (
-        "reference fit needs 1.1 MB (three 23 x 23 arrays, 115 x 4 points, "
-        "1.1 MB for one block's design call)"
+        "reference fit needs 1.1 MB (three 23 x 23 arrays, one block's 23 x 4 points "
+        "and 1.1 MB design call)"
     ) in err
     assert "physical memory" in err
     assert not out_dir.exists()
 
-    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_073_784)
+    monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 1_070_840)
     assert main(["run", "--config", str(QUICK_CONFIG), "--out", str(out_dir)]) == 0
 
 
@@ -195,11 +195,13 @@ def test_cmd_run_and_overwrite_guard(tmp_path, capsys):
     resolved = (out_dir / "config_resolved.cfg").read_text()
     assert parse_config_text(resolved) == parse_config_text(SMALL_TEXT)
 
-    # second run refuses to clobber
-    code = main(["run", "--config", str(config_path), "--out", str(out_dir)])
-    assert code != 0
-    err = capsys.readouterr().err
-    assert "force" in err
+    # second run refuses to clobber: one error line, exit 2
+    capsys.readouterr()
+    assert main(["run", "--config", str(config_path), "--out", str(out_dir)]) == 2
+    assert capsys.readouterr().err == (
+        "error: refusing to overwrite errors.csv, support.csv, runtimes.csv, report.json, "
+        f"config_resolved.cfg in {out_dir} (pass --force to allow)\n"
+    )
 
     assert main(["run", "--config", str(config_path), "--out", str(out_dir), "--force"]) == 0
 
@@ -447,17 +449,29 @@ def score_without_lambda(original, support, values, correlations, w, lam):
     return original(support, values, correlations, w, 0.0)
 
 
-# study function -> (its module, a corruption of it, the one check that must catch it)
+def score_with_the_first_rows_lambda(original, support, values, correlations, w, lam):
+    # the same scores as the original on one state; a block's later rows
+    # are scored with the wrong lambda
+    return original(support, values, correlations, w, np.ravel(lam)[0])
+
+
+# corruption -> (the study function's module and name, a corruption of it,
+# the one check that must catch it)
 STUDY_MUTATIONS = {
-    "weights": (basis, scale_weights, "weight_closed_forms"),
-    "evaluate_design": (basis, scale_last_design_column, "orthonormality_quadrature"),
-    "delta_scores": (womp, score_without_lambda, "greedy_delta_identity"),
+    "weights": (basis, "weights", scale_weights, "weight_closed_forms"),
+    "evaluate_design": (
+        basis, "evaluate_design", scale_last_design_column, "orthonormality_quadrature"
+    ),
+    "delta_scores": (womp, "delta_scores", score_without_lambda, "greedy_delta_identity"),
+    "delta_scores_block": (
+        womp, "delta_scores", score_with_the_first_rows_lambda, "greedy_delta_identity"
+    ),
 }
 
 
-@pytest.mark.parametrize("function", STUDY_MUTATIONS)
-def test_a_corrupted_study_function_fails_exactly_its_check(monkeypatch, function):
-    module, corrupt, check_name = STUDY_MUTATIONS[function]
+@pytest.mark.parametrize("mutation", STUDY_MUTATIONS)
+def test_a_corrupted_study_function_fails_exactly_its_check(monkeypatch, mutation):
+    module, function, corrupt, check_name = STUDY_MUTATIONS[mutation]
     monkeypatch.setattr(module, function, functools.partial(corrupt, getattr(module, function)))
     results = verification.run_checks(seed=0)
     assert [r.passed for r in results] == [r.name != check_name for r in results]

@@ -104,15 +104,15 @@ def test_reference_consistency_as_oversampling_doubles():
 @pytest.mark.parametrize("kind", basis.BASIS_KINDS)
 @pytest.mark.parametrize("missing", [1, 9])
 def test_rank_deficient_reference_raises(monkeypatch, kind, missing):
-    # A draw of only N - missing distinct points, repeated to the requested
-    # size, gives a design of rank below N whatever the oversampling.  With
-    # this seed, one missing point leaves a Cholesky pivot at rounding level
-    # and nine make the factorization fail outright.
+    # Blocks that each hold the same N - missing distinct points, repeated to
+    # the requested size, give a design of rank below N whatever the
+    # oversampling.  Rounding decides whether the factorization fails
+    # outright or leaves a pivot at rounding level; both are refused.
     ms = hyperbolic_cross(3, 4)
     draw = basis.sample_measure
 
-    def repeated_draw(basis_kind, d, n, seed):
-        return np.resize(draw(basis_kind, d, len(ms) - missing, seed), (n, d))
+    def repeated_draw(basis_kind, d, n, rng):
+        return np.resize(draw(basis_kind, d, len(ms) - missing, 0), (n, d))
 
     monkeypatch.setattr(basis, "sample_measure", repeated_draw)
     with pytest.raises(ValueError, match="rank-deficient"):
@@ -156,18 +156,35 @@ def test_reference_rejects_a_target_not_finite_in_a_later_block():
         build_system(bad[None, :], target, "legendre", ms)
 
 
-def test_reference_draws_all_its_points_at_once(monkeypatch):
+@pytest.mark.parametrize("kind", basis.BASIS_KINDS)
+def test_reference_draws_n_row_blocks_that_are_the_rows_of_one_draw(monkeypatch, kind):
     ms = hyperbolic_cross(3, 4)
-    draw = basis.sample_measure
-    sizes = []
+    n, draw = len(ms), basis.sample_measure
+    one_draw = draw(kind, 3, 6 * n, 0)
+    blocks = []
 
-    def recording_draw(basis_kind, d, n, seed):
-        sizes.append(n)
-        return draw(basis_kind, d, n, seed)
+    def recording_draw(basis_kind, d, rows, rng):
+        blocks.append(draw(basis_kind, d, rows, rng))
+        return blocks[-1]
 
     monkeypatch.setattr(basis, "sample_measure", recording_draw)
-    reference_coefficients(target_log_sum(3), "legendre", ms, oversampling=6, seed=0)
-    assert sizes == [6 * len(ms)]
+    x_ref = reference_coefficients(target_log_sum(3), kind, ms, oversampling=6, seed=0)
+    assert [block.shape for block in blocks] == [(n, 3)] * 6
+    assert np.concatenate(blocks).tobytes() == one_draw.tobytes()
+    # the fit of the one draw's N-row blocks is the same, byte for byte
+    served = iter(np.split(one_draw, 6))
+    monkeypatch.setattr(basis, "sample_measure", lambda *args: next(served))
+    fit = reference_coefficients(target_log_sum(3), kind, ms, oversampling=6, seed=0)
+    assert fit.tobytes() == x_ref.tobytes()
+
+
+def test_reference_fit_size_does_not_grow_with_oversampling():
+    # the fit holds one N-row block of points at a time
+    sizes = {
+        experiments.reference_fit_size(ExperimentConfig(reference_oversampling=oversampling))
+        for oversampling in (1, 20, 552)
+    }
+    assert len(sizes) == 1
 
 
 @pytest.mark.parametrize("n", [1, 37, 128, 571])
@@ -202,7 +219,7 @@ def test_reference_fit_size_bounds_the_traced_peak(d, s, oversampling):
 
 def test_reference_fit_never_holds_the_full_design():
     # At the full study's size the 11,420 x 571 design alone is 52.2 MB; the
-    # fit holds three 2.6 MB N x N arrays, the points and one block's
+    # fit holds three 2.6 MB N x N arrays, one block's points and its
     # design-call work.
     ms = hyperbolic_cross(10, 10)
     tracemalloc.start()
@@ -390,8 +407,8 @@ def test_run_sweep_refuses_an_oversized_config_before_it_allocates(monkeypatch):
         monkeypatch.setattr(experiments, name, allocation)
     monkeypatch.setattr(experiments, "physical_memory_bytes", lambda: 8_000_000_000)
     message = (
-        r"^the reference fit needs 32000000232000\.0 MB \(three 1000000000 x 1000000000 arrays, "
-        r"20000000000 x 1 points, 8000000072000\.0 MB for one block's design call\), "
+        r"^the reference fit needs 32000000080000\.0 MB \(three 1000000000 x 1000000000 arrays, "
+        r"one block's 1000000000 x 1 points and 8000000072000\.0 MB design call\), "
         r"more than the 8000\.0 MB of physical memory$"
     )
     with pytest.raises(experiments.ScaleError, match=message):
