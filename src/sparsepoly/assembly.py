@@ -10,6 +10,8 @@ rescaled as A_tilde = A M^{-1} with M = diag(column norms); a solution x_hat
 of the rescaled system is mapped back through the same diagonal, since
 A (M^{-1} x_hat) = A_tilde x_hat.  A system records its frame once: its
 column norms are None in the raw frame and M's diagonal once rescaled.
+normalize_columns rescales the system's own matrix in place, so a trial
+holds one m x N array; copy the matrix first to keep the raw frame.
 
 Everything here is real-valued and densely stored: the intended scale is
 m <= a few hundred, N up to some ten thousand (300 x 12,645 doubles is 30 MB).
@@ -18,7 +20,7 @@ m <= a few hundred, N up to some ten thousand (300 x 12,645 doubles is 30 MB).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -30,6 +32,9 @@ from .index_sets import MultiIndexSet
 # A target maps an (n, d) array of points on the open cube (-1, 1)^d to an
 # (n,) array of finite values.
 Target = Callable[[np.ndarray], np.ndarray]
+
+# normalize_columns squares about this many doubles (512 KB) at a time
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -103,24 +108,43 @@ def target_values(target: Target, points: np.ndarray) -> np.ndarray:
 
 
 def normalize_columns(system: LinearSystem) -> LinearSystem:
-    """Rescale every column of a raw-frame system to unit l2 norm, recording
-    the norms.
+    """Rescale every column of a raw-frame system to unit l2 norm in place,
+    record the norms on it, and return the same system.
+
+    The system's own matrix is divided by its column norms, so a caller that
+    needs the raw frame afterwards keeps a copy.  The sums of squares are
+    added up in row order over row blocks of about _BLOCK_ELEMENTS doubles:
+    the order np.add.reduce(matrix * matrix, axis=0) takes on a row-major
+    matrix, such as build_system's, so the norms have its bits without a
+    second matrix-sized array.
 
     Raises:
         ValueError: if the system is already normalized (its recorded norms
-            would be lost), or if some column norm is zero or not finite.
+            would be lost), if its matrix is not a writeable float64 array,
+            or if some column norm is zero or not finite; the matrix is left
+            as it was.
     """
     if system.column_norms is not None:
         raise ValueError("system is already normalized; normalize_columns takes the raw frame")
-    matrix = np.asarray(system.matrix, dtype=np.float64)
-    # the same operations as np.linalg.norm(matrix, axis=0), without its
-    # second matrix-sized temporary; the squares' buffer then takes the
-    # normalized matrix
-    squares = matrix * matrix
-    norms = np.sqrt(np.add.reduce(squares, axis=0))
+    matrix = system.matrix
+    writeable = isinstance(matrix, np.ndarray) and matrix.flags.writeable
+    if not (writeable and matrix.dtype == np.float64):
+        raise ValueError("normalize_columns rescales in place and needs a writeable float64 matrix")
+    m, n = matrix.shape
+    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
+    # row 0 carries the running sums, rows 1.. one block's squares, so each
+    # reduce continues the sequential row-order sum of the whole matrix
+    buffer = np.zeros((min(rows, m) + 1, n))
+    for start in range(0, m, rows):
+        block = matrix[start : start + rows]
+        np.multiply(block, block, out=buffer[1 : len(block) + 1])
+        np.add.reduce(buffer[: len(block) + 1], axis=0, out=buffer[0])
+    norms = np.sqrt(buffer[0])
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise ValueError("zero or non-finite column encountered; sampling is degenerate")
-    return replace(system, matrix=np.divide(matrix, norms, out=squares), column_norms=norms)
+    np.divide(matrix, norms, out=matrix)
+    system.column_norms = norms
+    return system
 
 
 def at_least(value, bound, whole=True) -> bool:

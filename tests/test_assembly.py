@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from sparsepoly import basis
+from sparsepoly import assembly, basis
 from sparsepoly.assembly import (
     LinearSystem,
     build_system,
@@ -70,7 +72,7 @@ def test_build_rejects_dimension_mismatch():
 def test_normalize_unit_columns_unchanged():
     system = LinearSystem(matrix=np.eye(4)[:, :2], rhs=np.ones(4))
     normalized = normalize_columns(system)
-    np.testing.assert_array_equal(normalized.matrix, system.matrix)
+    np.testing.assert_array_equal(normalized.matrix, np.eye(4)[:, :2])
     np.testing.assert_array_equal(normalized.column_norms, np.ones(2))
 
 
@@ -92,8 +94,62 @@ def test_normalize_rejects_zero_column():
     for bad_value in (0.0, np.nan):
         system = random_system(6, 3, 1)
         system.matrix[:, 1] = bad_value
+        before = system.matrix.copy()
         with pytest.raises(ValueError):
             normalize_columns(system)
+        # refused before any column is divided
+        np.testing.assert_array_equal(system.matrix, before)
+        assert system.column_norms is None
+
+
+def test_normalize_rescales_the_system_in_place():
+    system = random_system(9, 14, 2)
+    matrix = system.matrix
+    normalized = normalize_columns(system)
+    assert normalized is system
+    assert normalized.matrix is matrix
+    assert normalized.column_norms is not None
+    np.testing.assert_allclose(np.linalg.norm(matrix, axis=0), 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("blocks", [1, 2, 7])
+def test_normalize_has_the_bits_of_one_whole_matrix_reduce(blocks):
+    # the row blocks continue one row-order sum of squares, so the norms and
+    # the quotients are those of the whole-matrix expressions
+    n = 50
+    rows = assembly._BLOCK_ELEMENTS // n
+    m = rows * (blocks - 1) + 3
+    system = random_system(m, n, blocks)
+    raw = system.matrix.copy()
+    expected_norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
+    normalize_columns(system)
+    assert -(-m // rows) == blocks
+    np.testing.assert_array_equal(system.column_norms, expected_norms)
+    np.testing.assert_array_equal(system.matrix, raw / expected_norms)
+
+
+def test_normalize_refuses_a_matrix_it_cannot_rescale_in_place():
+    read_only = random_system(6, 4, 3)
+    read_only.matrix.flags.writeable = False
+    integers = LinearSystem(matrix=np.arange(1, 13).reshape(3, 4), rhs=np.ones(3))
+    for system in (read_only, integers):
+        with pytest.raises(ValueError, match="^normalize_columns rescales in place"):
+            normalize_columns(system)
+        assert system.column_norms is None
+
+
+def test_normalize_holds_no_second_design():
+    # 400 x 4,000 doubles is 12.8 MB; the sums of squares go through a
+    # buffer of a few rows, so the traced peak stays far below one matrix
+    m, n = 400, 4000
+    system = random_system(m, n, 4)
+    tracemalloc.start()
+    try:
+        normalize_columns(system)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * m * n * 8
 
 
 def test_normalize_refuses_a_normalized_system():
@@ -127,9 +183,10 @@ def test_denormalization_algebraic_identity():
     rng = np.random.default_rng(11)
     for seed in range(5):
         raw = random_system(15, 30, seed)
+        raw_matrix = raw.matrix.copy()
         normalized = normalize_columns(raw)
         x_hat = rng.standard_normal(30)
-        lhs = raw.matrix @ denormalize_solution(normalized, x_hat)
+        lhs = raw_matrix @ denormalize_solution(normalized, x_hat)
         rhs = normalized.matrix @ x_hat
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
@@ -137,11 +194,12 @@ def test_denormalization_algebraic_identity():
 def test_round_trip_scaling():
     rng = np.random.default_rng(17)
     raw = random_system(12, 25, 5)
+    raw_matrix = raw.matrix.copy()
     normalized = normalize_columns(raw)
     for _ in range(5):
         x = rng.standard_normal(25)
         lhs = normalized.matrix @ (normalized.column_norms * x)
-        rhs = raw.matrix @ x
+        rhs = raw_matrix @ x
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
 
 

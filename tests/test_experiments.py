@@ -119,6 +119,26 @@ def test_rank_deficient_reference_raises(monkeypatch, kind, missing):
         reference_coefficients(target_log_sum(3), kind, ms, oversampling=6, seed=0)
 
 
+@pytest.mark.parametrize("kind", basis.BASIS_KINDS)
+@pytest.mark.parametrize(("d", "s"), [(3, 4), (10, 10)])
+def test_negligible_reference_pivot_raises(monkeypatch, kind, d, s):
+    # A column scaled by 1e-9 leaves the Gram positive definite, but its
+    # pivot is about 1e-18 of the largest, far below the sqrt(eps) cut,
+    # whatever the rounding: the factorization succeeds and the pivot test
+    # refuses it.
+    ms = hyperbolic_cross(d, s)
+    design = basis.evaluate_design
+
+    def scaled_design(kind, index_set, points):
+        block = design(kind, index_set, points)
+        block[:, len(index_set) // 2] *= 1e-9
+        return block
+
+    monkeypatch.setattr(basis, "evaluate_design", scaled_design)
+    with pytest.raises(ValueError, match="smallest Cholesky pivot .* is negligible"):
+        reference_coefficients(target_log_sum(d), kind, ms, oversampling=2, seed=0)
+
+
 def test_reference_rejects_bad_oversampling():
     ms = hyperbolic_cross(2, 2)
     with pytest.raises(ValueError):
@@ -532,15 +552,17 @@ def test_library_and_cli_write_the_same_config_resolved(tmp_path, capsys):
     assert (tmp_path / "config_resolved.cfg").read_bytes() == cli_bytes
 
 
-def test_quick_womp_rows_match_recorded(tmp_path):
+@pytest.mark.parametrize("kind", basis.BASIS_KINDS)
+def test_quick_womp_rows_match_recorded(tmp_path, kind):
     """configs/quick.cfg's errors.csv and support.csv, womp and wlasso rows
-    alike, are pinned byte for byte in tests/data; changing them is a
-    numerical change that must be named.  Its config_resolved.cfg is pinned
-    too: the benchmark reads its key names and order."""
+    alike, are pinned byte for byte in tests/data for both bases; changing
+    them is a numerical change that must be named.  Its config_resolved.cfg
+    is pinned too: the benchmark reads its key names and order."""
     config = TESTS.parent / "configs" / "quick.cfg"
-    assert main(["run", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["run", "--config", str(config), f"basis={kind}", "--out", str(tmp_path)]) == 0
+    prefix = "quick_" if kind == "legendre" else f"quick_{kind}_"
     for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
-        recorded = (TESTS / "data" / f"quick_{name}").read_bytes()
+        recorded = (TESTS / "data" / f"{prefix}{name}").read_bytes()
         assert (tmp_path / name).read_bytes() == recorded
 
 
