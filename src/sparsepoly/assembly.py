@@ -10,8 +10,9 @@ rescaled as A_tilde = A M^{-1} with M = diag(column norms); a solution x_hat
 of the rescaled system is mapped back through the same diagonal, since
 A (M^{-1} x_hat) = A_tilde x_hat.  A system records its frame once: its
 column norms are None in the raw frame and M's diagonal once rescaled.
-normalize_columns rescales the system's own matrix in place, so a trial
-holds one m x N array; copy the matrix first to keep the raw frame.
+normalize_columns rescales the system's own matrix in place and takes the
+norms in one np.einsum pass, so a trial holds one m x N array; copy the
+matrix first to keep the raw frame.
 
 Everything here is real-valued and densely stored: the intended scale is
 m <= a few hundred, N up to some ten thousand (300 x 12,645 doubles is 30 MB).
@@ -32,9 +33,6 @@ from .index_sets import MultiIndexSet
 # A target maps an (n, d) array of points on the open cube (-1, 1)^d to an
 # (n,) array of finite values.
 Target = Callable[[np.ndarray], np.ndarray]
-
-# normalize_columns squares about this many doubles (512 KB) at a time
-_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,16 +76,16 @@ def build_system(
     raw (unnormalized) frame: its column_norms are None.
 
     Raises:
-        ValueError: on dimension mismatch or a non-finite target value.
+        ValueError: if the points are not an (m, d) array for the index set's
+            d (from `evaluate_design`), if m is 0, or if the target returns
+            another shape or a non-finite value.
     """
     points = np.asarray(points, dtype=np.float64)
-    if points.ndim != 2:
-        raise ValueError(f"points must be a 2-D array, got shape {points.shape}")
-    m = points.shape[0]
+    matrix = evaluate_design(kind, index_set, points)
+    m = matrix.shape[0]
     if m < 1:
         raise ValueError("need at least one sample point")
     scale = 1.0 / np.sqrt(m)
-    matrix = evaluate_design(kind, index_set, points)
     matrix *= scale
     return LinearSystem(matrix=matrix, rhs=target_values(target, points) * scale)
 
@@ -112,17 +110,18 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     record the norms on it, and return the same system.
 
     The system's own matrix is divided by its column norms, so a caller that
-    needs the raw frame afterwards keeps a copy.  The sums of squares are
-    added up in row order over row blocks of about _BLOCK_ELEMENTS doubles:
-    the order np.add.reduce(matrix * matrix, axis=0) takes on a row-major
-    matrix, such as build_system's, so the norms have its bits without a
-    second matrix-sized array.
+    needs the raw frame afterwards keeps a copy.  The sums of squares come
+    from one np.einsum pass, which holds no matrix-sized temporary.  On a
+    row-major matrix, such as build_system's, einsum adds the squares up in
+    row order, as np.add.reduce(matrix * matrix, axis=0) does, so the norms
+    have its bits.  On a Fortran-order matrix the order differs: the norms
+    stay within rounding of np.linalg.norm's, but their bits are not pinned.
 
     Raises:
         ValueError: if the system is already normalized (its recorded norms
             would be lost), if its matrix is not a writeable float64 array,
-            or if some column norm is zero or not finite; the matrix is left
-            as it was.
+            or if some column norm is zero or not finite (squares that
+            overflow included); the matrix is left as it was.
     """
     if system.column_norms is not None:
         raise ValueError("system is already normalized; normalize_columns takes the raw frame")
@@ -130,16 +129,7 @@ def normalize_columns(system: LinearSystem) -> LinearSystem:
     writeable = isinstance(matrix, np.ndarray) and matrix.flags.writeable
     if not (writeable and matrix.dtype == np.float64):
         raise ValueError("normalize_columns rescales in place and needs a writeable float64 matrix")
-    m, n = matrix.shape
-    rows = max(1, _BLOCK_ELEMENTS // max(n, 1))
-    # row 0 carries the running sums, rows 1.. one block's squares, so each
-    # reduce continues the sequential row-order sum of the whole matrix
-    buffer = np.zeros((min(rows, m) + 1, n))
-    for start in range(0, m, rows):
-        block = matrix[start : start + rows]
-        np.multiply(block, block, out=buffer[1 : len(block) + 1])
-        np.add.reduce(buffer[: len(block) + 1], axis=0, out=buffer[0])
-    norms = np.sqrt(buffer[0])
+    norms = np.sqrt(np.einsum("ij,ij->j", matrix, matrix))
     if not np.all((norms > 0.0) & (norms < np.inf)):
         raise ValueError("zero or non-finite column encountered; sampling is degenerate")
     np.divide(matrix, norms, out=matrix)

@@ -92,10 +92,13 @@ def lasso_path(
     baseline is compared against).  Walks at most max_iterations breakpoints
     from alpha_max down to min(alphas) and returns one result row per alpha,
     in the order given.  An alpha below the point where the cap stopped the walk
-    gets that point's solution and converged=False.
+    gets that point's solution and converged=False.  A scalar alpha is a
+    one-element grid; a grid of more dimensions is refused.
     """
     w = check_solver_inputs(system, w, max_iterations, "lasso_path")
     alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
+    if alphas.ndim != 1:
+        raise ValueError(f"alphas must be one-dimensional, got shape {alphas.shape}")
     if not (alphas.size and np.all(alphas > 0)):
         raise ValueError(f"alphas must be one or more values > 0, got {alphas.tolist()}")
 

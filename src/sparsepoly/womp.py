@@ -226,18 +226,21 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
     call's start until then, which includes the other lambdas' work.
 
     Raises:
-        ValueError: on an empty `lams`, a lambda that is not finite and >= 0,
-            or (from `check_solver_inputs`) an unnormalized system, bad
-            weights or a budget that is not an integer >= 1.
+        ValueError: on a `lams` that is empty or not 1-D, a lambda that is
+            not finite and >= 0, or (from `check_solver_inputs`) an
+            unnormalized system, bad weights or a budget not an integer >= 1.
     """
-    if len(lams) == 0:
+    lams = np.array(lams, dtype=np.float64)
+    if lams.ndim != 1:
+        raise ValueError(f"lams must be one-dimensional, got shape {lams.shape}")
+    if lams.size == 0:
         raise ValueError("lams must hold at least one value")
     for lam in lams:
         if not at_least(lam, 0, whole=False):
             raise ValueError(f"lam must be finite and >= 0, got {lam}")
     start = time.perf_counter()
     w = check_solver_inputs(system, w, max_iterations, "womp_path")
-    lams, max_iterations = np.array(lams, dtype=np.float64), int(max_iterations)
+    max_iterations = int(max_iterations)
     matrix, y = system.matrix, system.rhs
     m, n = matrix.shape
     # a row stops in_span by k = m, so Q never needs more than m rows

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from sparsepoly import assembly, basis
+from sparsepoly import basis
 from sparsepoly.assembly import (
     LinearSystem,
     build_system,
@@ -65,8 +65,21 @@ def test_build_rejects_non_finite_target():
 def test_build_rejects_dimension_mismatch():
     ms = hyperbolic_cross(3, 2)
     pts = basis.sample_measure("legendre", 2, 5, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^points must be \(m, 3\), got \(5, 2\)$"):
         build_system(pts, target_log_sum(3), "legendre", ms)
+
+
+@pytest.mark.parametrize("points", [np.zeros(3), np.float64(0.5)], ids=["1-D", "0-D"])
+def test_build_rejects_points_that_are_not_a_matrix(points):
+    ms = hyperbolic_cross(3, 2)
+    with pytest.raises(ValueError, match=r"^points must be \(m, 3\)"):
+        build_system(points, target_log_sum(3), "legendre", ms)
+
+
+def test_build_rejects_zero_points():
+    ms = hyperbolic_cross(3, 2)
+    with pytest.raises(ValueError, match="^need at least one sample point$"):
+        build_system(np.zeros((0, 3)), target_log_sum(3), "legendre", ms)
 
 
 def test_normalize_unit_columns_unchanged():
@@ -91,11 +104,12 @@ def test_normalize_random_system_columns():
 
 
 def test_normalize_rejects_zero_column():
-    for bad_value in (0.0, np.nan):
+    # 1e200 is finite but its square is not: a refusal, not an overflow warning
+    for bad_value in (0.0, np.nan, 1e200):
         system = random_system(6, 3, 1)
         system.matrix[:, 1] = bad_value
         before = system.matrix.copy()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^zero or non-finite column encountered"):
             normalize_columns(system)
         # refused before any column is divided
         np.testing.assert_array_equal(system.matrix, before)
@@ -112,20 +126,38 @@ def test_normalize_rescales_the_system_in_place():
     np.testing.assert_allclose(np.linalg.norm(matrix, axis=0), 1.0, atol=1e-15)
 
 
-@pytest.mark.parametrize("blocks", [1, 2, 7])
-def test_normalize_has_the_bits_of_one_whole_matrix_reduce(blocks):
-    # the row blocks continue one row-order sum of squares, so the norms and
-    # the quotients are those of the whole-matrix expressions
-    n = 50
-    rows = assembly._BLOCK_ELEMENTS // n
-    m = rows * (blocks - 1) + 3
-    system = random_system(m, n, blocks)
-    raw = system.matrix.copy()
+@pytest.mark.parametrize(
+    "shape, view",
+    [
+        ((1, 5), np.s_[:]),
+        ((7, 3), np.s_[:]),
+        ((60, 571), np.s_[:]),
+        ((80, 571), np.s_[:]),
+        ((300, 4000), np.s_[:]),
+        ((40, 30), np.s_[::2]),
+        ((20, 90), np.s_[:, ::3]),
+    ],
+    ids=["1x5", "7x3", "60x571", "80x571", "300x4000", "row-strided", "column-strided"],
+)
+def test_normalize_has_the_bits_of_one_whole_matrix_reduce(shape, view):
+    # on a row-major matrix, or a strided view of one, einsum adds the squares
+    # up in row order, so the norms and the quotients are those of the
+    # whole-matrix expressions
+    matrix = random_system(*shape, 5).matrix[view]
+    raw = matrix.copy()
     expected_norms = np.sqrt(np.add.reduce(raw * raw, axis=0))
-    normalize_columns(system)
-    assert -(-m // rows) == blocks
+    system = normalize_columns(LinearSystem(matrix=matrix, rhs=np.zeros(len(matrix))))
     np.testing.assert_array_equal(system.column_norms, expected_norms)
     np.testing.assert_array_equal(system.matrix, raw / expected_norms)
+
+
+def test_normalize_fortran_order_matrix_within_rounding():
+    # einsum sums a Fortran-order matrix in another order: no bits are pinned
+    raw = random_system(60, 571, 6).matrix
+    system = normalize_columns(LinearSystem(matrix=np.asfortranarray(raw), rhs=np.zeros(60)))
+    norms = np.linalg.norm(raw, axis=0)
+    np.testing.assert_allclose(system.column_norms, norms, rtol=1e-15)
+    np.testing.assert_allclose(system.matrix, raw / norms, rtol=1e-15)
 
 
 def test_normalize_refuses_a_matrix_it_cannot_rescale_in_place():
@@ -139,8 +171,8 @@ def test_normalize_refuses_a_matrix_it_cannot_rescale_in_place():
 
 
 def test_normalize_holds_no_second_design():
-    # 400 x 4,000 doubles is 12.8 MB; the sums of squares go through a
-    # buffer of a few rows, so the traced peak stays far below one matrix
+    # 400 x 4,000 doubles is 12.8 MB; einsum sums the squares without a
+    # matrix-sized temporary, so the traced peak stays far below one matrix
     m, n = 400, 4000
     system = random_system(m, n, 4)
     tracemalloc.start()

@@ -197,6 +197,18 @@ def test_config_validation():
             solve_one(system, w, 1.0)
 
 
+def test_path_refuses_a_grid_that_is_not_one_dimensional():
+    # without the check, a (2, 1) grid gets a silent all-zero second row
+    system = make_system(10, 20, 0)
+    for grid in ([[0.5], [0.1]], [[0.5, 0.1]]):
+        with pytest.raises(ValueError, match=r"^alphas must be one-dimensional, got shape \("):
+            lasso_path(system, np.ones(20), np.array(grid), max_iterations=50)
+    # a scalar alpha is a one-element grid
+    scalar = lasso_path(system, np.ones(20), 0.5, max_iterations=50)
+    listed = lasso_path(system, np.ones(20), [0.5], max_iterations=50)
+    np.testing.assert_array_equal(scalar.coefficients, listed.coefficients)
+
+
 def test_requires_normalized_system():
     rng = np.random.default_rng(0)
     system = LinearSystem(rng.standard_normal((10, 5)), rng.standard_normal(10))

@@ -245,6 +245,15 @@ def test_womp_path_refuses_an_empty_lambda_list():
         womp_path(system, np.ones(15), [], 5)
 
 
+@pytest.mark.parametrize(
+    "lams", [[[0.0, 1e-3]], [[0.0], [1e-3]], 0.0], ids=["row", "column", "scalar"]
+)
+def test_womp_path_refuses_lambdas_that_are_not_one_dimensional(lams):
+    system = random_test_system(10, 15, np.random.default_rng(17))
+    with pytest.raises(ValueError, match=r"^lams must be one-dimensional, got shape \("):
+        womp_path(system, np.ones(15), np.array(lams), 5)
+
+
 @pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan])
 def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
     # the message names the bad lambda, wherever it is in the list
