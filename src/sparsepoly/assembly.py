@@ -142,13 +142,17 @@ def at_least(value, bound, whole=True) -> bool:
     return bound <= value < math.inf and (not whole or float(value).is_integer())
 
 
-def check_solver_inputs(system: LinearSystem, w, max_iterations, solver: str) -> np.ndarray:
-    """Check a solver's inputs and return the weights as floats.
+def check_solver_inputs(
+    system: LinearSystem, w, grid, max_iterations, solver: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Check the inputs both solvers take; return the weights and the grid
+    (of lambdas or alphas) as float arrays.
 
     Raises:
-        ValueError: naming `solver` if the system is not normalized, the
-            first weight that is not finite and > 0 (NaN included), or an
-            iteration cap that is not an integer >= 1.
+        ValueError: naming `solver` for an unnormalized system or a grid that
+            is not a 1-D list of one or more values (a scalar included); naming
+            the first bad entry for a weight not finite and > 0 or a grid value
+            not finite and >= 0 (NaN fails both); or for a cap not an integer >= 1.
     """
     if system.column_norms is None:
         raise ValueError(f"{solver} requires unit-norm columns; apply normalize_columns first")
@@ -158,9 +162,15 @@ def check_solver_inputs(system: LinearSystem, w, max_iterations, solver: str) ->
     bad = np.flatnonzero(~((w > 0.0) & (w < np.inf)))
     if bad.size:
         raise ValueError(f"weights must be strictly positive and finite: w[{bad[0]}] = {w[bad[0]]}")
+    grid = np.asarray(grid, dtype=np.float64)
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError(f"{solver} needs a 1-D grid of one or more values, got shape {grid.shape}")
+    bad = np.flatnonzero(~((grid >= 0.0) & (grid < np.inf)))
+    if bad.size:
+        raise ValueError(f"{solver} grid must be finite and >= 0: grid[{bad[0]}] = {grid[bad[0]]}")
     if not at_least(max_iterations, 1):
         raise ValueError(f"max_iterations must be an integer >= 1, got {max_iterations}")
-    return w
+    return w, grid
 
 
 def denormalize_solution(system: LinearSystem, coefficients: np.ndarray) -> np.ndarray:

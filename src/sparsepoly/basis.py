@@ -142,7 +142,7 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     idx = index_set.indices
     m, n = points.shape[0], len(index_set)
     d = index_set.dimension
-    n_degrees = int(idx.max()) + 1
+    n_degrees = int(idx.max(initial=0)) + 1
     # (N, R) keys, zero-padded; the flat positions of the nonzero entries run
     # row by row, each row in coordinate order, so a factor's rank is its
     # offset from its row's first
@@ -151,7 +151,7 @@ def evaluate_design(kind: str, index_set, points: np.ndarray) -> np.ndarray:
     counts = np.bincount(rows, minlength=n)
     ends = np.cumsum(counts)
     rank = np.arange(len(at)) - (ends - counts)[rows]
-    keys = np.zeros((n, max(1, int(counts.max()))), dtype=np.intp)
+    keys = np.zeros((n, max(1, int(counts.max(initial=0)))), dtype=np.intp)
     keys[rows, rank] = idx.ravel()[at] * d + cols
     table = eval_1d_table(kind, n_degrees - 1, points.T).reshape(n_degrees * d, m)
     design = np.empty((m, n))

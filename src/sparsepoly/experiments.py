@@ -183,13 +183,13 @@ def reference_coefficients(
     block, so neither the design nor its points are held whole, and solved
     with the Cholesky factor of A^T A by `_cholesky_solve`.
     """
-    if oversampling < 1:
-        raise ValueError("oversampling must be >= 1")
+    if not at_least(oversampling, 1):
+        raise ValueError(f"oversampling must be an integer >= 1, got {oversampling}")
     n = len(index_set)
     rng = np.random.default_rng(seed)
     gram = np.zeros((n, n))
     moment = np.zeros(n)
-    for _ in range(oversampling):
+    for _ in range(int(oversampling)):
         points = basis.sample_measure(kind, index_set.dimension, n, rng)
         block = basis.evaluate_design(kind, index_set, points)
         # numpy runs block.T @ block as a symmetric product

@@ -75,8 +75,11 @@ def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int) -> np.ndar
 
     The zero vector is optimal once alpha >= 2 max_j |(A^T y)_j| / w_j; the
     grid spans [1e-8, 1e-1] times that maximum correlation-to-weight ratio.
+    A threshold of 0 (A^T y = 0, as for y = 0) raises a ValueError.
     """
     ratio = float(np.max(np.abs(system.matrix.T @ system.rhs) / np.asarray(w)))
+    if ratio == 0.0:
+        raise ValueError("the zero-solution threshold is 0 (A^T y = 0): no alpha grid brackets it")
     return np.geomspace(1e-8 * ratio, 1e-1 * ratio, num)
 
 
@@ -92,15 +95,15 @@ def lasso_path(
     baseline is compared against).  Walks at most max_iterations breakpoints
     from alpha_max down to min(alphas) and returns one result row per alpha,
     in the order given.  An alpha below the point where the cap stopped the walk
-    gets that point's solution and converged=False.  A scalar alpha is a
-    one-element grid; a grid of more dimensions is refused.
+    gets that point's solution and converged=False.
+
+    Raises:
+        ValueError: as `check_solver_inputs` does (alphas is its grid), or on
+            an alpha of 0, which its rule admits and the homotopy does not take.
     """
-    w = check_solver_inputs(system, w, max_iterations, "lasso_path")
-    alphas = np.atleast_1d(np.asarray(alphas, dtype=np.float64))
-    if alphas.ndim != 1:
-        raise ValueError(f"alphas must be one-dimensional, got shape {alphas.shape}")
-    if not (alphas.size and np.all(alphas > 0)):
-        raise ValueError(f"alphas must be one or more values > 0, got {alphas.tolist()}")
+    w, alphas = check_solver_inputs(system, w, alphas, max_iterations, "lasso_path")
+    if alphas.min() == 0.0:
+        raise ValueError(f"lasso_path grid must be > 0: grid[{alphas.argmin()}] = 0.0")
 
     start = time.perf_counter()
     scaled = system.matrix / w

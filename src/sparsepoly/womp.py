@@ -55,7 +55,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import LinearSystem, at_least, check_solver_inputs
+from .assembly import LinearSystem, check_solver_inputs
 
 # Iterations stop once the residual is this small relative to ||y||; further
 # refits would only churn floating-point noise.
@@ -162,9 +162,10 @@ class _Block:
     `selected` (zero right of column k), and a thin QR factorization
     A_S = Q R of the selected columns in selection order.  The factorization
     is stored as Q (one row per column of Q), R^{-1} and Q^T y, so that the
-    iterate is R^{-1} (Q^T y) and the residual y - Q (Q^T y).  The step's
-    maximizer and its Gram-Schmidt parts are rows too, so that `keep` drops a
-    stopped lambda from every array at once.
+    iterate is R^{-1} (Q^T y) and the residual y - Q (Q^T y).  Each step sets
+    its maximizer j (`candidate`) and Gram-Schmidt parts (`h` = Q a_j, the part
+    `v` of a_j orthogonal to Q, `rho` = ||v||) as rows too, before `keep` reads
+    them, so that `keep` drops a stopped lambda from every array at once.
     """
 
     def __init__(self, lams: np.ndarray, y: np.ndarray, capacity: int):
@@ -177,11 +178,6 @@ class _Block:
         self.r_inv = np.zeros((size, capacity, capacity))
         self.qty = np.empty((size, capacity))
         self.residual = np.tile(y, (size, 1))
-        # the step's maximizer j, Q a_j, the part v of a_j orthogonal to Q, and ||v||
-        self.candidate = np.zeros(size, dtype=np.intp)
-        self.h = np.zeros((size, 0))
-        self.v = np.zeros((size, m))
-        self.rho = np.zeros(size)
 
     def keep(self, rows: np.ndarray) -> None:
         for name, value in vars(self).items():
@@ -226,20 +222,10 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
     call's start until then, which includes the other lambdas' work.
 
     Raises:
-        ValueError: on a `lams` that is empty or not 1-D, a lambda that is
-            not finite and >= 0, or (from `check_solver_inputs`) an
-            unnormalized system, bad weights or a budget not an integer >= 1.
+        ValueError: as `check_solver_inputs` does (lams is its grid).
     """
-    lams = np.array(lams, dtype=np.float64)
-    if lams.ndim != 1:
-        raise ValueError(f"lams must be one-dimensional, got shape {lams.shape}")
-    if lams.size == 0:
-        raise ValueError("lams must hold at least one value")
-    for lam in lams:
-        if not at_least(lam, 0, whole=False):
-            raise ValueError(f"lam must be finite and >= 0, got {lam}")
     start = time.perf_counter()
-    w = check_solver_inputs(system, w, max_iterations, "womp_path")
+    w, lams = check_solver_inputs(system, w, lams, max_iterations, "womp_path")
     max_iterations = int(max_iterations)
     matrix, y = system.matrix, system.rhs
     m, n = matrix.shape

@@ -236,6 +236,14 @@ def test_design_is_byte_equal_to_plain_product(monkeypatch, index_set, m, block_
         assert design.tobytes() == plain_design(kind, index_set, pts).tobytes()
 
 
+def test_design_of_an_empty_index_set_has_no_columns():
+    empty = MultiIndexSet(2, np.zeros((0, 2)))
+    for kind in basis.BASIS_KINDS:
+        design = basis.evaluate_design(kind, empty, basis.sample_measure(kind, 2, 5, 3))
+        assert design.shape == (5, 0) and design.flags.c_contiguous
+        assert basis.weights(kind, empty).shape == (0,)
+
+
 @pytest.mark.parametrize("bad", [1.0 + 1e-9, -1.5, np.nan])
 def test_design_refuses_points_outside_the_cube(monkeypatch, bad):
     # the bad value sits in coordinate 2 of a middle point, among many

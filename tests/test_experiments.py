@@ -141,8 +141,9 @@ def test_negligible_reference_pivot_raises(monkeypatch, kind, d, s):
 
 def test_reference_rejects_bad_oversampling():
     ms = hyperbolic_cross(2, 2)
-    with pytest.raises(ValueError):
-        reference_coefficients(target_log_sum(2), "legendre", ms, 0, seed=1)
+    for bad in (0, 2.5, np.nan):
+        with pytest.raises(ValueError, match=f"^oversampling must be an integer >= 1, got {bad}$"):
+            reference_coefficients(target_log_sum(2), "legendre", ms, bad, seed=1)
 
 
 @pytest.mark.parametrize("kind", basis.BASIS_KINDS)

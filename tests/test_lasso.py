@@ -174,48 +174,6 @@ def test_weighted_l1_direct_evaluation():
 # --- solver -----------------------------------------------------------------
 
 
-def test_config_validation():
-    system = make_system(10, 20, 0)
-    with pytest.raises(ValueError):
-        solve_one(system, np.ones(20), 0.0)
-    with pytest.raises(ValueError):
-        solve_one(system, np.ones(20), 1.0, max_iterations=0)
-    with pytest.raises(ValueError):
-        lasso_path(system, np.ones(20), [1.0, -1.0], max_iterations=10)
-    with pytest.raises(ValueError):
-        lasso_path(system, np.ones(20), [], max_iterations=10)
-    with pytest.raises(ValueError, match="alphas must be .*nan"):
-        lasso_path(system, np.ones(20), [1.0, np.nan], max_iterations=10)
-    # the weights are checked as womp_path checks them
-    for bad_shape in (np.ones(19), np.ones((20, 1))):
-        with pytest.raises(ValueError, match=r"weights must have shape \(20,\)"):
-            solve_one(system, bad_shape, 1.0)
-    for bad_value in (0.0, -1.0, np.nan, np.inf):
-        w = np.ones(20)
-        w[3] = bad_value
-        with pytest.raises(ValueError, match="weights must be strictly positive"):
-            solve_one(system, w, 1.0)
-
-
-def test_path_refuses_a_grid_that_is_not_one_dimensional():
-    # without the check, a (2, 1) grid gets a silent all-zero second row
-    system = make_system(10, 20, 0)
-    for grid in ([[0.5], [0.1]], [[0.5, 0.1]]):
-        with pytest.raises(ValueError, match=r"^alphas must be one-dimensional, got shape \("):
-            lasso_path(system, np.ones(20), np.array(grid), max_iterations=50)
-    # a scalar alpha is a one-element grid
-    scalar = lasso_path(system, np.ones(20), 0.5, max_iterations=50)
-    listed = lasso_path(system, np.ones(20), [0.5], max_iterations=50)
-    np.testing.assert_array_equal(scalar.coefficients, listed.coefficients)
-
-
-def test_requires_normalized_system():
-    rng = np.random.default_rng(0)
-    system = LinearSystem(rng.standard_normal((10, 5)), rng.standard_normal(10))
-    with pytest.raises(ValueError, match="^lasso_path requires unit-norm columns; apply normalize_columns first$"):
-        solve_one(system, np.ones(5), 0.1)
-
-
 def test_large_alpha_gives_zero_solution():
     system = make_system(15, 30, 2)
     rng = np.random.default_rng(12)
@@ -291,6 +249,16 @@ def test_default_alpha_grid_brackets_threshold():
     assert grid[0] == pytest.approx(1e-8 * ratio)
     assert grid[-1] == pytest.approx(1e-1 * ratio)
     assert np.all(np.diff(grid) > 0)
+
+
+def test_default_alpha_grid_refuses_a_zero_threshold():
+    # y = 0: the path's rows are all zero and converged, but no log grid brackets 0
+    system = make_system(15, 30, 10)
+    system.rhs = np.zeros(15)
+    with pytest.raises(ValueError, match="^the zero-solution threshold is 0"):
+        default_alpha_grid(system, np.ones(30), num=10)
+    path = lasso_path(system, np.ones(30), [1e-3, 1e-6], 50)
+    assert path.converged.all() and not path.coefficients.any()
 
 
 def test_objective_drops_below_initial():

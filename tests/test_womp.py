@@ -4,7 +4,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsepoly.assembly import LinearSystem, normalize_columns
-from sparsepoly.lasso import lasso_path
 from sparsepoly.womp import (
     SPAN_TOLERANCE,
     STOP_IN_SPAN,
@@ -14,10 +13,8 @@ from sparsepoly.womp import (
     STOP_RESIDUAL_FLOOR,
     STOP_ZERO_DELTA,
     SUPPORT_EPSILON,
-    WompConfig,
     delta_scores,
     womp_path,
-    womp_solve,
 )
 from sparsepoly.verification import (
     DELTA_CHECK_LAMBDAS,
@@ -192,77 +189,6 @@ def test_restricted_ls_empty_support():
 
 
 # --- solver -----------------------------------------------------------------
-
-
-def test_refuses_unnormalized_system():
-    rng = np.random.default_rng(12)
-    system = LinearSystem(matrix=rng.standard_normal((10, 15)), rhs=rng.standard_normal(10))
-    # the benchmark's one-lambda adapter is a womp_path call, and its error says so
-    message = "^womp_path requires unit-norm columns; apply normalize_columns first$"
-    with pytest.raises(ValueError, match=message):
-        womp_solve(system, np.ones(15), WompConfig())
-    with pytest.raises(ValueError, match=message):
-        womp_path(system, np.ones(15), [0.0], 25)
-
-
-def test_rejects_nonpositive_weights():
-    system = random_test_system(10, 15, np.random.default_rng(13))
-    for bad_value in (0.0, np.nan, np.inf):
-        w = np.ones(15)
-        w[4] = bad_value
-        with pytest.raises(ValueError, match=r"weights must be strictly positive.*w\[4\]"):
-            womp_path(system, w, [0.0], 25)
-
-
-def test_config_validation():
-    system = random_test_system(10, 15, np.random.default_rng(17))
-    with pytest.raises(ValueError):
-        womp_path(system, np.ones(15), [-1.0], 25)
-    # NaN and infinity fail the finite-and->=-0 rule that every lambda meets
-    for bad in ("inf", "nan"):
-        with pytest.raises(ValueError, match=f"^lam must be finite and >= 0, got {bad}$"):
-            womp_path(system, np.ones(15), [float(bad)], 25)
-    with pytest.raises(ValueError):
-        womp_path(system, np.ones(15), [0.0], 0)
-
-
-@pytest.mark.parametrize("cap", [2.5, np.nan, 0])
-def test_both_solvers_refuse_an_iteration_cap_that_is_not_an_integer_ge_1(cap):
-    # the LASSO walk stops on `breakpoints == cap`, which a fractional cap never meets
-    system = random_test_system(10, 20, np.random.default_rng(0))
-    message = f"max_iterations must be an integer >= 1, got {cap}"
-    with pytest.raises(ValueError, match=message):
-        womp_path(system, np.ones(20), [0.0], cap)
-    with pytest.raises(ValueError, match=message):
-        womp_path(system, np.ones(20), [0.0, 1e-4], cap)
-    with pytest.raises(ValueError, match=message):
-        lasso_path(system, np.ones(20), [1e-3, 1e-6], max_iterations=cap)
-
-
-def test_womp_path_refuses_an_empty_lambda_list():
-    system = random_test_system(10, 15, np.random.default_rng(17))
-    with pytest.raises(ValueError, match="^lams must hold at least one value$"):
-        womp_path(system, np.ones(15), [], 5)
-
-
-@pytest.mark.parametrize(
-    "lams", [[[0.0, 1e-3]], [[0.0], [1e-3]], 0.0], ids=["row", "column", "scalar"]
-)
-def test_womp_path_refuses_lambdas_that_are_not_one_dimensional(lams):
-    system = random_test_system(10, 15, np.random.default_rng(17))
-    with pytest.raises(ValueError, match=r"^lams must be one-dimensional, got shape \("):
-        womp_path(system, np.ones(15), np.array(lams), 5)
-
-
-@pytest.mark.parametrize("bad", [-1e-4, np.inf, np.nan])
-def test_womp_path_refuses_each_lambda_as_womp_config_does(bad):
-    # the message names the bad lambda, wherever it is in the list
-    system = random_test_system(10, 15, np.random.default_rng(17))
-    message = f"^lam must be finite and >= 0, got {bad}$"
-    with pytest.raises(ValueError, match=message):
-        womp_path(system, np.ones(15), [bad], 5)
-    with pytest.raises(ValueError, match=message):
-        womp_path(system, np.ones(15), [0.0, bad, 1e-4], 5)
 
 
 def test_matches_textbook_omp():
