@@ -149,13 +149,16 @@ def check_solver_inputs(
     (of lambdas or alphas) as float arrays.
 
     Raises:
-        ValueError: naming `solver` for an unnormalized system or a grid that
-            is not a 1-D list of one or more values (a scalar included); naming
-            the first bad entry for a weight not finite and > 0 or a grid value
-            not finite and >= 0 (NaN fails both); or for a cap not an integer >= 1.
+        ValueError: naming `solver` for an unnormalized system, a system with
+            no columns or a grid that is not a 1-D list of one or more values (a
+            scalar included); naming the first bad entry for a weight not finite
+            and > 0 or a grid value not finite and >= 0 (NaN fails both); or for
+            a cap not an integer >= 1.
     """
     if system.column_norms is None:
         raise ValueError(f"{solver} requires unit-norm columns; apply normalize_columns first")
+    if system.n_columns == 0:
+        raise ValueError(f"{solver} needs a system with at least one column")
     w = np.asarray(w, dtype=np.float64)
     if w.shape != (system.n_columns,):
         raise ValueError(f"weights must have shape ({system.n_columns},)")

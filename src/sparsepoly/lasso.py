@@ -75,8 +75,11 @@ def default_alpha_grid(system: LinearSystem, w: np.ndarray, num: int) -> np.ndar
 
     The zero vector is optimal once alpha >= 2 max_j |(A^T y)_j| / w_j; the
     grid spans [1e-8, 1e-1] times that maximum correlation-to-weight ratio.
-    A threshold of 0 (A^T y = 0, as for y = 0) raises a ValueError.
+    A system with no columns, or a threshold of 0 (A^T y = 0, as for y = 0),
+    raises a ValueError.
     """
+    if system.n_columns == 0:
+        raise ValueError("default_alpha_grid needs a system with at least one column")
     ratio = float(np.max(np.abs(system.matrix.T @ system.rhs) / np.asarray(w)))
     if ratio == 0.0:
         raise ValueError("the zero-solution threshold is 0 (A^T y = 0): no alpha grid brackets it")

@@ -17,17 +17,7 @@ from sparsepoly.experiments import ExperimentConfig, render_config, run_sweep
 
 QUICK_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "quick.cfg"
 
-FULL_STUDY_TEXT = """
-# full-scale study configuration
-basis=legendre
-d=10
-s=10
-m=60,80
-lambdas=0,10^-5,10^-4.5,10^-4,10^-3.5,10^-3
-iterations=25
-trials=25
-reference_oversampling=20
-"""
+FULL_STUDY = QUICK_CONFIG.parent / "full_study_legendre.cfg"
 
 SMALL_TEXT = """
 basis=legendre
@@ -58,17 +48,11 @@ lasso_max_iterations=1
 
 
 def test_parse_full_study_configuration():
-    config = parse_config_text(FULL_STUDY_TEXT)
-    assert config.basis == "legendre"
-    assert config.d == 10
-    assert config.s == 10
-    assert config.m == (60, 80)
-    assert config.iterations == 25
-    assert config.trials == 25
-    assert config.reference_oversampling == 20
-    assert config.lambdas[0] == 0.0
-    assert config.lambdas[2] == pytest.approx(10.0**-4.5, abs=0)
-    assert config.lambdas[4] == pytest.approx(10.0**-3.5, abs=0)
+    # 10^x reads as the float 10.0 ** x, bit for bit
+    lambdas = (0.0, 1e-5, 10.0**-4.5, 1e-4, 10.0**-3.5, 1e-3)
+    assert parse_config(FULL_STUDY) == ExperimentConfig(
+        d=10, s=10, m=(60, 80), lambdas=lambdas, iterations=25, trials=25, reference_oversampling=20
+    )
 
 
 def test_empty_lambdas_names_field():
@@ -92,13 +76,13 @@ def test_invalid_value_names_key():
 
 
 def test_override_precedence():
-    config = parse_config_text(FULL_STUDY_TEXT, overrides=["trials=2"])
+    config = parse_config(FULL_STUDY, overrides=["trials=2"])
     assert config.trials == 2
 
 
 def test_override_must_be_key_value():
     with pytest.raises(ConfigError):
-        parse_config_text(FULL_STUDY_TEXT, overrides=["trials"])
+        parse_config(FULL_STUDY, overrides=["trials"])
 
 
 def test_render_parse_round_trip():
@@ -142,24 +126,15 @@ def test_committed_config_names_only_fields_and_round_trips(path):
     assert parse_config_text(render_config(asdict(config))) == config
 
 
-def test_cmd_info(tmp_path, capsys):
-    path = tmp_path / "study.cfg"
-    path.write_text(FULL_STUDY_TEXT)
-    assert main(["info", "--config", str(path)]) == 0
+def test_cmd_info_reports_reference_fit_size(capsys):
+    assert main(["info", "--config", str(FULL_STUDY)]) == 0
     out = capsys.readouterr().out
-    assert "N=571" in out
-    assert "basis=legendre" in out
-
-
-def test_cmd_info_reports_reference_fit_size(tmp_path, capsys):
-    path = tmp_path / "study.cfg"
-    path.write_text(FULL_STUDY_TEXT)
-    assert main(["info", "--config", str(path)]) == 0
+    assert "basis=legendre\n" in out and "derived: d=10 s=10 N=571\n" in out
     assert (
         "reference fit: 9.7 MB (three 571 x 571 arrays, one block's 571 x 10 points "
         "and 1.8 MB design call)\n"
-    ) in capsys.readouterr().out
-    assert main(["info", "--config", str(path), "d=16", "s=20"]) == 0
+    ) in out
+    assert main(["info", "--config", str(FULL_STUDY), "d=16", "s=20"]) == 0
     assert (
         "reference fit: 3883.9 MB (three 12645 x 12645 arrays, one block's 12645 x 16 points "
         "and 44.7 MB design call)\n"

@@ -206,6 +206,13 @@ def test_vanishing_regularization_matches_exact_solve():
     exact = np.linalg.solve(system.matrix, system.rhs)
     z, _, _ = solve_one(system, np.ones(12), 1e-12)
     np.testing.assert_allclose(z, exact, atol=1e-9)
+    # with N > m the path ends with m active indices, and none can join past
+    # them however small alpha gets
+    system = make_system(6, 12, 3)
+    alpha = 1e-30 * 2.0 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
+    z, converged, _ = solve_one(system, np.ones(12), alpha)
+    assert converged and np.count_nonzero(z) == 6
+    assert lasso_kkt_residual(system, np.ones(12), [alpha], z[None])[0] <= LASSO_KKT_TOLERANCE
 
 
 def test_fixed_point_stationarity():
@@ -259,15 +266,10 @@ def test_default_alpha_grid_refuses_a_zero_threshold():
         default_alpha_grid(system, np.ones(30), num=10)
     path = lasso_path(system, np.ones(30), [1e-3, 1e-6], 50)
     assert path.converged.all() and not path.coefficients.any()
-
-
-def test_objective_drops_below_initial():
-    system = make_system(15, 40, 11)
-    w = np.ones(40)
-    alpha = 0.02 * float(np.max(np.abs(system.matrix.T @ system.rhs)))
-    z, _, _ = solve_one(system, w, alpha)
-    initial = lasso_objective(np.zeros(40), system, w, alpha)
-    assert lasso_objective(z, system, w, alpha) < initial
+    # with no columns there is no threshold at all
+    empty = normalize_columns(LinearSystem(np.ones((15, 0)), np.ones(15)))
+    with pytest.raises(ValueError, match="^default_alpha_grid needs a system with at least one"):
+        default_alpha_grid(empty, np.ones(0), num=10)
 
 
 # --- homotopy path ----------------------------------------------------------
@@ -458,21 +460,37 @@ def test_copy_of_an_active_column_never_joins(sign):
     assert np.all(path.coefficients[:, 2] == 0.0)
 
 
-@pytest.mark.parametrize("distance", [1e-4, 1e-7])
-def test_near_copy_of_an_active_column_resets_the_inverse(monkeypatch, distance):
-    # a unit column at angle ~distance from the first index to join: once both
-    # are active their Gram matrix has condition ~1/distance^2, the updated
-    # inverse misses its residual check, and the path refactors it
-    base = make_system(20, 40, 0)
+def near_copy_system(distance, seed):
+    """(system, alphas): make_system(20, 40, seed) and a 41st unit column at
+    angle ~distance from the first index to join, whose Gram matrix with it
+    has condition ~1/distance^2 once both are active."""
+    base = make_system(20, 40, seed)
     first = int(np.argmax(np.abs(base.matrix.T @ base.rhs)))
     offset = np.random.default_rng(1).standard_normal(20)
     near = base.matrix[:, first] + distance * offset / np.linalg.norm(offset)
     matrix = np.column_stack([base.matrix, near / np.linalg.norm(near)])
-    system = LinearSystem(matrix, base.rhs, np.ones(41))
-    w = np.ones(41)
     alpha_max = 2.0 * float(np.max(np.abs(matrix.T @ base.rhs)))
     alphas = alpha_max * np.array([0.5, 1e-1, 1e-3, 1e-8])
+    return LinearSystem(matrix, base.rhs, np.ones(41)), alphas
+
+
+@pytest.mark.parametrize("distance", [1e-4, 1e-7])
+def test_near_copy_of_an_active_column_resets_the_inverse(monkeypatch, distance):
+    # the updated inverse misses its residual check, and the path refactors it
+    system, alphas = near_copy_system(distance, 0)
     refactorizations = count_refactorizations(monkeypatch)
-    path = assert_matches_scratch_path(system, w, alphas)
+    path = assert_matches_scratch_path(system, np.ones(41), alphas)
     assert len(refactorizations) >= 1
-    assert np.max(lasso_kkt_residual(system, w, alphas, path.coefficients)) <= 1e-12
+    assert np.max(lasso_kkt_residual(system, np.ones(41), alphas, path.coefficients)) <= 1e-12
+
+
+def test_correction_step_makes_a_nearly_dependent_path_kkt_exact(monkeypatch):
+    # at distance 3e-3 the updated inverse passes its check at every
+    # breakpoint, but its direction is off by about cond(G_AA) eps: without
+    # the correction step the emitted solutions read a KKT residual of 2e-11
+    system, alphas = near_copy_system(3e-3, 2)
+    refactorizations = count_refactorizations(monkeypatch)
+    path = lasso_path(system, np.ones(41), alphas, 1500)
+    assert refactorizations == []
+    kkt = lasso_kkt_residual(system, np.ones(41), alphas, path.coefficients)
+    assert np.max(kkt) <= LASSO_KKT_TOLERANCE

@@ -120,26 +120,26 @@ def test_linear_system_records_its_frame_once():
     assert names == ["matrix", "rhs", "column_norms"]
 
 
+def readme_names(*after: str) -> list[str]:
+    """The `quoted` names of the README sentence that follows each of `after` in turn."""
+    text = (ROOT / "README.md").read_text()
+    for marker in after:
+        text = text.split(marker, 1)[1]
+    return re.findall(r"`([^`]+)`", re.split(r"\.\s", text, maxsplit=1)[0])
+
+
 def test_readme_config_keys_are_the_config_fields():
-    readme = (ROOT / "README.md").read_text()
-    config_format = readme.split("## Config format", 1)[1]
-    sentence = re.split(r"\.\s", config_format.split("Keys:", 1)[1], maxsplit=1)[0]
     fields = dataclasses.fields(experiments.ExperimentConfig)
-    assert re.findall(r"`([^`]+)`", sentence) == [field.name for field in fields]
+    assert readme_names("## Config format", "Keys:") == [field.name for field in fields]
 
 
 def test_readme_output_files_are_the_writer_table():
-    readme = (ROOT / "README.md").read_text()
-    sentence = readme.split("`run` executes the configured sweep and writes", 1)[1]
-    sentence = re.split(r"\.\s", sentence, maxsplit=1)[0]
-    assert re.findall(r"`([^`]+)`", sentence) == list(experiments.OUTPUT_WRITERS)
+    written = readme_names("`run` executes the configured sweep and writes")
+    assert written == list(experiments.OUTPUT_WRITERS)
 
 
 def test_readme_stop_reasons_are_the_solver_constants():
-    readme = (ROOT / "README.md").read_text()
-    sentence = readme.split("The stop reasons are", 1)[1]
-    sentence = re.split(r"\.\s", sentence, maxsplit=1)[0]
-    assert tuple(re.findall(r"`([^`]+)`", sentence)) == womp.STOP_REASONS
+    assert tuple(readme_names("The stop reasons are")) == womp.STOP_REASONS
 
 
 def test_readme_quickstart_runs(capsys):

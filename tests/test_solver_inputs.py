@@ -10,7 +10,7 @@ the solver's name.
 import numpy as np
 import pytest
 
-from sparsepoly.assembly import LinearSystem
+from sparsepoly.assembly import LinearSystem, normalize_columns
 from sparsepoly.lasso import lasso_path
 from sparsepoly.verification import random_test_system
 from sparsepoly.womp import WompConfig, womp_path, womp_solve
@@ -33,6 +33,12 @@ CASES = {
         "system",
         LinearSystem(np.ones((10, 20)), np.ones(10)),
         "{solver} requires unit-norm columns; apply normalize_columns first",
+    ),
+    # an empty index set gives an (m, 0) design, which normalize_columns takes
+    "no-columns": (
+        "system",
+        normalize_columns(LinearSystem(np.ones((10, 0)), np.ones(10))),
+        "{solver} needs a system with at least one column",
     ),
     "w-shape-19": ("w", np.ones(19), "weights must have shape (20,)"),
     "w-shape-20x1": ("w", np.ones((20, 1)), "weights must have shape (20,)"),
