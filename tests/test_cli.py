@@ -126,14 +126,18 @@ def test_committed_config_names_only_fields_and_round_trips(path):
     assert parse_config_text(render_config(asdict(config))) == config
 
 
-def test_cmd_info_reports_reference_fit_size(capsys):
+def test_cmd_info(capsys):
     assert main(["info", "--config", str(FULL_STUDY)]) == 0
     out = capsys.readouterr().out
     assert "basis=legendre\n" in out and "derived: d=10 s=10 N=571\n" in out
+
+
+def test_cmd_info_reports_reference_fit_size(capsys):
+    assert main(["info", "--config", str(FULL_STUDY)]) == 0
     assert (
         "reference fit: 9.7 MB (three 571 x 571 arrays, one block's 571 x 10 points "
         "and 1.8 MB design call)\n"
-    ) in out
+    ) in capsys.readouterr().out
     assert main(["info", "--config", str(FULL_STUDY), "d=16", "s=20"]) == 0
     assert (
         "reference fit: 3883.9 MB (three 12645 x 12645 arrays, one block's 12645 x 16 points "
