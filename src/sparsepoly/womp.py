@@ -23,19 +23,24 @@ reduces to classical OMP.
 
 `womp_path` runs several lambdas on one system in lockstep, in the one greedy
 loop; a one-lambda solve is its call with a list of one.  Every running lambda
-adds one column per step, so all of them are at the same k, and a step works
-on stacked arrays: one product of the (L x m) residual block with A, one
-`delta_scores` call on the (L x N) block of correlations, one argmax per row,
-and one stacked Gram-Schmidt append and refit over (L, k, m) and (L, k, k)
-buffers.  The stacked products (np.matvec, np.vecmat, np.vecdot) give each
-row the bits a one-lambda solve computes; only the block's correlations,
-a matrix-matrix product when L > 1, may differ from it in the last bits, and
-they feed only the argmax.  A lambda that stops leaves the block.
+adds one column per step, so all of them are at the same k, and each is one
+row of the loop's stacked arrays: its lambda and position in the caller's
+list, its support in selection order, its iterates after steps 0..k on that
+support, and its factorization as Q (one row per column of Q), R^{-1} and
+Q^T y, with its residual.  A step is one product of the (L x m) residual block
+with A, one `delta_scores` call on the (L x N) block of correlations, one
+argmax per row, and one stacked Gram-Schmidt append and refit over (L, k, m)
+and (L, k, k) buffers.  The stacked products (np.matvec, np.vecmat, np.vecdot)
+give each row the bits a one-lambda solve computes; only the block's
+correlations, a matrix-matrix product when L > 1, may differ from it in the
+last bits, and they feed only the argmax.  A lambda that stops is handed its
+trace and leaves every array, by one row mask, before the next product.
 
 A maximizer j whose column is numerically in the span of the selected ones
-(k = m, or an orthogonal part rho <= SPAN_TOLERANCE) stops the solve unselected,
-with ``stop_reason = "in_span"``.  That can give up the whole residual:
-appending j would lower ||r||^2 by (A^T r)_j^2 / rho^2, which is at most ||r||^2.
+(an orthogonal part rho <= SPAN_TOLERANCE, which every column has at k = m)
+stops the solve unselected, with ``stop_reason = "in_span"``.  That can give
+up the whole residual: appending j would lower ||r||^2 by (A^T r)_j^2 / rho^2,
+which is at most ||r||^2.
 
 The solver returns its history as a `SolveTrace`, the selection order plus
 one block of iterates, and keeps the iterate in selection order throughout.
@@ -154,59 +159,6 @@ def delta_scores(
     return scores
 
 
-class _Block:
-    """The lambdas still running, one row each, every row after the same k steps.
-
-    Per row: its lambda and its position in the caller's list, the support in
-    selection order (`selected`), the iterates after steps 0..k on
-    `selected` (zero right of column k), and a thin QR factorization
-    A_S = Q R of the selected columns in selection order.  The factorization
-    is stored as Q (one row per column of Q), R^{-1} and Q^T y, so that the
-    iterate is R^{-1} (Q^T y) and the residual y - Q (Q^T y).  Each step sets
-    its maximizer j (`candidate`) and Gram-Schmidt parts (`h` = Q a_j, the part
-    `v` of a_j orthogonal to Q, `rho` = ||v||) as rows too, before `keep` reads
-    them, so that `keep` drops a stopped lambda from every array at once.
-    """
-
-    def __init__(self, lams: np.ndarray, y: np.ndarray, capacity: int):
-        size, m = lams.size, y.size
-        self.lam = lams
-        self.position = np.arange(size)
-        self.selected = np.zeros((size, capacity), dtype=np.intp)
-        self.iterates = np.zeros((size, capacity + 1, capacity))
-        self.q = np.empty((size, capacity, m))
-        self.r_inv = np.zeros((size, capacity, capacity))
-        self.qty = np.empty((size, capacity))
-        self.residual = np.tile(y, (size, 1))
-
-    def keep(self, rows: np.ndarray) -> None:
-        for name, value in vars(self).items():
-            setattr(self, name, value[rows])
-
-    def orthogonalize(self, columns: np.ndarray, k: int) -> None:
-        """Each row's column against its k columns of Q: classical
-        Gram-Schmidt with one re-orthogonalization."""
-        q = self.q[:, :k]
-        h = np.matvec(q, columns)
-        v = columns - np.vecmat(h, q)
-        h2 = np.matvec(q, v)
-        v -= np.vecmat(h2, q)
-        self.h, self.v, self.rho = h + h2, v, np.sqrt(np.vecdot(v, v))
-
-    def append(self, k: int, y: np.ndarray) -> None:
-        """Select each row's candidate, extend its factorization, and refit."""
-        # R_new = [[R, h], [0, rho]]  =>  R_new^{-1} = [[R^{-1}, -R^{-1} h / rho], [0, 1 / rho]]
-        rho = self.rho[:, None]
-        self.r_inv[:, :k, k] = np.matvec(self.r_inv[:, :k, :k], self.h) / -rho
-        self.r_inv[:, k, k] = 1.0 / self.rho
-        self.q[:, k] = self.v / rho
-        self.qty[:, k] = np.vecdot(self.q[:, k], y)
-        self.selected[:, k] = self.candidate
-        k += 1
-        self.iterates[:, k, :k] = np.matvec(self.r_inv[:, :k, :k], self.qty[:, :k])
-        self.residual = y - np.vecmat(self.qty[:, :k], self.q[:, :k])
-
-
 def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) -> list[SolveTrace]:
     """Run the greedy pursuit for several lambdas on one column-normalized
     system, in lockstep; one `SolveTrace` per lambda, in the order given.
@@ -217,9 +169,12 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
     factorization of the selected columns.  A lambda stops at the iteration
     budget, when its best score is zero, when its maximizer is already in its
     support, when the maximizer's column is in the span of the selected ones
-    (see SPAN_TOLERANCE), or when its residual hits the floor.  A lambda that
-    stops leaves the block, and its trace's `seconds` is the time from the
-    call's start until then, which includes the other lambdas' work.
+    (see SPAN_TOLERANCE), or when its residual hits the floor; the first three
+    are checked in that order before the append, the floor after it and ahead
+    of the budget.  Each running lambda is one row of the loop's arrays (see
+    the module docstring); a lambda that stops leaves them, and its trace's
+    `seconds` is the time from the call's start until then, which includes
+    the other lambdas' work.
 
     Raises:
         ValueError: as `check_solver_inputs` does (lams is its grid).
@@ -232,49 +187,72 @@ def womp_path(system: LinearSystem, w: np.ndarray, lams, max_iterations: int) ->
     # a row stops in_span by k = m, so Q never needs more than m rows
     capacity = min(max_iterations, m)
     floor = RESIDUAL_FLOOR * float(np.linalg.norm(y))
-    block = _Block(lams, y, capacity)
-    traces = [None] * lams.size
+    size = lams.size
+    lam, position = lams, np.arange(size)
+    selected = np.zeros((size, capacity), dtype=np.intp)
+    iterates = np.zeros((size, capacity + 1, capacity))
+    q, qty = np.empty((size, capacity, m)), np.empty((size, capacity))
+    r_inv = np.zeros((size, capacity, capacity))
+    residual = np.tile(y, (size, 1))
+    traces = [None] * size
 
-    def finish(stopped: np.ndarray, reasons: np.ndarray, k: int) -> bool:
+    def finish(stopped: np.ndarray, reasons: np.ndarray, k: int) -> np.ndarray:
         """Hand each stopped row its trace after k steps, with its entry of
-        `reasons`, and drop it from the block; True once the block is empty."""
+        `reasons`, and drop it from every row array; the mask of the rows kept."""
+        nonlocal lam, position, selected, iterates, q, qty, r_inv, residual
         seconds = time.perf_counter() - start
         for i in np.flatnonzero(stopped):
-            traces[block.position[i]] = SolveTrace(
+            traces[position[i]] = SolveTrace(
                 n_columns=n,
-                selected=block.selected[i, :k].copy(),
-                values=block.iterates[i, : k + 1, :k].copy(),
+                selected=selected[i, :k].copy(),
+                values=iterates[i, : k + 1, :k].copy(),
                 stop_reason=str(reasons[i]),
                 seconds=seconds,
             )
-        block.keep(np.flatnonzero(~stopped))
-        return block.lam.size == 0
+        keep = ~stopped
+        lam, position, selected, iterates, q, qty, r_inv, residual = (
+            rows[keep] for rows in (lam, position, selected, iterates, q, qty, r_inv, residual)
+        )
+        return keep
 
     for k in range(max_iterations):
-        scores = delta_scores(
-            block.selected[:, :k], block.iterates[:, k, :k], block.residual @ matrix, w, block.lam
-        )
-        block.candidate = j = scores.argmax(axis=1)
-        block.orthogonalize(matrix[:, j].T, k)
+        scores = delta_scores(selected[:, :k], iterates[:, k, :k], residual @ matrix, w, lam)
+        j = scores.argmax(axis=1)
+        # classical Gram-Schmidt of each row's column a_j against its Q, with one
+        # re-orthogonalization: h = Q a_j, and v orthogonal to Q with norm rho
+        columns, basis = matrix[:, j].T, q[:, :k]
+        h = np.matvec(basis, columns)
+        v = columns - np.vecmat(h, basis)
+        h2 = np.matvec(basis, v)
+        v -= np.vecmat(h2, basis)
+        h, rho = h + h2, np.sqrt(np.vecdot(v, v))
         zero = scores[np.arange(j.size), j] <= 0.0
-        reselect = (block.selected[:, :k] == j[:, None]).any(axis=1)
-        # k = m: the selected columns span R^m
-        in_span = (block.rho <= SPAN_TOLERANCE) | (k == capacity)
-        stopped = zero | reselect | in_span
+        reselect = (selected[:, :k] == j[:, None]).any(axis=1)
+        stopped = zero | reselect | (rho <= SPAN_TOLERANCE)
         if stopped.any():
             # the first of the three checks that holds names the stop
             reasons = np.where(
                 zero, STOP_ZERO_DELTA, np.where(reselect, STOP_IN_SUPPORT_RESELECT, STOP_IN_SPAN)
             )
-            if finish(stopped, reasons, k):
+            keep = finish(stopped, reasons, k)
+            if not keep.any():
                 break
-        block.append(k, y)
-        stopped = np.sqrt(np.vecdot(block.residual, block.residual)) < floor
-        if stopped.any() and finish(stopped, np.full(stopped.size, STOP_RESIDUAL_FLOOR), k + 1):
-            break
-    else:
-        stopped = np.ones(block.lam.size, dtype=bool)
-        finish(stopped, np.full(stopped.size, STOP_MAX_ITERATIONS), max_iterations)
+            j, h, v, rho = j[keep], h[keep], v[keep], rho[keep]
+        # R_new = [[R, h], [0, rho]]  =>  R_new^{-1} = [[R^{-1}, -R^{-1} h / rho], [0, 1 / rho]]
+        r_inv[:, :k, k] = np.matvec(r_inv[:, :k, :k], h) / -rho[:, None]
+        r_inv[:, k, k] = 1.0 / rho
+        q[:, k] = v / rho[:, None]
+        qty[:, k] = np.vecdot(q[:, k], y)
+        selected[:, k] = j
+        iterates[:, k + 1, : k + 1] = np.matvec(r_inv[:, : k + 1, : k + 1], qty[:, : k + 1])
+        residual = y - np.vecmat(qty[:, : k + 1], q[:, : k + 1])
+        floored = np.sqrt(np.vecdot(residual, residual)) < floor
+        last = k + 1 == max_iterations
+        if last or floored.any():
+            # on the last allowed step the floor names the stop ahead of the budget
+            reasons = np.where(floored, STOP_RESIDUAL_FLOOR, STOP_MAX_ITERATIONS)
+            if not finish(floored | last, reasons, k + 1).any():
+                break
     return traces
 
 

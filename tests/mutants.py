@@ -51,8 +51,11 @@ class Mutant(NamedTuple):
 M = Mutant
 MUTANTS = [
     # --- the greedy solver: its stop rules, tolerances and tie-breaks
-    M("womp-cap", "womp.py", "range(max_iterations)", "range(max_iterations + 1)",
-      "a solve runs a step past its cap and stops in_span, not max_iterations"),
+    M("womp-cap", "womp.py", "k + 1 == max_iterations", "k + 2 == max_iterations",
+      "a solve stops max_iterations a step before its cap"),
+    M("womp-cap-first", "womp.py", "np.where(floored, STOP_RESIDUAL_FLOOR",
+      "np.where(floored & (not last), STOP_RESIDUAL_FLOOR",
+      "a solve at the floor on its last allowed step is named max_iterations"),
     M("womp-zero-delta", "womp.py", "j] <= 0.0", "j] < 0.0", "a zero best score selects a column"),
     M("womp-reselect", "womp.py", ".any(axis=1)", ".any(axis=1) & False",
       "a maximizer already in the support is selected again"),
@@ -60,18 +63,14 @@ MUTANTS = [
       "a solve refits past an exact fit"),
     M("womp-span-tolerance", "womp.py", "SPAN_TOLERANCE = 1e-3", "SPAN_TOLERANCE = 1e-4",
       "a column whose orthogonal part is in (1e-4, 1e-3] is appended"),
-    M("womp-span-full-rank", "womp.py", "(k == capacity)", "(k > capacity)",
-      "a solve at k = m appends past its m columns",
-      "at k = m the m orthonormal rows of Q span R^m, so every column's orthogonal part is at "
-      "rounding level and the rho test stops the solve in_span first"),
     M("womp-stop-order", "womp.py",
       "zero, STOP_ZERO_DELTA, np.where(reselect, STOP_IN_SUPPORT_RESELECT",
       "reselect, STOP_IN_SUPPORT_RESELECT, np.where(zero, STOP_ZERO_DELTA",
       "a zero best score in the support is named in_support_reselect"),
     M("womp-tie-break", "womp.py", "scores.argmax(axis=1)",
       "scores.shape[1] - 1 - scores[:, ::-1].argmax(axis=1)", "ties select the largest index"),
-    M("womp-reorthogonalize", "womp.py", "h2 = np.matvec(q, v)", "h2 = 0.0 * np.matvec(q, v)",
-      "Gram-Schmidt without its second pass"),
+    M("womp-reorthogonalize", "womp.py", "h2 = np.matvec(basis, v)",
+      "h2 = 0.0 * np.matvec(basis, v)", "Gram-Schmidt without its second pass"),
     M("womp-score-in-support", "womp.py", "w2[support] - values", "w2[support] + values",
       "the removal score of a supported index"),
     M("womp-support-epsilon", "womp.py", "SUPPORT_EPSILON = 1e-12", "SUPPORT_EPSILON = 0.0",
@@ -100,6 +99,37 @@ MUTANTS = [
       "default_alpha_grid takes a zero threshold"),
     M("alpha-grid-no-columns", "lasso.py", 'raise ValueError("default_alpha_grid',
       'print("default_alpha_grid', "default_alpha_grid takes a system with N = 0"),
+    # --- basis evaluation, sampling and the hyperbolic cross
+    M("legendre-recurrence", "basis.py", "t * out[n] - n * out[n - 1]",
+      "t * out[n] + n * out[n - 1]", "Legendre polynomials of degree >= 2 from a wrong recurrence"),
+    M("legendre-scale", "basis.py", "np.sqrt(2.0 * np.arange(max_degree + 1) + 1.0)",
+      "np.arange(max_degree + 1) + 1.0", "Legendre polynomials scaled by n + 1, not sqrt(2n + 1)"),
+    M("chebyshev-recurrence", "basis.py", "2.0 * t * out[n] - out[n - 1]",
+      "2.0 * t * out[n] + out[n - 1]",
+      "Chebyshev polynomials of degree >= 2 from a wrong recurrence"),
+    M("chebyshev-scale", "basis.py", "scale[0] = 1.0", "scale[0] = np.sqrt(2.0)",
+      "the Chebyshev constant scaled like the other degrees"),
+    M("design-keys", "basis.py", "idx.ravel()[at] * d + cols", "idx.ravel()[at] * d",
+      "every design factor read at coordinate 0"),
+    M("sample-redraw", "basis.py", "while zero.any():", "while False:",
+      "a u = 0 draw is kept, a point on the boundary"),
+    M("sample-arcsine", "basis.py", "np.cos(np.pi * u)", "2.0 * u - 1.0",
+      "Chebyshev points drawn uniformly, not from the arcsine measure"),
+    M("cross-quotient", "index_sets.py", "counts = s // prods", "counts = (s + 1) // prods",
+      "the cross of order s + 1 is enumerated"),
+    M("cross-stable-sort", "index_sets.py", 'np.argsort(degrees, kind="stable")',
+      'np.argsort(degrees, kind="quicksort")', "members of one degree lose lexicographic order"),
+    # --- CLI parsing and the output writers
+    M("cli-power", "cli.py", "10.0 ** float(token[3:])", "10.0 * float(token[3:])",
+      "10^x reads as 10 x"),
+    M("cli-bool-case", "cli.py", "token = token.strip().lower()", "token = token.strip()",
+      "True and FALSE are refused"),
+    M("cli-comment", "cli.py", 'line.split("#", 1)[0].strip()', "line.strip()",
+      "a # comment is read as a setting"),
+    M("writer-fmt", "experiments.py", "repr(float(value))", 'format(float(value), ".12g")',
+      "CSV values lose digits past the 12th"),
+    M("writer-row-order", "experiments.py", "support in _curve_rows(report):",
+      "support in reversed([*_curve_rows(report)]):", "support.csv rows in reverse order"),
     # --- refusal rules
     M("solver-unnormalized", "assembly.py", 'raise ValueError(f"{solver} requires',
       'print(f"{solver} requires', "a solver takes an unnormalized system"),

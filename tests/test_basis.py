@@ -166,6 +166,25 @@ def test_samples_strictly_interior():
         assert np.all(np.abs(pts) < 1.0)
 
 
+def test_a_zero_draw_is_redrawn_from_the_stream():
+    # u = 0 maps to the boundary (-1, or cos 0 = 1); the two zeros of the first
+    # draw are replaced by the stream's next two numbers
+    class ZerosFirst(np.random.Generator):
+        def random(self, size=None):
+            u = super().random(size)
+            if np.ndim(u) == 2:
+                u[0, 0] = u[1, 1] = 0.0
+            return u
+
+    measures = {"legendre": lambda u: 2.0 * u - 1.0, "chebyshev": lambda u: np.cos(np.pi * u)}
+    for kind, measure in measures.items():
+        pts = basis.sample_measure(kind, 2, 3, ZerosFirst(np.random.PCG64(5)))
+        plain = np.random.default_rng(5)
+        u = plain.random((3, 2))
+        u[0, 0], u[1, 1] = plain.random(2)
+        assert np.array_equal(pts, measure(u))
+
+
 def test_legendre_empirical_mean():
     pts = basis.sample_measure("legendre", 2, 100_000, 11)
     assert np.all(np.abs(pts.mean(axis=0)) < 0.01)

@@ -75,6 +75,15 @@ def test_invalid_value_names_key():
         parse_config_text("trials=brazillion\n")
 
 
+def test_booleans_read_in_any_case():
+    spellings = {"true": True, "True": True, "1": True, "YES": True,
+                 "false": False, "FALSE": False, "0": False, "No": False}
+    for token, value in spellings.items():
+        assert parse_config_text(f"include_lasso={token}\n").include_lasso is value
+    with pytest.raises(ConfigError, match="include_lasso"):
+        parse_config_text("include_lasso=maybe\n")
+
+
 def test_override_precedence():
     config = parse_config(FULL_STUDY, overrides=["trials=2"])
     assert config.trials == 2

@@ -1,5 +1,8 @@
 import csv
+import ctypes
+import glob
 import json
+import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -490,6 +493,10 @@ def test_csv_outputs(tmp_path):
     assert [int(r[3]) for r in womp_rows[: config.iterations]] == [1, 2, 3, 4]
     assert len(lasso_rows) == 1
     assert int(lasso_rows[0][3]) == 0
+    # support.csv has the rows of errors.csv, in the same order
+    with open(tmp_path / "support.csv") as fh:
+        support_rows = list(csv.reader(fh))
+    assert [r[:4] for r in support_rows[1:]] == [r[:4] for r in rows[1:]]
 
     with open(tmp_path / "runtimes.csv") as fh:
         rows = list(csv.reader(fh))
@@ -533,18 +540,42 @@ def test_library_and_cli_write_the_same_config_resolved(tmp_path, capsys):
     assert (tmp_path / "config_resolved.cfg").read_bytes() == cli_bytes
 
 
+def blas_kernel() -> str:
+    """The OpenBLAS core and version numpy runs on, read through ctypes as
+    CI's `BLAS kernel` step reads them; "unknown" where the library or its
+    getter is absent."""
+    libs = glob.glob(
+        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
+    )
+    library, found = ctypes.CDLL(libs[0]) if libs else None, []
+    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_"):
+        get = getattr(library, name, None)
+        if get is not None:
+            get.restype = ctypes.c_char_p
+        found.append(get().decode() if get is not None else "unknown")
+    core, config = found
+    # the config string starts "OpenBLAS <version>"
+    return f"{core}, {' '.join(config.split()[:2])}"
+
+
 @pytest.mark.parametrize("kind", basis.BASIS_KINDS)
 def test_quick_womp_rows_match_recorded(tmp_path, kind):
     """configs/quick.cfg's errors.csv and support.csv, womp and wlasso rows
     alike, are pinned byte for byte in tests/data for both bases; changing
     them is a numerical change that must be named.  Its config_resolved.cfg
-    is pinned too: the benchmark reads its key names and order."""
+    is pinned too: the benchmark reads its key names and order.  The bytes
+    hold on the OpenBLAS kernel named in tests/data/quick_blas_kernel.txt;
+    a mismatch names that kernel and the one running."""
     config = TESTS.parent / "configs" / "quick.cfg"
     assert main(["run", "--config", str(config), f"basis={kind}", "--out", str(tmp_path)]) == 0
     prefix = "quick_" if kind == "legendre" else f"quick_{kind}_"
+    kernel = (TESTS / "data" / "quick_blas_kernel.txt").read_text().strip()
     for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
         recorded = (TESTS / "data" / f"{prefix}{name}").read_bytes()
-        assert (tmp_path / name).read_bytes() == recorded
+        assert (tmp_path / name).read_bytes() == recorded, (
+            f"{name} differs from tests/data/{prefix}{name}, recorded under {kernel}; "
+            f"running under {blas_kernel()}"
+        )
 
 
 def test_womp_stop_reasons_cover_every_trial():

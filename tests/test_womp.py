@@ -339,22 +339,24 @@ def test_womp_path_rows_stop_at_different_steps_for_every_reason():
     # stop reasons, and each row is its one-lambda solve
     reselect, w = reselect_system()
     lams = (0.0, 1e-3, 1e-1, 10.0)
-    cases = {
-        # residual_floor at 12, in_support_reselect at 9, zero_delta at 8 and at 1;
+    cases = [
         # a budget of 10**6 sizes the buffers by m, not by the budget
-        (STOP_RESIDUAL_FLOOR, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
-            (reselect, w, lams, 10**6),
-        (STOP_MAX_ITERATIONS, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
-            (reselect, w, lams, 10),
+        ((STOP_RESIDUAL_FLOOR, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA),
+         (12, 9, 8, 1), (reselect, w, lams, 10**6)),
+        # lambda = 0 reaches the floor on its last allowed step: the floor names the stop
+        ((STOP_RESIDUAL_FLOOR, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA),
+         (12, 9, 8, 1), (reselect, w, lams, 12)),
+        ((STOP_MAX_ITERATIONS, STOP_IN_SUPPORT_RESELECT, STOP_ZERO_DELTA, STOP_ZERO_DELTA),
+         (10, 9, 8, 1), (reselect, w, lams, 10)),
         # in_span after [1, 2], zero_delta after one step and at the start
-        (STOP_IN_SPAN, STOP_ZERO_DELTA, STOP_ZERO_DELTA):
-            (tilted_system(1e-4), np.ones(3), (0.0, 0.5, 10.0), 6),
-    }
-    for reasons, (system, w, lams, budget) in cases.items():
+        ((STOP_IN_SPAN, STOP_ZERO_DELTA, STOP_ZERO_DELTA),
+         (2, 1, 0), (tilted_system(1e-4), np.ones(3), (0.0, 0.5, 10.0), 6)),
+    ]
+    for reasons, lengths, (system, w, lams, budget) in cases:
         traces = assert_path_rows_are_solves(system, w, lams, budget)
         assert tuple(trace.stop_reason for trace in traces) == reasons
-        assert len({len(trace) for trace in traces}) == len(traces)
-    assert {reason for reasons in cases for reason in reasons} == set(STOP_REASONS)
+        assert tuple(len(trace) for trace in traces) == lengths
+    assert {reason for reasons, _, _ in cases for reason in reasons} == set(STOP_REASONS)
 
 
 @settings(max_examples=60, deadline=None)
