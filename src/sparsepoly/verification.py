@@ -171,9 +171,12 @@ def grid_min_g_lambda(system: LinearSystem, w: np.ndarray, lam: float, x: np.nda
     base = support_sum - w2 * active
 
     def evaluate(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # ts is (n, T), candidate updates per coordinate; returns (fit, objective)
-        shifted = residual[:, None, None] - matrix[:, :, None] * ts[None, :, :]
-        fit = np.sum(shifted**2, axis=0)
+        # ts is (n, T), candidate updates per coordinate; returns (fit, objective).
+        # The residual term sums the squared rows in row order, the order an
+        # axis-0 sum of all m rows at once takes, without an (m, n, T) block.
+        fit = (residual[0] - matrix[0, :, None] * ts) ** 2
+        for i in range(1, matrix.shape[0]):
+            fit += (residual[i] - matrix[i, :, None] * ts) ** 2
         updated = x[:, None] + ts
         return fit, fit + lam * (base[:, None] + w2[:, None] * (np.abs(updated) > 1e-12))
 

@@ -4,9 +4,11 @@ Each row of MUTANTS is a one-line change to src/sparsepoly: the file, the
 exact old text, the new text and what the change breaks.  For one mutant at a
 time the script copies the checkout (without .git and bench_out/) to a
 temporary directory, applies the mutant there, runs tier-1 in full and records
-which tests fail; it then prints the kill matrix, by mutant and by test.  A
-mutant survives when no test fails, or when only the tests/data byte goldens
-do (they hold on one BLAS kernel only); the script exits 1 when a mutant not
+which tests fail; it then prints the kill matrix, by mutant and by test.  In
+the by-test part a test is marked "covered" when another single test kills
+every mutant it kills: the candidates for the next fold of tier-1.  A mutant
+survives when no test fails, or when only the tests/data goldens do (they are
+byte-exact on one BLAS kernel only); the script exits 1 when a mutant not
 marked equivalent survives.  A mutant whose old text is absent is reported as
 not applicable, so the same table runs on an older checkout (--root).
 pytest does not collect this file, and it needs only Python and pytest.
@@ -33,7 +35,7 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
 
-# the tier-1 tests that byte-compare tests/data; a kill by them alone does not count
+# the tier-1 tests that compare with tests/data; a kill by them alone does not count
 GOLDENS = "tests/test_experiments.py::test_quick_womp_rows_match_recorded"
 # a mutant whose tier-1 run takes longer counts as killed
 TIMEOUT_SECONDS = 900
@@ -313,9 +315,17 @@ def main(argv=None) -> int:
                 result = "SURVIVED" + (" (byte goldens only)" if failures - baseline else "")
             print(f"{mutant.name}: {result} ({seconds:.0f} s) -- {mutant.breaks}",
                   *tests, sep="\n    ", flush=True)
-    print("\ntest: mutants it kills")
+    print("\ntest: mutants it kills [covered by another test that kills them all]")
+    covered = 0
     for test in sorted(killed_by):
-        print(f"{test}: {', '.join(killed_by[test])}")
+        kills = set(killed_by[test])
+        # prefer a test that kills more; of equal sets, each covers the other
+        covers = sorted((-len(killed_by[other]), other) for other in killed_by
+                        if other != test and kills <= set(killed_by[other]))
+        mark = f" [covered by {covers[0][1]}]" if covers else ""
+        covered += bool(covers)
+        print(f"{test}: {', '.join(killed_by[test])}{mark}")
+    print(f"{covered} of the {len(killed_by)} tests that kill a mutant are covered")
     print(f"\n{len(chosen)} mutants, {survivors} survived, {time.perf_counter() - start:.0f} s")
     return 1 if survivors else 0
 

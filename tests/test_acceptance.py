@@ -2,8 +2,8 @@
 
 The full-configuration sweeps (d=10, s=10, N=571, m=80, K=25, 25 trials,
 both bases) are shared module-scoped fixtures.  On a shared 2-vCPU Xeon
-machine the whole module takes 9-11 s: criterion 1's grid oracle 6-7.5 s,
-the shared sweeps 2-2.5 s.
+machine criterion 1's grid oracle takes about 5.6 s and the shared sweeps
+about 2 s.
 """
 
 import csv

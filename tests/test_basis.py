@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from sparsepoly import basis
 from sparsepoly.index_sets import MultiIndexSet, hyperbolic_cross
-from sparsepoly.verification import expansion_target, grid_sup_norm, quadrature_gram
+from sparsepoly.verification import expansion_target
 
 
 def eval_tensor(kind: str, index, point) -> float:
@@ -44,14 +44,6 @@ def test_chebyshev_closed_form():
             np.sqrt(2) * np.cos(k * np.arccos(ts)),
             atol=1e-12,
         )
-
-
-def test_orthonormality_by_quadrature():
-    # every univariate degree <= 12 and their products, through evaluate_design
-    index_set = hyperbolic_cross(2, 13)
-    for kind in basis.BASIS_KINDS:
-        gram = quadrature_gram(kind, index_set)
-        np.testing.assert_allclose(gram, np.eye(37), atol=1e-10)
 
 
 def test_rejects_out_of_domain_points():
@@ -104,16 +96,6 @@ def test_weight_closed_forms():
     assert legendre == pytest.approx(np.sqrt(5) * np.sqrt(3), abs=1e-14)
     chebyshev = basis.weights("chebyshev", MultiIndexSet(3, [[4, 0, 7]]))[0]
     assert chebyshev == pytest.approx(2.0, abs=1e-14)
-
-
-def test_weight_matches_grid_maximization():
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        d = int(rng.integers(1, 4))
-        index = rng.integers(0, 7, size=d)
-        for kind in basis.BASIS_KINDS:
-            closed = basis.weights(kind, MultiIndexSet(d, [index]))[0]
-            assert grid_sup_norm(kind, index) == pytest.approx(closed, rel=1e-6)
 
 
 def test_legendre_sup_attained_at_corner():

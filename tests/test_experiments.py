@@ -1,8 +1,5 @@
 import csv
-import ctypes
-import glob
 import json
-import os
 import time
 import tracemalloc
 from pathlib import Path
@@ -29,6 +26,8 @@ from sparsepoly.verification import LASSO_KKT_TOLERANCE, expansion_target
 from sparsepoly.lasso import default_alpha_grid, lasso_path
 from sparsepoly.womp import STOP_REASONS, SUPPORT_EPSILON, womp_path
 
+import goldens
+
 TESTS = Path(__file__).parent
 
 SMALL = dict(
@@ -44,6 +43,12 @@ SMALL = dict(
     lasso_grid_size=4,
     lasso_max_iterations=400,
 )
+
+
+@pytest.fixture(scope="module")
+def small_report():
+    """run_sweep on SMALL, shared by the tests that only read it."""
+    return run_sweep(ExperimentConfig(**SMALL))
 
 
 # --- targets ----------------------------------------------------------------
@@ -357,9 +362,8 @@ def test_sweep_repeats_give_equal_curves(kind, d, m, seed):
         np.testing.assert_array_equal(sa["converged_counts"], sb["converged_counts"])
 
 
-def test_sweep_report_lookup_and_json():
-    config = ExperimentConfig(**SMALL)
-    report = run_sweep(config)
+def test_sweep_report_lookup_and_json(small_report):
+    report = small_report
     (curve,) = [c for c in report["womp"] if (c["m"], c["lambda"]) == (25, 1e-4)]
     assert curve["lambda"] == 1e-4
     (sweep,) = [s for s in report["lasso"] if s["m"] == 25]
@@ -467,18 +471,14 @@ def test_a_trial_is_scored_in_the_raw_frame():
     np.testing.assert_array_equal(report["lasso"][0]["mean_supports"], supports)
 
 
-def test_errors_decrease_from_one():
-    config = ExperimentConfig(**SMALL)
-    report = run_sweep(config)
-    for curve in report["womp"]:
+def test_errors_decrease_from_one(small_report):
+    for curve in small_report["womp"]:
         assert curve["mean_errors"][0] < 1.0
         assert np.all(curve["mean_errors"] >= 0.0)
 
 
-def test_csv_outputs(tmp_path):
-    config = ExperimentConfig(**SMALL)
-    report = run_sweep(config)
-    assert write_outputs(report, tmp_path) is None
+def test_csv_outputs(tmp_path, small_report):
+    assert write_outputs(small_report, tmp_path) is None
     names = [p.name for p in sorted(tmp_path.iterdir())]
     assert names == sorted(
         ["errors.csv", "support.csv", "runtimes.csv", "report.json", "config_resolved.cfg"]
@@ -489,8 +489,8 @@ def test_csv_outputs(tmp_path):
     assert rows[0] == ["decoder", "lambda", "m", "k", "mean_error", "std_error"]
     womp_rows = [r for r in rows[1:] if r[0] == "womp"]
     lasso_rows = [r for r in rows[1:] if r[0] == "wlasso"]
-    assert len(womp_rows) == 2 * config.iterations  # two lambdas, k = 1..K
-    assert [int(r[3]) for r in womp_rows[: config.iterations]] == [1, 2, 3, 4]
+    assert len(womp_rows) == 2 * 4  # two lambdas, k = 1..K
+    assert [int(r[3]) for r in womp_rows[:4]] == [1, 2, 3, 4]
     assert len(lasso_rows) == 1
     assert int(lasso_rows[0][3]) == 0
     # support.csv has the rows of errors.csv, in the same order
@@ -540,50 +540,26 @@ def test_library_and_cli_write_the_same_config_resolved(tmp_path, capsys):
     assert (tmp_path / "config_resolved.cfg").read_bytes() == cli_bytes
 
 
-def blas_kernel() -> str:
-    """The OpenBLAS core and version numpy runs on, read through ctypes as
-    CI's `BLAS kernel` step reads them; "unknown" where the library or its
-    getter is absent."""
-    libs = glob.glob(
-        os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs", "libscipy_openblas*")
-    )
-    library, found = ctypes.CDLL(libs[0]) if libs else None, []
-    for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_config64_"):
-        get = getattr(library, name, None)
-        if get is not None:
-            get.restype = ctypes.c_char_p
-        found.append(get().decode() if get is not None else "unknown")
-    core, config = found
-    # the config string starts "OpenBLAS <version>"
-    return f"{core}, {' '.join(config.split()[:2])}"
-
-
 @pytest.mark.parametrize("kind", basis.BASIS_KINDS)
 def test_quick_womp_rows_match_recorded(tmp_path, kind):
     """configs/quick.cfg's errors.csv and support.csv, womp and wlasso rows
-    alike, are pinned byte for byte in tests/data for both bases; changing
-    them is a numerical change that must be named.  Its config_resolved.cfg
-    is pinned too: the benchmark reads its key names and order.  The bytes
-    hold on the OpenBLAS kernel named in tests/data/quick_blas_kernel.txt;
-    a mismatch names that kernel and the one running."""
+    alike, are pinned in tests/data for both bases; changing them is a
+    numerical change that must be named.  Its config_resolved.cfg is pinned
+    too: the benchmark reads its key names and order.  goldens.py compares
+    byte for byte on the OpenBLAS kernel named in
+    tests/data/quick_blas_kernel.txt, and values to 1.6e-11 relative on any
+    other; a mismatch names both kernels."""
     config = TESTS.parent / "configs" / "quick.cfg"
     assert main(["run", "--config", str(config), f"basis={kind}", "--out", str(tmp_path)]) == 0
-    prefix = "quick_" if kind == "legendre" else f"quick_{kind}_"
-    kernel = (TESTS / "data" / "quick_blas_kernel.txt").read_text().strip()
-    for name in ("errors.csv", "support.csv", "config_resolved.cfg"):
-        recorded = (TESTS / "data" / f"{prefix}{name}").read_bytes()
-        assert (tmp_path / name).read_bytes() == recorded, (
-            f"{name} differs from tests/data/{prefix}{name}, recorded under {kernel}; "
-            f"running under {blas_kernel()}"
-        )
+    problems = goldens.mismatches(tmp_path, kind)
+    assert not problems, "\n".join(problems)
 
 
-def test_womp_stop_reasons_cover_every_trial():
-    config = ExperimentConfig(**SMALL)
-    report = run_sweep(config)
-    for curve, entry in zip(report["womp"], _json_value(report)["womp"], strict=True):
+def test_womp_stop_reasons_cover_every_trial(small_report):
+    entries = _json_value(small_report)["womp"]
+    for curve, entry in zip(small_report["womp"], entries, strict=True):
         assert set(curve["stop_reasons"]) <= set(STOP_REASONS)
-        assert sum(curve["stop_reasons"].values()) == config.trials
-        assert 1.0 <= curve["mean_iterations"] <= config.iterations
+        assert sum(curve["stop_reasons"].values()) == SMALL["trials"]
+        assert 1.0 <= curve["mean_iterations"] <= SMALL["iterations"]
         assert entry["stop_reasons"] == curve["stop_reasons"]
         assert entry["mean_iterations"] == curve["mean_iterations"]

@@ -11,14 +11,10 @@ from sparsepoly.lasso import LassoResult, default_alpha_grid, lasso_path
 from sparsepoly.verification import LASSO_KKT_TOLERANCE, lasso_kkt_residual
 
 
-def weighted_l1_norm(z: np.ndarray, w: np.ndarray) -> float:
-    """sum_j |z_j| w_j."""
-    return float(np.sum(np.abs(np.asarray(z)) * np.asarray(w)))
-
-
 def lasso_objective(z: np.ndarray, system: LinearSystem, w: np.ndarray, alpha: float) -> float:
+    """||y - A z||^2 + alpha sum_j w_j |z_j|."""
     residual = system.rhs - system.matrix @ np.asarray(z, dtype=np.float64)
-    return float(residual @ residual) + alpha * weighted_l1_norm(z, w)
+    return float(residual @ residual) + alpha * float(np.sum(np.abs(z) * w))
 
 
 def make_system(m, n, seed):
@@ -151,24 +147,6 @@ def reference_ista(system, alpha, n_iterations=30_000, w=None):
         gradient = 2.0 * matrix.T @ (matrix @ z - y)
         z = soft_threshold(z - step * gradient, step * alpha * w)
     return z
-
-
-# --- weighted l1 norm -------------------------------------------------------
-
-
-def test_weighted_l1_zero():
-    assert weighted_l1_norm(np.zeros(4), np.ones(4)) == 0.0
-
-
-def test_weighted_l1_unit_weights_is_l1():
-    z = np.array([1.5, -2.0, 0.0, 3.0])
-    assert weighted_l1_norm(z, np.ones(4)) == pytest.approx(6.5, abs=1e-14)
-
-
-def test_weighted_l1_direct_evaluation():
-    z = np.array([1.0, -2.0])
-    w = np.array([np.sqrt(3.0), 1.0])
-    assert weighted_l1_norm(z, w) == pytest.approx(np.sqrt(3.0) + 2.0, abs=1e-14)
 
 
 # --- solver -----------------------------------------------------------------
